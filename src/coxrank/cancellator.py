@@ -33,7 +33,7 @@ from .errors import (
 )
 from .graphs import DefiningGraph
 from .subgroups import SubgroupSpec, index_and_exponent, member
-from .words import Word, decode_word, encode_word
+from .words import Word, decode_word, encode_word, support_bits
 
 
 class BlockerVariant(str, Enum):
@@ -143,13 +143,6 @@ def multiplier_word(choice: BlockerChoice, n: int) -> Word:
     return unit * n
 
 
-def _support_mask(enc: bytes) -> int:
-    mask = 0
-    for ch in enc:
-        mask |= 1 << ch
-    return mask
-
-
 def fix_missing(g: DefiningGraph, word, n: int = 2) -> tuple[Word, MultiplierTrace]:
     """Prepend repair multipliers until every generator appears in the
     reduced form; the least missing generator is targeted first.  Already
@@ -160,7 +153,7 @@ def fix_missing(g: DefiningGraph, word, n: int = 2) -> tuple[Word, MultiplierTra
     steps: list[TraceStep] = []
     total = b""
     for _ in range(g.n):
-        supp = _support_mask(current)
+        supp = support_bits(current)
         if supp == full:
             break
         target = (~supp & full)
@@ -169,7 +162,7 @@ def fix_missing(g: DefiningGraph, word, n: int = 2) -> tuple[Word, MultiplierTra
         mult = encode_word(g, multiplier_word(choice, n))
         nxt = kernels.reduce_word(mult + current, comm)
         required = supp | (1 << ti)
-        if _support_mask(nxt) & required != required:
+        if support_bits(nxt) & required != required:
             raise ContractViolationError(
                 f"repair for {g.vertices[ti]!r} removed a generator "
                 f"from the support",
@@ -186,7 +179,7 @@ def fix_missing(g: DefiningGraph, word, n: int = 2) -> tuple[Word, MultiplierTra
         total = mult + total
         current = nxt
     else:
-        if _support_mask(current) != full:
+        if support_bits(current) != full:
             raise ContractViolationError(
                 "generators still missing after one repair per generator",
                 trace=tuple(steps),
@@ -208,7 +201,7 @@ def make_good(g: DefiningGraph, word, n: int = 2) -> tuple[Word, MultiplierTrace
     comm = g.comm_masks
     current = kernels.reduce_word(encode_word(g, word), comm)
     full = (1 << g.n) - 1
-    supp = _support_mask(current)
+    supp = support_bits(current)
     if supp != full:
         raise MissingGeneratorsError(
             [v for i, v in enumerate(g.vertices) if not (supp >> i) & 1]
@@ -223,7 +216,7 @@ def make_good(g: DefiningGraph, word, n: int = 2) -> tuple[Word, MultiplierTrace
         choice = choose_blockers(g, g.vertices[ti])
         mult = encode_word(g, multiplier_word(choice, n))
         nxt = kernels.reduce_word(mult + current, comm)
-        new_bad = bad_mask(g, nxt) if _support_mask(nxt) == full else None
+        new_bad = bad_mask(g, nxt) if support_bits(nxt) == full else None
         if new_bad is None or new_bad & ~bad or new_bad == bad:
             raise ContractViolationError(
                 f"repair for {g.vertices[ti]!r} did not strictly shrink the "

@@ -35,6 +35,7 @@ from .words import (
     decode_word,
     encode_word,
     parity_mask,
+    support_bits,
 )
 
 
@@ -219,9 +220,7 @@ def _falsify_enc(g: DefiningGraph, enc: bytes, conj_ball) -> tuple[bytes, int] |
     comm = g.comm_masks
     full = (1 << g.n) - 1
     for u in conj_ball:
-        supp = 0
-        for ch in kernels.reduce_word(u + enc + u[::-1], comm):
-            supp |= 1 << ch
+        supp = support_bits(kernels.reduce_word(u + enc + u[::-1], comm))
         if supp != full:
             return u, supp
     return None

@@ -144,12 +144,10 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("--trials", type=int, default=10_000)
     q.add_argument("--max-len", type=int, default=12)
     q.add_argument("--seed", type=int, default=0)
-    q.add_argument("--jobs", type=int, default=1)
 
     q = vsub.add_parser("wordproblem", help="normal forms vs rewriting closure")
     _add_common(q)
     q.add_argument("--max-len", type=int, default=verify_mod.WORD_PROBLEM_MAX_LEN)
-    q.add_argument("--jobs", type=int, default=1)
 
     q = vsub.add_parser("covering", help="even-completion covering of the ball")
     _add_common(q)
@@ -169,12 +167,10 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("--subgroup")
     q.add_argument("--radius", type=int, default=6)
     q.add_argument("--cap", type=int, default=10, help="ball radius cap")
-    q.add_argument("--jobs", type=int, default=1)
 
     q = vsub.add_parser("joinlemma", help="join(g) <=> join(doubled g), exhaustively")
     _add_common(q, graph=False)
     q.add_argument("--max-vertices", type=int, default=5)
-    q.add_argument("--jobs", type=int, default=1)
 
     q = vsub.add_parser("certificates", help="certified elements survive the falsifier")
     _add_common(q)

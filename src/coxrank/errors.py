@@ -96,3 +96,10 @@ class NotInSubgroupError(CoxrankError):
 
 class PreconditionClassError(CoxrankError):
     code = "PRECONDITION_CLASS"
+
+
+class SubgroupParseError(CoxrankError, ValueError):
+    """Subgroup spec rejected: a malformed basis row or file line, or no
+    ambient graph.  Also a ``ValueError`` for callers that catch that."""
+
+    code = "SUBGROUP_PARSE_ERROR"

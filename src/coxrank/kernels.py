@@ -1,31 +1,99 @@
-"""Backend selection for the word kernels.
+"""Word kernels: reducedness, reduction and the normal form.
 
-The compiled extension is preferred when importable; set
-``COXRANK_PURE_PYTHON=1`` to force the pure-Python fallback.  Both
-backends implement the same contracts and are cross-checked in the test
-suite, so the choice only affects speed (see benchmarks/bench_kernels.py).
+Words are ``bytes`` of generator indices.  Commutation comes in as one
+bitmask per generator: bit ``t`` of ``comm[s]`` is set iff ``s`` and ``t``
+are distinct commuting generators (an edge of the defining graph).
+
+The kernels are plain Python; ``BACKEND`` names that for reports and
+``coxrank --version``.
 """
 
 from __future__ import annotations
 
-import os
+BACKEND = "python"
 
-if os.environ.get("COXRANK_PURE_PYTHON"):
-    from . import _kernel_py as _backend
 
-    BACKEND = "python"
-else:
-    try:
-        from . import _kernel as _backend  # type: ignore[attr-defined]
+def is_reduced(word: bytes, comm) -> bool:
+    """True iff no deletable pair exists.
 
-        BACKEND = "compiled"
-    except ImportError:
-        from . import _kernel_py as _backend
+    A pair of equal letters is deletable when the letter does not reoccur
+    strictly between them and every letter in between commutes with it.
+    """
+    n = len(word)
+    for i in range(n - 1):
+        s = word[i]
+        mask = comm[s]
+        for j in range(i + 1, n):
+            t = word[j]
+            if t == s:
+                return False
+            if not (mask >> t) & 1:
+                break
+    return True
 
-        BACKEND = "python"
 
-is_reduced = _backend.is_reduced
-reduce_word = _backend.reduce_word
-normal_form = _backend.normal_form
+def _reduce(word: bytes, comm) -> bytearray:
+    """One left-to-right pass: each letter scans back over the letters it
+    commutes with and cancels the first equal one; a non-commuting letter
+    ends the scan and the new letter is kept."""
+    out = bytearray()
+    for s in word:
+        mask = comm[s]
+        i = len(out) - 1
+        while i >= 0:
+            t = out[i]
+            if t == s:
+                del out[i]
+                break
+            if not (mask >> t) & 1:
+                out.append(s)
+                break
+            i -= 1
+        else:
+            out.append(s)
+    return out
+
+
+def reduce_word(word: bytes, comm) -> bytes:
+    """A reduced word for the same element.
+
+    The bytes are those of deleting the leftmost deletable pair (smallest
+    first position, then its nearest matching letter) until none remains,
+    which keeps downstream traces reproducible.
+    """
+    return bytes(_reduce(word, comm))
+
+
+def normal_form(word: bytes, comm) -> bytes:
+    """Lexicographically least reduced word of the same group element.
+
+    Greedy extraction: among the letters whose first occurrence is
+    preceded only by letters they commute with, repeatedly emit the least
+    one and delete that occurrence.
+    """
+    buf = _reduce(word, comm)
+    out = bytearray()
+    while buf:
+        n = len(buf)
+        best = -1
+        pos = -1
+        for p in range(n):
+            s = buf[p]
+            if best >= 0 and s >= best:
+                continue
+            mask = comm[s]
+            ok = True
+            for q in range(p):
+                t = buf[q]
+                if t == s or not (mask >> t) & 1:
+                    ok = False
+                    break
+            if ok:
+                best = s
+                pos = p
+        del buf[pos]
+        out.append(best)
+    return bytes(out)
+
 
 __all__ = ["BACKEND", "is_reduced", "reduce_word", "normal_form"]

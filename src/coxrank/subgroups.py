@@ -12,8 +12,9 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
+from .errors import SubgroupParseError
 from .graphs import DefiningGraph, load_graph
-from .words import Word, ball_bytes, decode_word, parity_mask
+from .words import Word, ball_bytes, decode_word, parity_bits, parity_mask
 
 
 @dataclass(frozen=True)
@@ -52,7 +53,7 @@ def _echelonize(vectors) -> tuple[int, ...]:
 
 def _vector_from_string(g: DefiningGraph, bits: str) -> int:
     if len(bits) != g.n or any(c not in "01" for c in bits):
-        raise ValueError(
+        raise SubgroupParseError(
             f"basis row must be a 0/1 string of length {g.n}, got {bits!r}"
         )
     return sum(1 << i for i, c in enumerate(bits) if c == "1")
@@ -66,7 +67,9 @@ def make_subgroup(g: DefiningGraph, rows) -> SubgroupSpec:
     ]
     for v in vectors:
         if v >> g.n:
-            raise ValueError("basis vector has bits outside the generator range")
+            raise SubgroupParseError(
+                "basis vector has bits outside the generator range"
+            )
     return SubgroupSpec(graph=g, basis=_echelonize(vectors))
 
 
@@ -103,10 +106,7 @@ def enumerate_members(spec: SubgroupSpec, radius: int, cap: int = 10) -> list[Wo
     g = spec.graph
     out = []
     for enc in ball_bytes(g, radius, cap):
-        pmask = 0
-        for ch in enc:
-            pmask ^= 1 << ch
-        if member_mask(spec, pmask):
+        if member_mask(spec, parity_bits(enc)):
             out.append(decode_word(g, enc))
     return out
 
@@ -139,10 +139,10 @@ def parse_subgroup_file(
         elif line.startswith("basis:"):
             rows.append(line[len("basis:"):].strip())
         else:
-            raise ValueError(f"line {lineno}: unrecognized line {line!r}")
+            raise SubgroupParseError(f"line {lineno}: unrecognized line {line!r}")
     if graph is None:
         if graph_path is None:
-            raise ValueError("subgroup file names no graph and none was supplied")
+            raise SubgroupParseError("subgroup file names no graph and none was supplied")
         if base_dir is not None:
             graph_path = os.path.join(base_dir, graph_path)
         graph = load_graph(graph_path)

@@ -33,9 +33,14 @@ from .words import (
     decode_word,
     encode_word,
     format_word,
+    parity_bits,
+    support_bits,
 )
 
 WORD_PROBLEM_MAX_LEN = 6  # closure universe is n^(maxLen+2); keep desk scale
+# words of length <= maxLen + 2 the closure table may hold (C5 at maxLen 6
+# needs 488,281)
+WORD_PROBLEM_MAX_UNIVERSE = 4_000_000
 
 
 @dataclass
@@ -124,9 +129,7 @@ def verify_parity_invariance(
     failures = []
     for trial in range(trials):
         word = [rng.randrange(n) for _ in range(rng.randint(0, max_len))]
-        expected = 0
-        for ch in word:
-            expected ^= 1 << ch
+        expected = parity_bits(word)
         start = bytes(word)
         nmoves = rng.randint(1, 2 * max_len)
         corrupt_at = rng.randrange(nmoves) if _corrupt else -1
@@ -156,10 +159,7 @@ def verify_parity_invariance(
                 else:
                     pos, s = divmod(pick - len(swaps) - len(cancels), n)
                     word[pos:pos] = [s, s]
-            observed = 0
-            for ch in word:
-                observed ^= 1 << ch
-            if observed != expected:
+            if parity_bits(word) != expected:
                 failures.append(
                     {
                         "trial": trial,
@@ -253,6 +253,12 @@ def verify_word_problem(g: DefiningGraph, max_len: int = WORD_PROBLEM_MAX_LEN) -
     n = g.n
     comm = g.comm_masks
     cap = max_len + 2
+    universe = sum(n**k for k in range(cap + 1))
+    if universe > WORD_PROBLEM_MAX_UNIVERSE:
+        raise RadiusCapError(
+            f"closure universe of {universe} words (length <= {cap} over "
+            f"{n} generators) exceeds cap {WORD_PROBLEM_MAX_UNIVERSE}"
+        )
     parent, offsets, pows, find = _closure_partition(n, comm, cap)
 
     failures = []
@@ -302,7 +308,7 @@ def verify_word_problem(g: DefiningGraph, max_len: int = WORD_PROBLEM_MAX_LEN) -
         "maxLen": max_len,
         "closureCap": cap,
         "words": words,
-        "universe": offsets[cap + 1],
+        "universe": universe,
         "sphereSizes": sphere_sizes,
     }
     return _finish(
@@ -349,15 +355,10 @@ def _covering_chunk(args):
     failures = []
     hist: Counter = Counter()
     for w in chunk:
-        pm = 0
-        for ch in w:
-            pm ^= 1 << ch
+        pm = parity_bits(w)
         alpha = bytes(i for i in range(n) if not (pm >> i) & 1)
-        counts = 0
-        for ch in alpha + w:
-            counts ^= 1 << ch
         distinct = len(set(alpha)) == len(alpha)
-        if counts != (1 << n) - 1 or not distinct:
+        if parity_bits(alpha + w) != (1 << n) - 1 or not distinct:
             failures.append({"word": _fmt(g, w), "alpha": _fmt(g, alpha)})
         # histogram keys must be injective; "e" could name a generator
         hist[_fmt(g, alpha) if alpha else "(identity)"] += 1
@@ -400,9 +401,7 @@ def _subgroup_covering_chunk(args):
     full = (1 << g.n) - 1
     for w in chunk:
         word = decode_word(g, w)
-        supp = 0
-        for ch in kernels.reduce_word(w, g.comm_masks):
-            supp |= 1 << ch
+        supp = support_bits(kernels.reduce_word(w, g.comm_masks))
         missing0 = g.n - bin(supp & full).count("1")
         try:
             w1, t1 = fix_missing(g, word, nexp)
@@ -448,13 +447,9 @@ def verify_subgroup_covering(
     _require_irreducible_nonaffine(g)
     index, exponent = index_and_exponent(spec)
     nexp = max(2, exponent)
-    members = []
-    for w in ball_bytes(g, radius, cap):
-        pm = 0
-        for ch in w:
-            pm ^= 1 << ch
-        if member_mask(spec, pm):
-            members.append(w)
+    members = [
+        w for w in ball_bytes(g, radius, cap) if member_mask(spec, parity_bits(w))
+    ]
     results = _run_chunked(
         _subgroup_covering_chunk,
         [(g, c, spec, nexp) for c in _chunks(members, max(jobs, 1))],
@@ -497,10 +492,7 @@ def verify_cancellator_uniformity(
     full = (1 << g.n) - 1
     groups: dict[int, list[bytes]] = {}
     for w in ball_bytes(g, radius, cap):
-        supp = 0
-        for ch in w:
-            supp |= 1 << ch
-        if supp == full:
+        if support_bits(w) == full:
             groups.setdefault(bad_mask(g, w), []).append(w)
     failures = []
     per_class = {}
@@ -596,14 +588,9 @@ def verify_essential_certificates(
     full = (1 << g.n) - 1
     certified: list[tuple[bytes, str]] = []
     for w in ball_bytes(g, radius, cap):
-        pm = 0
-        supp = 0
-        for ch in w:
-            pm ^= 1 << ch
-            supp |= 1 << ch
-        if pm == full:
+        if parity_bits(w) == full:
             certified.append((w, "all-odd"))
-        elif supp == full and bad_mask(g, w) == 0:
+        elif support_bits(w) == full and bad_mask(g, w) == 0:
             certified.append((w, "good-for-all"))
     for word in extra_certified:
         certified.append((encode_word(g, word), "assumed"))

@@ -1,8 +1,9 @@
 """Words over the generators: reduction, canonical forms, parity, balls.
 
 Public functions deal in tuples of labels; the index-level codec
-(``encode_word``/``decode_word``) and the byte-level ball enumerator are
-exposed for the hot loops in the certificate and verification modules.
+(``encode_word``/``decode_word``), the bitmask helpers (``parity_bits``,
+``support_bits``) and the byte-level ball enumerator are exposed for the
+hot loops in the certificate and verification modules.
 All functions are pure; every returned word is a fresh tuple.
 """
 
@@ -58,14 +59,29 @@ def inverse(word) -> Word:
     return tuple(reversed(word))
 
 
+def parity_bits(enc) -> int:
+    """Letter counts mod 2 of an encoded word (any iterable of generator
+    indices), packed as a bitmask: bit i is set iff i occurs an odd
+    number of times."""
+    mask = 0
+    for ch in enc:
+        mask ^= 1 << ch
+    return mask
+
+
+def support_bits(enc) -> int:
+    """The generator indices occurring in an encoded word, as a bitmask."""
+    mask = 0
+    for ch in enc:
+        mask |= 1 << ch
+    return mask
+
+
 def parity_mask(g: DefiningGraph, word) -> int:
     """Per-generator letter counts mod 2, packed as a bitmask in vertex
     order.  Invariant under all legal moves, hence an invariant of the
     group element."""
-    mask = 0
-    for x in word:
-        mask ^= 1 << g.index(x)
-    return mask
+    return parity_bits(map(g.index, word))
 
 
 def reduce_word(g: DefiningGraph, word) -> Word:

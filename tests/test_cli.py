@@ -153,6 +153,27 @@ def test_verify_report_json(capsys, c5_file):
     assert payload["verdict"] == "PASS"
 
 
+def test_jobs_only_on_the_chunked_verifies(capsys, c5_file):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "parity", "--graph", c5_file, "--trials", "5", "--jobs", "2"])
+    assert exc.value.code == 2
+    code, out, _ = run_main(
+        capsys, "verify", "covering", "--graph", c5_file, "--radius", "2",
+        "--jobs", "2",
+    )
+    assert (code, "verdict: PASS" in out) == (0, True)
+
+
+def test_malformed_subgroup_file_exit_code(capsys, c5_file, tmp_path):
+    spec = tmp_path / "bad.sub"
+    spec.write_text("basis: 10x00\n")
+    code, _, err = run_main(
+        capsys, "subgroup", "index", "--graph", c5_file, "--subgroup", str(spec)
+    )
+    assert code == 2
+    assert "[SUBGROUP_PARSE_ERROR]" in err
+
+
 def test_unknown_generator_exit_code(capsys, c5_file):
     code, _, err = run_main(capsys, "reduce", "--graph", c5_file, "--word", "a q")
     assert code == 2

@@ -1,55 +1,51 @@
-"""Cross-checks between the compiled and pure-Python kernel backends."""
+"""The word kernels against the leftmost-pair reduction that defines
+``reduce_word``'s byte contract."""
 
-import random
+from itertools import combinations, product
 
-import pytest
-
-from coxrank import _kernel_py
+from coxrank import kernels
 from coxrank.graphs import DefiningGraph
 from coxrank.kernels import BACKEND
 
-try:
-    from coxrank import _kernel  # compiled extension
-except ImportError:
-    _kernel = None
 
-needs_compiled = pytest.mark.skipif(
-    _kernel is None, reason="compiled kernel not built"
-)
+def _leftmost_pair_reduce(word: bytes, comm) -> bytes:
+    """Delete the leftmost deletable pair (smallest first position, then
+    its nearest matching letter) until none remains."""
+    buf = bytearray(word)
+    while True:
+        n = len(buf)
+        hit = False
+        for i in range(n - 1):
+            s = buf[i]
+            mask = comm[s]
+            for j in range(i + 1, n):
+                t = buf[j]
+                if t == s:
+                    del buf[j]
+                    del buf[i]
+                    hit = True
+                    break
+                if not (mask >> t) & 1:
+                    break
+            if hit:
+                break
+        if not hit:
+            return bytes(buf)
 
 
-def _random_graph(rng, n):
-    verts = [f"v{i}" for i in range(n)]
-    edges = [
-        (verts[i], verts[j])
-        for i in range(n)
-        for j in range(i + 1, n)
-        if rng.random() < 0.4
+def test_reduction_matches_leftmost_pair_on_every_4_vertex_graph():
+    verts = "abcd"
+    pairs = list(combinations(verts, 2))
+    words = [
+        bytes(w) for length in range(6) for w in product(range(4), repeat=length)
     ]
-    return DefiningGraph(verts, edges)
-
-
-@needs_compiled
-def test_backends_agree_on_random_words():
-    rng = random.Random(1234)
-    for _ in range(300):
-        g = _random_graph(rng, rng.randint(1, 8))
-        word = bytes(rng.randrange(g.n) for _ in range(rng.randint(0, 20)))
-        comm = g.comm_masks
-        assert _kernel.is_reduced(word, comm) == _kernel_py.is_reduced(word, comm)
-        assert _kernel.reduce_word(word, comm) == _kernel_py.reduce_word(word, comm)
-        assert _kernel.normal_form(word, comm) == _kernel_py.normal_form(word, comm)
-
-
-@needs_compiled
-def test_backends_agree_on_long_words():
-    rng = random.Random(99)
-    g = _random_graph(rng, 6)
-    comm = g.comm_masks
-    for _ in range(20):
-        word = bytes(rng.randrange(g.n) for _ in range(400))
-        assert _kernel.reduce_word(word, comm) == _kernel_py.reduce_word(word, comm)
-        assert _kernel.normal_form(word, comm) == _kernel_py.normal_form(word, comm)
+    for bits in range(1 << len(pairs)):
+        edges = [p for k, p in enumerate(pairs) if (bits >> k) & 1]
+        comm = DefiningGraph(verts, edges).comm_masks
+        for w in words:
+            expected = _leftmost_pair_reduce(w, comm)
+            assert kernels.reduce_word(w, comm) == expected
+            assert kernels.is_reduced(w, comm) == (expected == w)
 
 
 def test_pure_kernel_reduction_order_is_leftmost():
@@ -59,8 +55,8 @@ def test_pure_kernel_reduction_order_is_leftmost():
         "abcde", [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e"), ("e", "a")]
     )
     word = bytes([0, 1, 0, 2])  # a b a c
-    assert _kernel_py.reduce_word(word, g.comm_masks) == bytes([1, 2])  # b c
+    assert kernels.reduce_word(word, g.comm_masks) == bytes([1, 2])  # b c
 
 
 def test_active_backend_reported():
-    assert BACKEND in ("compiled", "python")
+    assert BACKEND == "python"

@@ -4,6 +4,8 @@ from coxrank.errors import PreconditionClassError, RadiusCapError
 from coxrank.graphs import DefiningGraph
 from coxrank.subgroups import commutator_subgroup, whole_group
 from coxrank.verify import (
+    WORD_PROBLEM_MAX_LEN,
+    WORD_PROBLEM_MAX_UNIVERSE,
     rewriting_closure_equal,
     verify_cancellator_uniformity,
     verify_covering,
@@ -60,6 +62,17 @@ def test_word_problem_finite_group():
 def test_word_problem_cap():
     with pytest.raises(RadiusCapError):
         verify_word_problem(DefiningGraph("ab"), max_len=7)
+
+
+def test_word_problem_refuses_a_large_closure_table():
+    # 20 generators at max-len 6 would need a table of ~2.7e10 words; the
+    # size is checked before anything is allocated
+    g = DefiningGraph([f"v{i}" for i in range(20)])
+    with pytest.raises(RadiusCapError, match="closure universe"):
+        verify_word_problem(g, max_len=6)
+    # C5 at the largest max-len still fits
+    c5_universe = sum(5**k for k in range(WORD_PROBLEM_MAX_LEN + 3))
+    assert c5_universe <= WORD_PROBLEM_MAX_UNIVERSE
 
 
 def test_rewriting_closure_equal_spot_checks(c5):
