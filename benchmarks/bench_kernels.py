@@ -1,13 +1,17 @@
 #!/usr/bin/env python3
-"""Time the word kernels and the ball, and record them in BENCH_kernels.json.
+"""Time the word kernels, the ball and the falsifier, and record them in
+BENCH_kernels.json.
 
 Usage: python3 benchmarks/bench_kernels.py [--words N] [--max-len L] [--label NAME]
 
 Times is_reduced, reduce_word and normal_form over a seeded corpus of
-random words on the pentagon graph, and ``words.ball_bytes`` at radii 8
-and 10.  Each row is the median of REPEATS runs and records its
-parameters, the kernel backend, the Python version and a digest of the
-results: equal digests mean byte-identical output.  The rows are stored
+random words on the pentagon graph, ``words.ball_bytes`` at radii 8
+and 10, and the falsifier core on the certified words of the radius-8
+ball plus one planted non-essential word, at conjugation radius 4 (the
+conjugator table build and the falsifier calls, timed together).  Each
+row is the median of REPEATS runs and records its parameters, the kernel
+backend, the Python version and a digest of the results: equal digests
+mean byte-identical output.  The rows are stored
 under ``--label`` in BENCH_kernels.json at the repository root; runs under
 other labels stay in the file.  To time another source tree, put its
 ``src`` first on PYTHONPATH.
@@ -29,13 +33,17 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.append(str(ROOT / "src"))  # PYTHONPATH, when set, comes first
 
-from coxrank import kernels, words  # noqa: E402
+from coxrank import certificates, kernels, words  # noqa: E402
 from coxrank.graphs import DefiningGraph  # noqa: E402
 
 C5 = DefiningGraph("abcde", [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e"), ("e", "a")])
 CORPUS_SEED = 12345
 BALL_RADII = (8, 10)
 REPEATS = 5
+FALSIFY_RADIUS = 8
+CONJ_RADIUS = 4
+# e b d c . a . c d b e: a conjugate of a with full support
+PLANTED = bytes([4, 1, 3, 2, 0, 2, 3, 1, 4])
 OUT = ROOT / "BENCH_kernels.json"
 
 
@@ -45,6 +53,26 @@ def _corpus(n_words, max_len):
         bytes(rng.randrange(C5.n) for _ in range(rng.randint(0, max_len)))
         for _ in range(n_words)
     ]
+
+
+def _certified():
+    """Ball elements certified by either essentiality criterion, in ball
+    order, then the planted word."""
+    full = (1 << C5.n) - 1
+    out = [
+        w
+        for w in words.ball_bytes(C5, FALSIFY_RADIUS)
+        if words.parity_bits(w) == full
+        or (words.support_bits(w) == full and certificates.bad_mask(C5, w) == 0)
+    ]
+    return out + [PLANTED]
+
+
+def _falsify_all(certified, conj_ball):
+    # sources from before the conjugator table take the ball itself
+    build = getattr(certificates, "conjugator_table", lambda g, ball: ball)
+    table = build(C5, conj_ball)
+    return [certificates._falsify_enc(C5, w, table) for w in certified]
 
 
 def _row(op, params, run):
@@ -87,6 +115,15 @@ def main():
         _row("ball_bytes", {"graph": "C5", "radius": r}, lambda r=r: words.ball_bytes(C5, r))
         for r in BALL_RADII
     ]
+    certified = _certified()
+    conj_ball = words.ball_bytes(C5, CONJ_RADIUS)
+    falsify_params = {
+        "graph": "C5",
+        "radius": FALSIFY_RADIUS,
+        "conjRadius": CONJ_RADIUS,
+        "words": len(certified),
+    }
+    rows.append(_row("falsify", falsify_params, lambda: _falsify_all(certified, conj_ball)))
 
     print(f"{'op':<14}{'params':<42}{'median':>12}  digest")
     for row in rows:

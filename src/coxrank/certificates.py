@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from . import kernels
 from .errors import (
@@ -27,7 +28,7 @@ from .errors import (
     NotReducedError,
     RadiusCapError,
 )
-from .graphs import DefiningGraph
+from .graphs import MAX_VERTICES, DefiningGraph
 from .words import (
     DEFAULT_BALL_CAP,
     Word,
@@ -214,15 +215,86 @@ def find_even_completion(g: DefiningGraph, word) -> Word:
     return tuple(v for i, v in enumerate(g.vertices) if not (mask >> i) & 1)
 
 
-def _falsify_enc(g: DefiningGraph, enc: bytes, conj_ball) -> tuple[bytes, int] | None:
+class ConjugatorTable(NamedTuple):
+    """A conjugator ball with, per element, the index of its prefix
+    ``u[:-1]``, its last letter and the index of its inverse (entry 0 is
+    the empty word: its own prefix, letter -1)."""
+
+    ball: list[bytes]
+    parent: list[int]
+    letter: list[int]
+    inverse: list[int]
+
+
+def conjugator_table(g: DefiningGraph, conj_ball: list[bytes]) -> ConjugatorTable:
+    """Index a ball from ``ball_bytes`` by prefix, last letter and inverse.
+
+    Normal forms are shortlex least, so every prefix of a ball element is
+    in the ball, and so is the normal form of its inverse."""
+    comm = g.comm_masks
+    index = {u: i for i, u in enumerate(conj_ball)}
+    parent = [index[u[:-1]] for u in conj_ball]
+    letter = [u[-1] if u else -1 for u in conj_ball]
+    inverse = [index[kernels.normal_form(u[::-1], comm)] for u in conj_ball]
+    return ConjugatorTable(conj_ball, parent, letter, inverse)
+
+
+_LETTERS = [bytes((i,)) for i in range(MAX_VERTICES)]
+
+
+def _conjugate_by_letter(r: bytes, x: int, mask: int) -> bytes:
+    """The reduced word ``x r x`` for a reduced ``r``; ``mask`` is ``comm[x]``.
+
+    From the left, x cancels the first x it reaches through letters that
+    commute with it, and is prepended if a non-commuting letter comes
+    first; then the same from the right.  The bytes are those of
+    ``kernels.reduce_word(x + r + x)``."""
+    i = 0
+    for t in r:
+        if t == x:
+            r = r[:i] + r[i + 1 :]
+            break
+        if not (mask >> t) & 1:
+            r = _LETTERS[x] + r
+            break
+        i += 1
+    else:
+        return r  # x commutes with every letter of r and does not occur
+    i = len(r) - 1
+    while i >= 0:
+        t = r[i]
+        if t == x:
+            return r[:i] + r[i + 1 :]
+        if not (mask >> t) & 1:
+            break
+        i -= 1
+    return r + _LETTERS[x]
+
+
+def _falsify_enc(
+    g: DefiningGraph, enc: bytes, table: ConjugatorTable
+) -> tuple[bytes, int] | None:
     """Hot-loop core of the falsifier: returns (conjugator, support mask)
-    for the first conjugator whose conjugate misses a generator."""
+    for the first conjugator in ball order whose conjugate misses a
+    generator.
+
+    ``conj[i]`` is ``v^-1 w v`` for the i-th ball element ``v = v' x``,
+    built as ``x conj[v'] x``; the conjugate ``u w u^-1`` is then
+    ``conj[inverse of u]``.  Supports are kept alongside: conjugating by x
+    changes at most whether x occurs."""
     comm = g.comm_masks
     full = (1 << g.n) - 1
-    for u in conj_ball:
-        supp = support_bits(kernels.reduce_word(u + enc + u[::-1], comm))
-        if supp != full:
-            return u, supp
+    r = kernels.reduce_word(enc, comm)
+    conj = [r]
+    supp = [support_bits(r)]
+    for p, x in zip(table.parent[1:], table.letter[1:]):
+        d = _conjugate_by_letter(conj[p], x, comm[x])
+        conj.append(d)
+        bit = 1 << x
+        supp.append(supp[p] | bit if x in d else supp[p] & ~bit)
+    for u, j in zip(table.ball, table.inverse):
+        if supp[j] != full:
+            return u, supp[j]
     return None
 
 
@@ -240,10 +312,16 @@ def falsify_essential(
     support inside J) and the least such (u, J) in shortlex order is
     returned.  None means no counterexample at this radius, which is
     evidence, not proof.
+
+    The word is reduced once; each conjugate is then built from its
+    prefix's conjugate by one letter (``x r x`` with two short scans),
+    not by reducing ``u w u^-1`` from scratch.  The evidence is the same:
+    every conjugator up to the radius, first hit in shortlex order.
     """
     if conj_radius > cap:
         raise RadiusCapError(f"radius {conj_radius} exceeds cap {cap}")
-    hit = _falsify_enc(g, encode_word(g, word), ball_bytes(g, conj_radius, cap))
+    table = conjugator_table(g, ball_bytes(g, conj_radius, cap))
+    hit = _falsify_enc(g, encode_word(g, word), table)
     if hit is None:
         return None
     u, supp = hit

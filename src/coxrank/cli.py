@@ -164,7 +164,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     q = vsub.add_parser("uniformity", help="is one multiplier uniform per bad set?")
     _add_common(q)
-    q.add_argument("--subgroup")
+    q.add_argument("--subgroup", help="group only the members of this subgroup")
     q.add_argument("--radius", type=int, default=6)
     q.add_argument("--cap", type=int, default=10, help="ball radius cap")
 

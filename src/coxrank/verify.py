@@ -23,7 +23,12 @@ from itertools import combinations
 
 from . import kernels
 from .cancellator import fix_missing, make_good
-from .certificates import _falsify_enc, bad_mask, is_good_essential
+from .certificates import (
+    _falsify_enc,
+    bad_mask,
+    conjugator_table,
+    is_good_essential,
+)
 from .errors import CoxrankError, PreconditionClassError, RadiusCapError
 from .graphs import DefiningGraph, dj_prime, is_join
 from .subgroups import SubgroupSpec, index_and_exponent, member, member_mask
@@ -474,6 +479,21 @@ def verify_subgroup_covering(
     return _finish("subgroup-covering", params, failures, len(members), t0)
 
 
+def _bad_set_classes(
+    g: DefiningGraph, spec: SubgroupSpec | None, radius: int, cap: int
+) -> dict[int, list[bytes]]:
+    """Full-support ball elements (subgroup members only, when a subgroup
+    is given) grouped by bad-set mask, each class in ball order."""
+    full = (1 << g.n) - 1
+    groups: dict[int, list[bytes]] = {}
+    for w in ball_bytes(g, radius, cap):
+        if support_bits(w) == full and (
+            spec is None or member_mask(spec, parity_bits(w))
+        ):
+            groups.setdefault(bad_mask(g, w), []).append(w)
+    return groups
+
+
 def verify_cancellator_uniformity(
     g: DefiningGraph,
     spec: SubgroupSpec | None = None,
@@ -482,18 +502,15 @@ def verify_cancellator_uniformity(
 ) -> VerificationReport:
     """Group full-support ball elements by bad set; synthesize the repair
     multiplier for the first representative of each class and re-apply it
-    verbatim to every other member.  A FAIL records that the single
-    multiplier is not uniform over its bad-set class at this radius — an
-    empirical finding, not a build error."""
+    verbatim to every other member.  With a subgroup, only its members are
+    grouped and the multiplier exponent is the subgroup's.  A FAIL records
+    that the single multiplier is not uniform over its bad-set class at
+    this radius — an empirical finding, not a build error."""
     t0 = time.perf_counter()
     _require_irreducible_nonaffine(g)
     nexp = 2 if spec is None else max(2, index_and_exponent(spec)[1])
     comm = g.comm_masks
-    full = (1 << g.n) - 1
-    groups: dict[int, list[bytes]] = {}
-    for w in ball_bytes(g, radius, cap):
-        if support_bits(w) == full:
-            groups.setdefault(bad_mask(g, w), []).append(w)
+    groups = _bad_set_classes(g, spec, radius, cap)
     failures = []
     per_class = {}
     total = 0
@@ -553,10 +570,10 @@ def verify_join_lemma(max_vertices: int = 5) -> VerificationReport:
 
 
 def _certificates_chunk(args):
-    g, chunk, conj_ball = args
+    g, chunk, table = args
     failures = []
     for w, why in chunk:
-        hit = _falsify_enc(g, w, conj_ball)
+        hit = _falsify_enc(g, w, table)
         if hit is not None:
             u, supp = hit
             failures.append(
@@ -583,7 +600,12 @@ def verify_essential_certificates(
     """Every ball element certified by either criterion must survive the
     bounded falsifier.  ``extra_certified`` injects words treated as
     certified regardless — the self-test hook for the harness (an
-    uncertified word there must produce a recorded FAIL)."""
+    uncertified word there must produce a recorded FAIL).
+
+    The conjugator ball is indexed once (prefix, last letter, inverse);
+    for each certified word every conjugate is then built from its
+    prefix's conjugate by one letter.  The evidence is unchanged: every
+    conjugator up to ``conj_radius``, first hit in shortlex order."""
     t0 = time.perf_counter()
     full = (1 << g.n) - 1
     certified: list[tuple[bytes, str]] = []
@@ -594,10 +616,10 @@ def verify_essential_certificates(
             certified.append((w, "good-for-all"))
     for word in extra_certified:
         certified.append((encode_word(g, word), "assumed"))
-    conj_ball = ball_bytes(g, conj_radius, cap)
+    table = conjugator_table(g, ball_bytes(g, conj_radius, cap))
     results = _run_chunked(
         _certificates_chunk,
-        [(g, c, conj_ball) for c in _chunks(certified, max(jobs, 1))],
+        [(g, c, table) for c in _chunks(certified, max(jobs, 1))],
         jobs,
     )
     failures = [f for fs in results for f in fs]

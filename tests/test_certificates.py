@@ -1,9 +1,16 @@
+import random
+from itertools import combinations, product
+
 import pytest
 
+from coxrank import kernels
 from coxrank.certificates import (
     Counterexample,
     GoodnessStatus,
+    _conjugate_by_letter,
+    _falsify_enc,
     bad_set,
+    conjugator_table,
     falsify_essential,
     find_even_completion,
     goodness_report,
@@ -18,7 +25,14 @@ from coxrank.errors import (
     NotReducedError,
     RadiusCapError,
 )
-from coxrank.words import enumerate_ball, parity_vector, support
+from coxrank.graphs import DefiningGraph
+from coxrank.words import (
+    ball_bytes,
+    enumerate_ball,
+    parity_vector,
+    support,
+    support_bits,
+)
 
 
 def test_s_minimal_examples(c5):
@@ -127,3 +141,55 @@ def test_certified_words_survive_falsifier_small(c5):
     for w in enumerate_ball(c5, 5):
         if is_all_odd_essential(c5, w) or is_good_essential(c5, w):
             assert falsify_essential(c5, w, 2) is None
+
+
+def test_conjugate_by_letter_matches_reduce_word_on_every_4_vertex_graph():
+    verts = "abcd"
+    pairs = list(combinations(verts, 2))
+    words = [
+        bytes(w) for length in range(6) for w in product(range(4), repeat=length)
+    ]
+    for bits in range(1 << len(pairs)):
+        edges = [p for k, p in enumerate(pairs) if (bits >> k) & 1]
+        comm = DefiningGraph(verts, edges).comm_masks
+        for r in words:
+            if not kernels.is_reduced(r, comm):
+                continue
+            for x in range(4):
+                expected = kernels.reduce_word(bytes([x]) + r + bytes([x]), comm)
+                assert _conjugate_by_letter(r, x, comm[x]) == expected
+
+
+def _falsify_by_reducing_every_conjugate(g, enc, conj_ball):
+    """Reference: reduce every conjugate u w u^-1 from scratch."""
+    full = (1 << g.n) - 1
+    for u in conj_ball:
+        supp = support_bits(kernels.reduce_word(u + enc + u[::-1], g.comm_masks))
+        if supp != full:
+            return u, supp
+    return None
+
+
+def test_incremental_falsifier_matches_reducing_every_conjugate():
+    rng = random.Random(20121005)
+    hits = misses = 0
+    for _ in range(240):
+        n = rng.randint(2, 6)
+        verts = "abcdef"[:n]
+        edges = [p for p in combinations(verts, 2) if rng.random() < 0.4]
+        g = DefiningGraph(verts, edges)
+        conj_ball = ball_bytes(g, rng.randint(0, 4))
+        table = conjugator_table(g, conj_ball)
+        for k in range(4):
+            # raw random words, unreduced ones included; every other one is
+            # a conjugate v w v^-1 of a word w missing a generator, so that
+            # hits at nontrivial conjugators are common
+            enc = bytes(rng.randrange(n) for _ in range(rng.randint(0, 12)))
+            if k % 2:
+                v = bytes(rng.randrange(n) for _ in range(rng.randint(1, 5)))
+                enc = v + enc.replace(bytes([rng.randrange(n)]), b"") + v[::-1]
+            expected = _falsify_by_reducing_every_conjugate(g, enc, conj_ball)
+            assert _falsify_enc(g, enc, table) == expected
+            hits += expected is not None and expected[0] != b""
+            misses += expected is None
+    assert hits > 50 and misses > 50

@@ -2,10 +2,16 @@ import pytest
 
 from coxrank.errors import PreconditionClassError, RadiusCapError
 from coxrank.graphs import DefiningGraph
-from coxrank.subgroups import commutator_subgroup, whole_group
+from coxrank.subgroups import (
+    commutator_subgroup,
+    make_subgroup,
+    member_mask,
+    whole_group,
+)
 from coxrank.verify import (
     WORD_PROBLEM_MAX_LEN,
     WORD_PROBLEM_MAX_UNIVERSE,
+    _bad_set_classes,
     rewriting_closure_equal,
     verify_cancellator_uniformity,
     verify_covering,
@@ -15,6 +21,7 @@ from coxrank.verify import (
     verify_subgroup_covering,
     verify_word_problem,
 )
+from coxrank.words import parity_bits
 
 
 def test_parity_invariance_passes(c5):
@@ -127,6 +134,23 @@ def test_uniformity_report_shape(c5):
     assert per_b["(empty)"]["multiplier"] == "e"
     for entry in per_b.values():
         assert entry["verdict"] in ("PASS", "FAIL")
+
+
+def test_uniformity_with_a_subgroup_groups_only_members(c5):
+    spec = make_subgroup(c5, ["11000", "00110"])  # graphs/parity8.sub
+    grouped = [w for ws in _bad_set_classes(c5, spec, 6, 10).values() for w in ws]
+    assert grouped and all(member_mask(spec, parity_bits(w)) for w in grouped)
+    # without the subgroup, odd-parity words such as a b c d e are grouped too
+    everyone = [w for ws in _bad_set_classes(c5, None, 6, 10).values() for w in ws]
+    assert bytes(range(5)) in everyone and bytes(range(5)) not in grouped
+    assert set(grouped) < set(everyone)
+    report = verify_cancellator_uniformity(c5, spec, radius=6)
+    sizes = [e["size"] for e in report.params["perBadSet"].values()]
+    assert sum(sizes) == len(grouped)
+    # a full-support commutator member has every letter twice: length >= 10
+    report = verify_cancellator_uniformity(c5, commutator_subgroup(c5), radius=6)
+    assert report.failures == [{"reason": "EMPTY_DOMAIN"}]
+    assert report.params["perBadSet"] == {}
 
 
 def test_uniformity_empty_domain(c5):
