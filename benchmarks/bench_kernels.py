@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Time the word kernels, the ball and the falsifier, and record them in
-BENCH_kernels.json.
+"""Time the word kernels, the ball, the falsifier and the exhaustive
+verify loops, and record them in BENCH_kernels.json.
 
 Usage: python3 benchmarks/bench_kernels.py [--words N] [--max-len L] [--label NAME]
 
@@ -8,10 +8,18 @@ Times is_reduced, reduce_word and normal_form over a seeded corpus of
 random words on the pentagon graph, ``words.ball_bytes`` at radii 8
 and 10, and the falsifier core on the certified words of the radius-8
 ball plus one planted non-essential word, at conjugation radius 4 (the
-conjugator table build and the falsifier calls, timed together).  Each
-row is the median of REPEATS runs and records its parameters, the kernel
-backend, the Python version and a digest of the results: equal digests
-mean byte-identical output.  The rows are stored
+conjugator table build and the falsifier calls, timed together).  Then
+the exhaustive checks: the rewriting-closure partition of the pentagon's
+words up to length 8, ``verify_join_lemma`` on every labelled graph with
+at most 6 vertices, and ``verify_parity_invariance`` with 10k trials.
+
+Each row is the median of REPEATS runs and records its parameters, the
+kernel backend, the Python version and a digest of the results: equal
+digests mean byte-identical output (the closure's class roots; a report's
+payload without ``elapsedMs``).  ``median_ms`` is wall time; ``ref_ms``
+is the median in reference milliseconds of ``perfbench.clock.SpeedClock``,
+which samples the host's speed during the runs and corrects for its drift
+(the sampler costs about 3% of the wall time).  The rows are stored
 under ``--label`` in BENCH_kernels.json at the repository root; runs under
 other labels stay in the file.  To time another source tree, put its
 ``src`` first on PYTHONPATH.
@@ -32,9 +40,11 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.append(str(ROOT / "src"))  # PYTHONPATH, when set, comes first
+sys.path.append(str(ROOT))
 
-from coxrank import certificates, kernels, words  # noqa: E402
+from coxrank import certificates, kernels, verify, words  # noqa: E402
 from coxrank.graphs import DefiningGraph  # noqa: E402
+from perfbench.clock import SpeedClock  # noqa: E402
 
 C5 = DefiningGraph("abcde", [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e"), ("e", "a")])
 CORPUS_SEED = 12345
@@ -44,6 +54,10 @@ FALSIFY_RADIUS = 8
 CONJ_RADIUS = 4
 # e b d c . a . c d b e: a conjugate of a with full support
 PLANTED = bytes([4, 1, 3, 2, 0, 2, 3, 1, 4])
+CLOSURE_CAP = 8
+JOIN_MAX_VERTICES = 6
+PARITY_TRIALS = 10_000
+PARITY_SEED = 1
 OUT = ROOT / "BENCH_kernels.json"
 
 
@@ -75,20 +89,36 @@ def _falsify_all(certified, conj_ball):
     return [certificates._falsify_enc(C5, w, table) for w in certified]
 
 
-def _row(op, params, run):
-    times = []
-    for _ in range(REPEATS):
-        t0 = time.perf_counter()
-        result = run()
-        times.append(time.perf_counter() - t0)
+def _closure_roots(partition):
+    parent, _, _, find = partition
+    return [find(x) for x in range(len(parent))]
+
+
+def _payload(report):
+    d = report.to_json_dict()
+    del d["elapsedMs"]
+    return d
+
+
+def _row(op, params, run, view=lambda result: result):
+    """Median wall and reference time of REPEATS runs; the digest is taken
+    of ``view`` applied to the last result."""
+    clock = SpeedClock()
+    spans = []
+    with clock:
+        for _ in range(REPEATS):
+            t0 = time.perf_counter()
+            result = run()
+            spans.append((t0, time.perf_counter()))
     return {
         "op": op,
         "params": params,
         "backend": kernels.BACKEND,
         "python": platform.python_version(),
         "repeats": REPEATS,
-        "median_ms": round(statistics.median(times) * 1000, 2),
-        "digest": hashlib.sha256(repr(result).encode()).hexdigest()[:16],
+        "median_ms": round(statistics.median(b - a for a, b in spans) * 1000, 2),
+        "ref_ms": round(statistics.median(clock.seconds(a, b) for a, b in spans) * 1000, 2),
+        "digest": hashlib.sha256(repr(view(result)).encode()).hexdigest()[:16],
     }
 
 
@@ -124,11 +154,34 @@ def main():
         "words": len(certified),
     }
     rows.append(_row("falsify", falsify_params, lambda: _falsify_all(certified, conj_ball)))
+    rows += [
+        _row(
+            "closure_partition",
+            {"graph": "C5", "cap": CLOSURE_CAP},
+            lambda: verify._closure_partition(C5.n, comm, CLOSURE_CAP),
+            _closure_roots,
+        ),
+        _row(
+            "join_lemma",
+            {"maxVertices": JOIN_MAX_VERTICES},
+            lambda: verify.verify_join_lemma(JOIN_MAX_VERTICES),
+            _payload,
+        ),
+        _row(
+            "parity",
+            {"graph": "C5", "trials": PARITY_TRIALS, "seed": PARITY_SEED},
+            lambda: verify.verify_parity_invariance(C5, PARITY_TRIALS, seed=PARITY_SEED),
+            _payload,
+        ),
+    ]
 
-    print(f"{'op':<14}{'params':<42}{'median':>12}  digest")
+    print(f"{'op':<18}{'params':<42}{'median':>12}{'ref':>12}  digest")
     for row in rows:
         params = " ".join(f"{k}={v}" for k, v in row["params"].items())
-        print(f"{row['op']:<14}{params:<42}{row['median_ms']:>10.1f}ms  {row['digest']}")
+        print(
+            f"{row['op']:<18}{params:<42}{row['median_ms']:>10.1f}ms"
+            f"{row['ref_ms']:>10.1f}ms  {row['digest']}"
+        )
 
     doc = json.loads(OUT.read_text()) if OUT.exists() else {"topic": "kernels", "runs": {}}
     doc["runs"][args.label] = {

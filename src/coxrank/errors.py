@@ -103,3 +103,11 @@ class SubgroupParseError(CoxrankError, ValueError):
     ambient graph.  Also a ``ValueError`` for callers that catch that."""
 
     code = "SUBGROUP_PARSE_ERROR"
+
+
+class ParameterRangeError(CoxrankError, ValueError):
+    """A numeric parameter outside the range its check is defined on (a
+    negative trial count, a word length bound below its minimum).  Also a
+    ``ValueError`` for callers that catch that."""
+
+    code = "PARAMETER_OUT_OF_RANGE"

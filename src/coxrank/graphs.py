@@ -4,6 +4,10 @@ A defining graph records the generating set of a right-angled Coxeter or
 Artin group: vertices are generators, edges mark commuting pairs.  Vertex
 declaration order is significant; it is the alphabet order that every
 normal form and shortlex enumeration downstream uses.
+
+The stored adjacency is one commutation mask per vertex (bit j of
+``comm_masks[i]`` is set when i and j commute); the edge set is derived
+from the masks on first use.
 """
 
 from __future__ import annotations
@@ -25,22 +29,26 @@ MAX_VERTICES = 64
 _LABEL_RE = re.compile(r"[A-Za-z0-9_]+\Z")
 
 
+def _check_size(n: int) -> None:
+    if n > MAX_VERTICES:
+        raise GraphParseError(
+            "SYNTAX_ERROR", None, f"more than {MAX_VERTICES} vertices"
+        )
+
+
 class DefiningGraph:
     """Finite simplicial graph with ordered vertex labels.
 
     Immutable after construction; safe to share across threads.
     """
 
-    __slots__ = ("vertices", "edges", "comm_masks", "_index")
+    __slots__ = ("vertices", "comm_masks", "_index", "_edges")
 
     def __init__(self, vertices, edges=()):
         vertices = tuple(vertices)
         if not vertices:
             raise EmptyGraphError("a defining graph needs at least one vertex")
-        if len(vertices) > MAX_VERTICES:
-            raise GraphParseError(
-                "SYNTAX_ERROR", None, f"more than {MAX_VERTICES} vertices"
-            )
+        _check_size(len(vertices))
         index: dict[str, int] = {}
         for v in vertices:
             if not isinstance(v, str) or not _LABEL_RE.match(v):
@@ -51,7 +59,6 @@ class DefiningGraph:
                 )
             index[v] = len(index)
         masks = [0] * len(vertices)
-        canon = set()
         for a, b in edges:
             ia = index.get(a)
             ib = index.get(b)
@@ -62,13 +69,26 @@ class DefiningGraph:
                 )
             if ia == ib:
                 raise GraphParseError("SELF_LOOP", None, f"self-loop at {a!r}")
-            canon.add((min(ia, ib), max(ia, ib)))
             masks[ia] |= 1 << ib
             masks[ib] |= 1 << ia
+        self._set(vertices, tuple(masks), index)
+
+    @classmethod
+    def _from_masks(cls, vertices: tuple, masks: tuple, index=None) -> "DefiningGraph":
+        """Unchecked constructor: ``vertices`` must be distinct valid labels
+        (at most MAX_VERTICES) and ``masks`` symmetric without self-loops.
+        ``index`` may be shared between graphs on the same vertices."""
+        g = cls.__new__(cls)
+        g._set(vertices, masks, index)
+        return g
+
+    def _set(self, vertices, masks, index) -> None:
         self.vertices = vertices
-        self.edges = frozenset(canon)
-        self.comm_masks = tuple(masks)
-        self._index = index
+        self.comm_masks = masks
+        self._index = (
+            index if index is not None else {v: i for i, v in enumerate(vertices)}
+        )
+        self._edges = None
 
     # -- basic queries -------------------------------------------------
 
@@ -77,8 +97,20 @@ class DefiningGraph:
         return len(self.vertices)
 
     @property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        """Index pairs (i, j) with i < j that commute, derived from the masks."""
+        if self._edges is None:
+            self._edges = frozenset(
+                (i, j)
+                for i, m in enumerate(self.comm_masks)
+                for j in range(i + 1, m.bit_length())
+                if (m >> j) & 1
+            )
+        return self._edges
+
+    @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return sum(m.bit_count() for m in self.comm_masks) // 2
 
     def has_vertex(self, label: str) -> bool:
         return label in self._index
@@ -144,11 +176,11 @@ class DefiningGraph:
         return (
             isinstance(other, DefiningGraph)
             and self.vertices == other.vertices
-            and self.edges == other.edges
+            and self.comm_masks == other.comm_masks
         )
 
     def __hash__(self):
-        return hash((self.vertices, self.edges))
+        return hash((self.vertices, self.comm_masks))
 
     def __repr__(self):
         return f"DefiningGraph({list(self.vertices)}, {self.edge_labels()})"
@@ -233,8 +265,20 @@ def load_graph(path) -> DefiningGraph:
 
 def is_join(g: DefiningGraph) -> bool:
     """True iff g is a join of two nonempty subgraphs, i.e. the complement
-    graph is disconnected."""
-    return len(g.complement_components()) > 1
+    graph is disconnected.  Searches the complement from vertex 0 and stops
+    as soon as every vertex is reached."""
+    comm = g.comm_masks
+    full = (1 << len(comm)) - 1
+    seen = frontier = 1
+    while frontier and seen != full:
+        nxt = 0
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            nxt |= ~comm[low.bit_length() - 1]
+        frontier = nxt & full & ~seen
+        seen |= frontier
+    return seen != full
 
 
 def join_decompose(g: DefiningGraph) -> list[DefiningGraph]:
@@ -288,29 +332,25 @@ def dj_prime(g: DefiningGraph) -> DefiningGraph:
     The associated right-angled Coxeter group is commensurable to the
     right-angled Artin group of g.
     """
-    lo = [f"{v}_m1" for v in g.vertices]
-    hi = [f"{v}_1" for v in g.vertices]
-    edges = []
-    for i, j in sorted(g.edges):
-        edges.append((lo[i], lo[j]))
-        edges.append((hi[i], hi[j]))
-        edges.append((lo[i], hi[j]))
-        edges.append((lo[j], hi[i]))
-    return DefiningGraph(lo + hi, edges)
+    n = g.n
+    _check_size(2 * n)
+    half = tuple(m | (m << n) for m in g.comm_masks)
+    return DefiningGraph._from_masks(
+        tuple([f"{v}_m1" for v in g.vertices] + [f"{v}_1" for v in g.vertices]),
+        half + half,
+    )
 
 
 def dj_double_prime(g: DefiningGraph) -> DefiningGraph:
     """Doubled graph with a clique base: vertices (i,0),(i,1) with labels
     "_0"/"_1"; edges (i,1)-(j,1) for each edge of g, (i,0)-(j,0) for all
     i != j, and (i,0)-(j,1) whenever i != j."""
-    lo = [f"{v}_0" for v in g.vertices]
-    hi = [f"{v}_1" for v in g.vertices]
-    edges = [(hi[i], hi[j]) for i, j in sorted(g.edges)]
-    for i in range(g.n):
-        for j in range(i + 1, g.n):
-            edges.append((lo[i], lo[j]))
-    for i in range(g.n):
-        for j in range(g.n):
-            if i != j:
-                edges.append((lo[i], hi[j]))
-    return DefiningGraph(lo + hi, edges)
+    n = g.n
+    _check_size(2 * n)
+    full = (1 << n) - 1
+    lo = [(full & ~(1 << i)) * ((1 << n) + 1) for i in range(n)]
+    hi = [(m << n) | (full & ~(1 << i)) for i, m in enumerate(g.comm_masks)]
+    return DefiningGraph._from_masks(
+        tuple([f"{v}_0" for v in g.vertices] + [f"{v}_1" for v in g.vertices]),
+        tuple(lo + hi),
+    )

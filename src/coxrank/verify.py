@@ -29,7 +29,12 @@ from .certificates import (
     conjugator_table,
     is_good_essential,
 )
-from .errors import CoxrankError, PreconditionClassError, RadiusCapError
+from .errors import (
+    CoxrankError,
+    ParameterRangeError,
+    PreconditionClassError,
+    RadiusCapError,
+)
 from .graphs import DefiningGraph, dj_prime, is_join
 from .subgroups import SubgroupSpec, index_and_exponent, member, member_mask
 from .words import (
@@ -128,6 +133,10 @@ def verify_parity_invariance(
     change.  ``_corrupt`` injects one illegal single-letter deletion per
     trial — a self-test hook that must make the check FAIL."""
     t0 = time.perf_counter()
+    if trials < 0:
+        raise ParameterRangeError(f"trials must be at least 0, got {trials}")
+    if max_len < 1:
+        raise ParameterRangeError(f"maxLen must be at least 1, got {max_len}")
     rng = random.Random(seed)
     n = g.n
     comm = g.comm_masks
@@ -145,16 +154,14 @@ def verify_parity_invariance(
                 else:
                     word.append(rng.randrange(n))
             else:
-                length = len(word)
-                swaps = [
-                    i
-                    for i in range(length - 1)
-                    if word[i] != word[i + 1] and (comm[word[i]] >> word[i + 1]) & 1
-                ]
-                cancels = [
-                    i for i in range(length - 1) if word[i] == word[i + 1]
-                ]
-                pick = rng.randrange(len(swaps) + len(cancels) + (length + 1) * n)
+                swaps = []
+                cancels = []
+                for i, x, y in zip(range(len(word)), word, word[1:]):
+                    if x == y:
+                        cancels.append(i)
+                    elif (comm[x] >> y) & 1:
+                        swaps.append(i)
+                pick = rng.randrange(len(swaps) + len(cancels) + (len(word) + 1) * n)
                 if pick < len(swaps):
                     i = swaps[pick]
                     word[i], word[i + 1] = word[i + 1], word[i]
@@ -188,7 +195,12 @@ def _closure_partition(n: int, comm, cap: int):
     swap edges connect commuting transpositions, cancel edges connect a
     word with a doubled letter to the shorter word (which also realizes
     every doubled-letter insertion below the cap).  Returns (parent,
-    offsets, pows); class roots are the shortlex-least members.
+    offsets, pows, find); class roots are the shortlex-least members.
+
+    Edges are visited per (length, position i, move pair): the words of
+    length L holding letters a, b at positions i, i+1 form n^i blocks of
+    n^(L-2-i) consecutive ranks, one block per prefix p, and every partner
+    is an offset of its word's rank, so no word is ever decoded.
     """
     pows = [1]
     for _ in range(cap):
@@ -205,41 +217,38 @@ def _closure_partition(n: int, comm, cap: int):
         return x
 
     def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            if rx < ry:
-                parent[ry] = rx
-            else:
-                parent[rx] = ry
+        # find(x) and find(y) inlined; the smaller root wins
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        while parent[y] != y:
+            parent[y] = y = parent[parent[y]]
+        if x < y:
+            parent[y] = x
+        elif y < x:
+            parent[x] = y
 
+    # swap partners b > a of each letter a
+    above = [[b for b in range(a + 1, n) if (comm[a] >> b) & 1] for a in range(n)]
     for length in range(2, cap + 1):
         base = offsets[length]
-        digits = [0] * length
-        for r in range(pows[length]):
-            rank = base + r
-            for i in range(length - 1):
-                a = digits[i]
-                b = digits[i + 1]
-                if a == b:
-                    v = 0
-                    for k in range(i):
-                        v = v * n + digits[k]
-                    for k in range(i + 2, length):
-                        v = v * n + digits[k]
-                    union(rank, offsets[length - 2] + v)
-                elif a < b and (comm[a] >> b) & 1:
-                    union(
-                        rank,
-                        rank + (a - b) * (pows[length - 2 - i] - pows[length - 1 - i]),
-                    )
-            k = length - 1
-            while k >= 0:
-                digits[k] += 1
-                if digits[k] == n:
-                    digits[k] = 0
-                    k -= 1
-                else:
-                    break
+        shorter = offsets[length - 2]
+        for i in range(length - 1):
+            lo = pows[length - 2 - i]  # weight of position i + 1
+            hi = lo * n  # weight of position i
+            for p in range(pows[i]):
+                start = base + p * hi * n
+                for a in range(n):
+                    # a a at i: the partner drops both letters
+                    x = start + a * (hi + lo)
+                    y = shorter + p * lo
+                    for s in range(lo):
+                        union(x + s, y + s)
+                    # a b at i, a < b commuting: the partner holds b a
+                    for b in above[a]:
+                        x = start + a * hi + b * lo
+                        d = (b - a) * (hi - lo)
+                        for r in range(x, x + lo):
+                            union(r, r + d)
     return parent, offsets, pows, find
 
 
@@ -251,6 +260,8 @@ def verify_word_problem(g: DefiningGraph, max_len: int = WORD_PROBLEM_MAX_LEN) -
     class all normal forms must coincide, and distinct classes must have
     distinct normal forms."""
     t0 = time.perf_counter()
+    if max_len < 0:
+        raise ParameterRangeError(f"maxLen must be at least 0, got {max_len}")
     if max_len > WORD_PROBLEM_MAX_LEN:
         raise RadiusCapError(
             f"maxLen {max_len} exceeds cap {WORD_PROBLEM_MAX_LEN}"
@@ -548,20 +559,26 @@ def verify_join_lemma(max_vertices: int = 5) -> VerificationReport:
     a graph is a join exactly when its doubled graph is."""
     t0 = time.perf_counter()
     if not 1 <= max_vertices <= 6:
-        raise ValueError("max_vertices must be between 1 and 6")
-    labels = list("abcdef")
+        raise ParameterRangeError(
+            f"maxVertices must be between 1 and 6, got {max_vertices}"
+        )
+    labels = tuple("abcdef")
     failures = []
     total = 0
     for k in range(1, max_vertices + 1):
         verts = labels[:k]
+        index = {v: i for i, v in enumerate(verts)}
         pairs = list(combinations(range(k), 2))
         for bits in range(1 << len(pairs)):
-            edges = [
-                (verts[i], verts[j])
-                for idx, (i, j) in enumerate(pairs)
-                if (bits >> idx) & 1
-            ]
-            graph = DefiningGraph(verts, edges)
+            masks = [0] * k
+            rest = bits
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                i, j = pairs[low.bit_length() - 1]
+                masks[i] |= 1 << j
+                masks[j] |= 1 << i
+            graph = DefiningGraph._from_masks(verts, tuple(masks), index)
             if is_join(graph) != is_join(dj_prime(graph)):
                 failures.append({"graph": graph.to_text()})
             total += 1

@@ -174,6 +174,18 @@ def test_malformed_subgroup_file_exit_code(capsys, c5_file, tmp_path):
     assert "[SUBGROUP_PARSE_ERROR]" in err
 
 
+def test_out_of_range_verify_parameters_exit_code(capsys, c5_file):
+    for args in (
+        ("parity", "--graph", c5_file, "--trials", "-5"),
+        ("parity", "--graph", c5_file, "--max-len", "0"),
+        ("wordproblem", "--graph", c5_file, "--max-len", "-3"),
+        ("joinlemma", "--max-vertices", "7"),
+    ):
+        code, out, err = run_main(capsys, "verify", *args, "--format", "json")
+        assert (code, out) == (2, "")
+        assert err.startswith("error [PARAMETER_OUT_OF_RANGE]: ")
+
+
 def test_unknown_generator_exit_code(capsys, c5_file):
     code, _, err = run_main(capsys, "reduce", "--graph", c5_file, "--word", "a q")
     assert code == 2

@@ -185,3 +185,48 @@ def test_join_lemma_small():
 def test_subgraph_keeps_declaration_order(c5):
     sub = c5.subgraph(["e", "a", "c"])
     assert sub.vertices == ("a", "c", "e")
+
+
+def _edge_built_dj_prime(g):
+    lo = [f"{v}_m1" for v in g.vertices]
+    hi = [f"{v}_1" for v in g.vertices]
+    edges = []
+    for i, j in sorted(g.edges):
+        edges += [(lo[i], lo[j]), (hi[i], hi[j]), (lo[i], hi[j]), (lo[j], hi[i])]
+    return DefiningGraph(lo + hi, edges)
+
+
+def _edge_built_dj_double_prime(g):
+    lo = [f"{v}_0" for v in g.vertices]
+    hi = [f"{v}_1" for v in g.vertices]
+    edges = [(hi[i], hi[j]) for i, j in sorted(g.edges)]
+    edges += [(lo[i], lo[j]) for i, j in itertools.combinations(range(g.n), 2)]
+    edges += [(lo[i], hi[j]) for i in range(g.n) for j in range(g.n) if i != j]
+    return DefiningGraph(lo + hi, edges)
+
+
+def test_mask_built_graphs_match_edge_built_on_every_5_vertex_graph():
+    for g in _all_graphs(5):
+        m = DefiningGraph._from_masks(g.vertices, g.comm_masks)
+        assert m == g and hash(m) == hash(g)
+        assert (m.edges, m.edge_count, m.to_text()) == (
+            g.edges, len(g.edges), g.to_text()
+        )
+        assert m._index == g._index
+        for build, by_edges in (
+            (dj_prime, _edge_built_dj_prime),
+            (dj_double_prime, _edge_built_dj_double_prime),
+        ):
+            got, want = build(m), by_edges(g)
+            assert got == want
+            assert (got.to_text(), got.edge_count, got._index) == (
+                want.to_text(), want.edge_count, want._index
+            )
+        assert is_join(g) == (len(g.complement_components()) > 1)
+
+
+def test_doubles_keep_the_vertex_cap():
+    g = DefiningGraph([f"v{i}" for i in range(33)])
+    for build in (dj_prime, dj_double_prime):
+        with pytest.raises(GraphParseError, match="more than 64 vertices"):
+            build(g)

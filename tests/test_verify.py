@@ -1,6 +1,6 @@
 import pytest
 
-from coxrank.errors import PreconditionClassError, RadiusCapError
+from coxrank.errors import ParameterRangeError, PreconditionClassError, RadiusCapError
 from coxrank.graphs import DefiningGraph
 from coxrank.subgroups import (
     commutator_subgroup,
@@ -12,6 +12,7 @@ from coxrank.verify import (
     WORD_PROBLEM_MAX_LEN,
     WORD_PROBLEM_MAX_UNIVERSE,
     _bad_set_classes,
+    _closure_partition,
     rewriting_closure_equal,
     verify_cancellator_uniformity,
     verify_covering,
@@ -163,7 +164,7 @@ def test_join_lemma_counts():
     report = verify_join_lemma(4)
     assert report.verdict == "PASS"
     assert report.total_cases == 75  # 1 + 2 + 8 + 64
-    with pytest.raises(ValueError):
+    with pytest.raises(ParameterRangeError):
         verify_join_lemma(7)
 
 
@@ -202,3 +203,73 @@ def test_report_json_schema(c5):
     }
     d2 = verify_join_lemma(2).to_json_dict()
     assert "seed" not in d2
+
+
+def _closure_roots_word_by_word(n, comm, cap):
+    """Closure classes found by decoding every word and unioning each of
+    its moves; returns the least member of the class of every rank."""
+    pows = [n**k for k in range(cap + 1)]
+    offsets = [sum(pows[:k]) for k in range(cap + 2)]
+    parent = list(range(offsets[cap + 1]))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    def union(x, y):
+        rx, ry = find(x), find(y)
+        parent[max(rx, ry)] = min(rx, ry)
+
+    for length in range(2, cap + 1):
+        for r in range(pows[length]):
+            digits = [(r // pows[length - 1 - k]) % n for k in range(length)]
+            for i in range(length - 1):
+                a, b = digits[i], digits[i + 1]
+                if a == b:
+                    v = 0
+                    for d in digits[:i] + digits[i + 2 :]:
+                        v = v * n + d
+                    union(offsets[length] + r, offsets[length - 2] + v)
+                elif (comm[a] >> b) & 1:
+                    swapped = digits[:i] + [b, a] + digits[i + 2 :]
+                    v = 0
+                    for d in swapped:
+                        v = v * n + d
+                    union(offsets[length] + r, offsets[length] + v)
+    return [find(x) for x in range(len(parent))]
+
+
+def test_closure_partition_matches_word_by_word_unions_on_every_4_vertex_graph():
+    for n in range(1, 5):
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        for bits in range(1 << len(pairs)):
+            comm = [0] * n
+            for idx, (i, j) in enumerate(pairs):
+                if (bits >> idx) & 1:
+                    comm[i] |= 1 << j
+                    comm[j] |= 1 << i
+            for cap in range(6):
+                parent, offsets, pows, find = _closure_partition(n, comm, cap)
+                assert len(parent) == offsets[cap + 1] == sum(pows)
+                want = _closure_roots_word_by_word(n, comm, cap)
+                assert [find(x) for x in range(len(parent))] == want
+
+
+def test_out_of_range_parameters_raise_a_coded_error(c5):
+    calls = [
+        lambda: verify_parity_invariance(c5, trials=-5),
+        lambda: verify_parity_invariance(c5, max_len=0),
+        lambda: verify_word_problem(c5, max_len=-3),
+        lambda: verify_join_lemma(0),
+        lambda: verify_join_lemma(7),
+    ]
+    for call in calls:
+        with pytest.raises(ParameterRangeError) as exc:
+            call()
+        assert isinstance(exc.value, ValueError)
+        assert exc.value.code == "PARAMETER_OUT_OF_RANGE"
+    # the smallest accepted values still never pass an empty domain
+    assert verify_parity_invariance(c5, trials=0).failures == [{"reason": "EMPTY_DOMAIN"}]
+    assert verify_parity_invariance(c5, trials=20, max_len=1).verdict == "PASS"
+    assert verify_word_problem(c5, max_len=0).failures == [{"reason": "EMPTY_DOMAIN"}]
