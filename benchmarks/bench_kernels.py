@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Time the word kernels, the ball, the falsifier and the exhaustive
-verify loops, and record them in BENCH_kernels.json.
+"""Time the word kernels, the ball, the falsifier, goodness and the verify
+loops, and record them in BENCH_kernels.json.
 
 Usage: python3 benchmarks/bench_kernels.py [--words N] [--max-len L] [--label NAME]
 
@@ -9,14 +9,17 @@ random words on the pentagon graph, ``words.ball_bytes`` at radii 8
 and 10, and the falsifier core on the certified words of the radius-8
 ball plus one planted non-essential word, at conjugation radius 4 (the
 conjugator table build and the falsifier calls, timed together).  Then
-the exhaustive checks: the rewriting-closure partition of the pentagon's
+the enumerate paths: ``certificates.bad_mask`` on the full-support
+elements of the radius-10 ball, and ``verify_subgroup_covering`` with the
+index-8 parity subgroup of ``graphs/parity8.sub`` at radius 8.  Then the
+exhaustive checks: the rewriting-closure partition of the pentagon's
 words up to length 8, ``verify_join_lemma`` on every labelled graph with
 at most 6 vertices, and ``verify_parity_invariance`` with 10k trials.
 
 Each row is the median of REPEATS runs and records its parameters, the
 kernel backend, the Python version and a digest of the results: equal
-digests mean byte-identical output (the closure's class roots; a report's
-payload without ``elapsedMs``).  ``median_ms`` is wall time; ``ref_ms``
+digests mean byte-identical output (the bad masks; the closure's class
+roots; a report's payload without ``elapsedMs``).  ``median_ms`` is wall time; ``ref_ms``
 is the median in reference milliseconds of ``perfbench.clock.SpeedClock``,
 which samples the host's speed during the runs and corrects for its drift
 (the sampler costs about 3% of the wall time).  The rows are stored
@@ -44,6 +47,7 @@ sys.path.append(str(ROOT))
 
 from coxrank import certificates, kernels, verify, words  # noqa: E402
 from coxrank.graphs import DefiningGraph  # noqa: E402
+from coxrank.subgroups import parse_subgroup_file  # noqa: E402
 from perfbench.clock import SpeedClock  # noqa: E402
 
 C5 = DefiningGraph("abcde", [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e"), ("e", "a")])
@@ -54,6 +58,9 @@ FALSIFY_RADIUS = 8
 CONJ_RADIUS = 4
 # e b d c . a . c d b e: a conjugate of a with full support
 PLANTED = bytes([4, 1, 3, 2, 0, 2, 3, 1, 4])
+GOODNESS_RADIUS = 10
+SUBGROUP_FILE = "graphs/parity8.sub"
+SUBGROUP_RADIUS = 8
 CLOSURE_CAP = 8
 JOIN_MAX_VERTICES = 6
 PARITY_TRIALS = 10_000
@@ -154,6 +161,26 @@ def main():
         "words": len(certified),
     }
     rows.append(_row("falsify", falsify_params, lambda: _falsify_all(certified, conj_ball)))
+    full = (1 << C5.n) - 1
+    full_support = [
+        w for w in words.ball_bytes(C5, GOODNESS_RADIUS) if words.support_bits(w) == full
+    ]
+    rows.append(
+        _row(
+            "goodness",
+            {"graph": "C5", "radius": GOODNESS_RADIUS, "words": len(full_support)},
+            lambda: [certificates.bad_mask(C5, w) for w in full_support],
+        )
+    )
+    spec = parse_subgroup_file((ROOT / SUBGROUP_FILE).read_text(), graph=C5)
+    rows.append(
+        _row(
+            "subgroup_covering",
+            {"graph": "C5", "subgroup": SUBGROUP_FILE, "radius": SUBGROUP_RADIUS},
+            lambda: verify.verify_subgroup_covering(C5, spec, SUBGROUP_RADIUS),
+            _payload,
+        )
+    )
     rows += [
         _row(
             "closure_partition",

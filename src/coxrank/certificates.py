@@ -72,30 +72,46 @@ class Counterexample:
     parabolic: frozenset[str]
 
 
-def _occurrences(enc: bytes, s: int) -> list[int]:
-    return [i for i, ch in enumerate(enc) if ch == s]
-
-
-def _has_blocker(block, mask: int) -> bool:
-    return any(not (mask >> t) & 1 for t in block)
-
-
 def _require_reduced(g: DefiningGraph, enc: bytes) -> None:
     if not kernels.is_reduced(enc, g.comm_masks):
         raise NotReducedError("word is not reduced")
 
 
-def _minimal_and_good(g: DefiningGraph, enc: bytes, si: int) -> tuple[bool, bool]:
-    pos = _occurrences(enc, si)
-    k = len(pos) - 1
-    if k == 0:
-        return True, True
-    mask = g.comm_masks[si]
-    minimal = all(
-        _has_blocker(enc[pos[m] + 1 : pos[m + 1]], mask) for m in range(k)
-    )
-    wrapped = enc[pos[-1] + 1 :] + enc[: pos[0]]
-    return minimal, minimal and _has_blocker(wrapped, mask)
+def _goodness_masks(enc: bytes, comm) -> tuple[int, int, int]:
+    """(present, not_minimal, bad) masks of a word, for every generator at
+    once, in one left-to-right pass.
+
+    A letter t is an s-blocker for every s outside comm[t] other than t.
+    ``blocked`` holds the s that have seen a blocker since their last
+    occurrence (or since the start, before their first), ``head`` the s
+    whose first block w0 carries one.  An s occurring again with no
+    blocker since its last occurrence has a blocker-free interior block;
+    at the end ``blocked`` is the last block's verdict, so the wrapped
+    block w(k+1)w0 has a blocker exactly where ``blocked | head`` does."""
+    seen = multi = not_minimal = head = blocked = 0
+    everyone = (1 << len(comm)) - 1
+    for t in enc:
+        bit = 1 << t
+        if seen & bit:
+            multi |= bit
+            if not blocked & bit:
+                not_minimal |= bit
+        else:
+            seen |= bit
+            head |= blocked & bit
+        blocked = (blocked | (everyone & ~comm[t])) & ~bit
+    return seen, not_minimal, multi & (not_minimal | ~(blocked | head))
+
+
+def _masks_for(g: DefiningGraph, word, s: str) -> tuple[int, int, int]:
+    """(bit of s, not_minimal, bad) for a reduced word in which s occurs."""
+    enc = encode_word(g, word)
+    _require_reduced(g, enc)
+    bit = 1 << g.index(s)
+    present, not_minimal, bad = _goodness_masks(enc, g.comm_masks)
+    if not present & bit:
+        raise GeneratorAbsentError(f"generator {s!r} does not occur")
+    return bit, not_minimal, bad
 
 
 def is_s_minimal(g: DefiningGraph, word, s: str) -> bool:
@@ -105,25 +121,15 @@ def is_s_minimal(g: DefiningGraph, word, s: str) -> bool:
     ``s wi s`` with blocker-free wi would delete both s's, so every reduced
     word is s-minimal; this checker evaluates the definition anyway.
     """
-    enc = encode_word(g, word)
-    _require_reduced(g, enc)
-    si = g.index(s)
-    if si not in enc:
-        raise GeneratorAbsentError(f"generator {s!r} does not occur")
-    minimal, _ = _minimal_and_good(g, enc, si)
-    return minimal
+    bit, not_minimal, _ = _masks_for(g, word, s)
+    return not not_minimal & bit
 
 
 def is_s_good(g: DefiningGraph, word, s: str) -> bool:
     """s-minimal and, when s occurs k+1 >= 2 times, the wrapped block
     w(k+1)w0 carries an s-blocker.  Single occurrences count as good."""
-    enc = encode_word(g, word)
-    _require_reduced(g, enc)
-    si = g.index(s)
-    if si not in enc:
-        raise GeneratorAbsentError(f"generator {s!r} does not occur")
-    _, good = _minimal_and_good(g, enc, si)
-    return good
+    bit, _, bad = _masks_for(g, word, s)
+    return not bad & bit
 
 
 def goodness_report(g: DefiningGraph, word) -> GoodnessReport:
@@ -131,41 +137,30 @@ def goodness_report(g: DefiningGraph, word) -> GoodnessReport:
     support report ABSENT and stay out of the bad set."""
     enc = encode_word(g, word)
     _require_reduced(g, enc)
-    return _report_from_reduced(g, enc)
-
-
-def _report_from_reduced(g: DefiningGraph, enc: bytes) -> GoodnessReport:
-    present = set(enc)
+    present, not_minimal, bad = _goodness_masks(enc, g.comm_masks)
     statuses: dict[str, GoodnessStatus] = {}
-    bad = []
+    bad_labels = []
     for si, label in enumerate(g.vertices):
-        if si not in present:
+        bit = 1 << si
+        if not present & bit:
             statuses[label] = GoodnessStatus.ABSENT
-            continue
-        minimal, good = _minimal_and_good(g, enc, si)
-        if not minimal:
+        elif not_minimal & bit:
             statuses[label] = GoodnessStatus.NOT_MINIMAL_IMPOSSIBLE
-        elif good:
-            statuses[label] = GoodnessStatus.GOOD
-        else:
+        elif bad & bit:
             statuses[label] = GoodnessStatus.NOT_GOOD
-            bad.append(label)
+            bad_labels.append(label)
+        else:
+            statuses[label] = GoodnessStatus.GOOD
     return GoodnessReport(
         per_generator=statuses,
-        bad_set=frozenset(bad),
-        full_support=len(present) == g.n,
+        bad_set=frozenset(bad_labels),
+        full_support=present == (1 << g.n) - 1,
     )
 
 
 def bad_mask(g: DefiningGraph, enc: bytes) -> int:
     """Bad set of a reduced encoded word as a bitmask (hot-loop helper)."""
-    mask = 0
-    present = set(enc)
-    for si in present:
-        _, good = _minimal_and_good(g, enc, si)
-        if not good:
-            mask |= 1 << si
-    return mask
+    return _goodness_masks(enc, g.comm_masks)[2]
 
 
 def bad_set(g: DefiningGraph, word) -> GoodnessReport:

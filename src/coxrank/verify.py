@@ -366,18 +366,27 @@ def rewriting_closure_equal(g: DefiningGraph, w1, w2) -> bool:
 
 
 def _covering_chunk(args):
+    """The multiplier alpha and its check depend only on the word's parity
+    mask, so both are worked out once per parity class; failing words are
+    then listed in ball order."""
     g, chunk = args
     n = g.n
-    failures = []
+    full = (1 << n) - 1
+    parities = list(map(parity_bits, chunk))
     hist: Counter = Counter()
-    for w in chunk:
-        pm = parity_bits(w)
+    failing = {}  # parity mask -> alpha, for the classes that fail
+    for pm, count in Counter(parities).items():
         alpha = bytes(i for i in range(n) if not (pm >> i) & 1)
         distinct = len(set(alpha)) == len(alpha)
-        if parity_bits(alpha + w) != (1 << n) - 1 or not distinct:
-            failures.append({"word": _fmt(g, w), "alpha": _fmt(g, alpha)})
+        if parity_bits(alpha) ^ pm != full or not distinct:
+            failing[pm] = alpha
         # histogram keys must be injective; "e" could name a generator
-        hist[_fmt(g, alpha) if alpha else "(identity)"] += 1
+        hist[_fmt(g, alpha) if alpha else "(identity)"] += count
+    failures = [
+        {"word": _fmt(g, w), "alpha": _fmt(g, failing[pm])}
+        for w, pm in zip(chunk, parities)
+        if pm in failing
+    ]
     return failures, hist
 
 
@@ -414,11 +423,10 @@ def _subgroup_covering_chunk(args):
     failures = []
     multipliers = set()
     max_steps = 0
-    full = (1 << g.n) - 1
     for w in chunk:
         word = decode_word(g, w)
-        supp = support_bits(kernels.reduce_word(w, g.comm_masks))
-        missing0 = g.n - bin(supp & full).count("1")
+        # w is a ball element, already reduced: its letters are its support
+        missing0 = g.n - bin(support_bits(w)).count("1")
         try:
             w1, t1 = fix_missing(g, word, nexp)
             bad1 = bin(bad_mask(g, encode_word(g, w1))).count("1")

@@ -10,7 +10,7 @@ All functions are pure; every returned word is a fresh tuple.
 from __future__ import annotations
 
 from . import kernels
-from .errors import RadiusCapError, UnknownGeneratorError
+from .errors import ParameterRangeError, RadiusCapError, UnknownGeneratorError
 from .graphs import DefiningGraph
 
 Word = tuple[str, ...]
@@ -41,17 +41,13 @@ def format_word(word) -> str:
 
 
 def encode_word(g: DefiningGraph, word) -> bytes:
-    out = bytearray()
-    for x in word:
-        if not g.has_vertex(x):
-            raise UnknownGeneratorError(x)
-        out.append(g.index(x))
-    return bytes(out)
+    """Generator indices of a word; the first unknown label raises
+    ``UnknownGeneratorError``."""
+    return bytes(map(g.index, word))
 
 
 def decode_word(g: DefiningGraph, data: bytes) -> Word:
-    verts = g.vertices
-    return tuple(verts[i] for i in data)
+    return tuple(map(g.vertices.__getitem__, data))
 
 
 def inverse(word) -> Word:
@@ -132,26 +128,30 @@ def support(g: DefiningGraph, word) -> frozenset[str]:
 
 def ball_bytes(g: DefiningGraph, radius: int, cap: int = DEFAULT_BALL_CAP) -> list[bytes]:
     """All elements of reduced length <= radius as encoded normal forms,
-    shortlex sorted (byte order = vertex order)."""
+    shortlex sorted (byte order = vertex order).
+
+    Each element carries its right-descent mask, the letters x with
+    |w x| < |w|: for v = w x with x outside desc(w), desc(v) is
+    {x} | (desc(w) & comm[x]).  Only the extensions by letters outside
+    desc(w) are normalized, and each of them is one letter longer."""
     if radius < 0:
-        raise ValueError("radius must be non-negative")
+        raise ParameterRangeError(f"radius must be at least 0, got {radius}")
     if radius > cap:
         raise RadiusCapError(f"radius {radius} exceeds cap {cap}")
     comm = g.comm_masks
     nf = kernels.normal_form
-    gens = [bytes([i]) for i in range(g.n)]
-    seen = {b""}
+    gens = [(bytes([x]), 1 << x, comm[x]) for x in range(g.n)]
     out = [b""]
     frontier = [b""]
-    for r in range(1, radius + 1):
-        grown = set()
-        for w in frontier:
-            for s in gens:
-                v = nf(w + s, comm)
-                if len(v) == r and v not in seen:
-                    seen.add(v)
-                    grown.add(v)
+    descs = [0]
+    for _ in range(radius):
+        grown: dict[bytes, int] = {}
+        for w, desc in zip(frontier, descs):
+            for s, bit, mask in gens:
+                if not desc & bit:
+                    grown[nf(w + s, comm)] = bit | (desc & mask)
         frontier = sorted(grown)
+        descs = list(map(grown.__getitem__, frontier))
         out.extend(frontier)
     return out
 

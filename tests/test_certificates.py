@@ -9,6 +9,8 @@ from coxrank.certificates import (
     GoodnessStatus,
     _conjugate_by_letter,
     _falsify_enc,
+    _goodness_masks,
+    bad_mask,
     bad_set,
     conjugator_table,
     falsify_essential,
@@ -141,6 +143,68 @@ def test_certified_words_survive_falsifier_small(c5):
     for w in enumerate_ball(c5, 5):
         if is_all_odd_essential(c5, w) or is_good_essential(c5, w):
             assert falsify_essential(c5, w, 2) is None
+
+
+def _occurrences(enc, s):
+    return [i for i, ch in enumerate(enc) if ch == s]
+
+
+def _has_blocker(block, mask):
+    return any(not (mask >> t) & 1 for t in block)
+
+
+def _blocks(enc, s):
+    """Reference: cut the word at the occurrences of s into its interior
+    blocks and the wrapped block w(k+1)w0 (None when s occurs once)."""
+    pos = _occurrences(enc, s)
+    if len(pos) == 1:
+        return [], None
+    interior = [enc[a + 1 : b] for a, b in zip(pos, pos[1:])]
+    return interior, enc[pos[-1] + 1 :] + enc[: pos[0]]
+
+
+def _minimal_and_good_by_blocks(blocks, mask):
+    interior, wrapped = blocks
+    minimal = all(_has_blocker(block, mask) for block in interior)
+    return minimal, minimal and (wrapped is None or _has_blocker(wrapped, mask))
+
+
+def test_goodness_masks_match_the_block_definition_on_every_4_vertex_graph():
+    verts = "abcd"
+    pairs = list(combinations(verts, 2))
+    graphs = [
+        DefiningGraph(verts, [p for k, p in enumerate(pairs) if (bits >> k) & 1])
+        for bits in range(1 << len(pairs))
+    ]
+    # reduced and unreduced words alike: the definition applies to both
+    for length in range(7):
+        for enc in map(bytes, product(range(4), repeat=length)):
+            blocks = {s: _blocks(enc, s) for s in set(enc)}
+            present = sum(1 << s for s in blocks)
+            for g in graphs:
+                comm = g.comm_masks
+                not_minimal = bad = 0
+                for s, cut in blocks.items():
+                    minimal, good = _minimal_and_good_by_blocks(cut, comm[s])
+                    not_minimal |= (not minimal) << s
+                    bad |= (not good) << s
+                assert _goodness_masks(enc, comm) == (present, not_minimal, bad)
+    # the public readers of the masks, on the path a - b - c - d
+    path = DefiningGraph(verts, [("a", "b"), ("b", "c"), ("c", "d")])
+    for length in range(7):
+        for enc in map(bytes, product(range(4), repeat=length)):
+            if not kernels.is_reduced(enc, path.comm_masks):
+                continue
+            word = tuple(verts[i] for i in enc)
+            report = goodness_report(path, word)
+            assert bad_mask(path, enc) == sum(1 << verts.index(v) for v in report.bad_set)
+            for si in set(enc):
+                cut = _blocks(enc, si)
+                expected = _minimal_and_good_by_blocks(cut, path.comm_masks[si])
+                s = verts[si]
+                assert (is_s_minimal(path, word, s), is_s_good(path, word, s)) == expected
+                status = report.per_generator[s]
+                assert (status is GoodnessStatus.GOOD) == expected[1]
 
 
 def test_conjugate_by_letter_matches_reduce_word_on_every_4_vertex_graph():

@@ -186,6 +186,17 @@ def test_out_of_range_verify_parameters_exit_code(capsys, c5_file):
         assert err.startswith("error [PARAMETER_OUT_OF_RANGE]: ")
 
 
+def test_negative_radius_exit_code(capsys, c5_file):
+    for args in (
+        ("verify", "covering", "--graph", c5_file, "--radius", "-1"),
+        ("verify", "certificates", "--graph", c5_file, "--conj-radius", "-2"),
+        ("essential", "--graph", c5_file, "--word", "a b c d e", "--conj-radius", "-1"),
+    ):
+        code, out, err = run_main(capsys, *args)
+        assert (code, out) == (2, "")
+        assert err.startswith("error [PARAMETER_OUT_OF_RANGE]: radius must be at least 0")
+
+
 def test_unknown_generator_exit_code(capsys, c5_file):
     code, _, err = run_main(capsys, "reduce", "--graph", c5_file, "--word", "a q")
     assert code == 2

@@ -13,6 +13,7 @@ from coxrank.verify import (
     WORD_PROBLEM_MAX_UNIVERSE,
     _bad_set_classes,
     _closure_partition,
+    _covering_chunk,
     rewriting_closure_equal,
     verify_cancellator_uniformity,
     verify_covering,
@@ -22,7 +23,7 @@ from coxrank.verify import (
     verify_subgroup_covering,
     verify_word_problem,
 )
-from coxrank.words import parity_bits
+from coxrank.words import ball_bytes, format_word, parity_bits
 
 
 def test_parity_invariance_passes(c5):
@@ -98,6 +99,32 @@ def test_covering_passes(c5):
         if key != "(identity)":
             parts = key.split()
             assert len(set(parts)) == len(parts)  # products of distinct generators
+
+
+def _covering_word_by_word(g, ball):
+    """Reference: the multiplier, its check and its histogram key worked
+    out for every word on its own."""
+    n = g.n
+    failures = []
+    hist = {}
+    for w in ball:
+        pm = parity_bits(w)
+        alpha = bytes(i for i in range(n) if not (pm >> i) & 1)
+        label = format_word(tuple(g.vertices[i] for i in alpha))
+        if parity_bits(alpha + w) != (1 << n) - 1 or len(set(alpha)) != len(alpha):
+            failures.append({"word": format_word(tuple(g.vertices[i] for i in w)), "alpha": label})
+        key = label if alpha else "(identity)"
+        hist[key] = hist.get(key, 0) + 1
+    return failures, hist
+
+
+def test_covering_histogram_per_class_matches_word_by_word(c5):
+    ball = ball_bytes(c5, 8)
+    failures, hist = _covering_word_by_word(c5, ball)
+    assert _covering_chunk((c5, ball)) == (failures, hist)
+    report = verify_covering(c5, radius=8)
+    assert report.params["alphaHistogram"] == {k: hist[k] for k in sorted(hist)}
+    assert (report.failures, report.total_cases) == (failures, len(ball))
 
 
 def test_covering_precondition(c4):

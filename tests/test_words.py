@@ -3,9 +3,11 @@ import random
 
 import pytest
 
-from coxrank.errors import RadiusCapError, UnknownGeneratorError
+from coxrank import kernels
+from coxrank.errors import ParameterRangeError, RadiusCapError, UnknownGeneratorError
 from coxrank.graphs import DefiningGraph
 from coxrank.words import (
+    ball_bytes,
     enumerate_ball,
     equal,
     format_word,
@@ -208,6 +210,63 @@ def test_ball_radius_cap(c5):
     assert len(enumerate_ball(c5, 3, cap=3)) == len(enumerate_ball(c5, 3))
     with pytest.raises(RadiusCapError):
         enumerate_ball(c5, 4, cap=3)
+    with pytest.raises(ParameterRangeError) as exc:
+        ball_bytes(c5, -1)
+    assert isinstance(exc.value, ValueError)
+    assert exc.value.code == "PARAMETER_OUT_OF_RANGE"
+
+
+def _ball_by_seen_set(comm, radius):
+    """Reference: normalize every one-letter extension of the previous
+    sphere and keep the new elements of the next length."""
+    seen = {b""}
+    out = [b""]
+    frontier = [b""]
+    for r in range(1, radius + 1):
+        grown = set()
+        for w in frontier:
+            for x in range(len(comm)):
+                v = kernels.normal_form(w + bytes([x]), comm)
+                if len(v) == r and v not in seen:
+                    seen.add(v)
+                    grown.add(v)
+        frontier = sorted(grown)
+        out.extend(frontier)
+    return out
+
+
+def _check_descent_pruned_ball(g, radius, monkeypatch):
+    comm = g.comm_masks
+    expected = _ball_by_seen_set(comm, radius)
+    calls = []
+    nf = kernels.normal_form
+    monkeypatch.setattr(
+        kernels, "normal_form", lambda w, c: calls.append(w) or nf(w, c)
+    )
+    assert ball_bytes(g, radius) == expected
+    monkeypatch.undo()
+    # one call per extension w x of w in B(r-1) with x outside the right
+    # descent set of w (the letters that shorten it)
+    descents = [
+        sum(len(kernels.reduce_word(w + bytes([x]), comm)) < len(w) for x in range(g.n))
+        for w in expected
+        if len(w) < radius
+    ]
+    assert len(calls) == sum(g.n - d for d in descents)
+
+
+def test_descent_pruned_ball_matches_the_seen_set_ball(monkeypatch):
+    verts = "abcd"
+    pairs = list(itertools.combinations(verts, 2))
+    for bits in range(1 << len(pairs)):
+        g = DefiningGraph(verts, [p for k, p in enumerate(pairs) if (bits >> k) & 1])
+        for radius in range(7):
+            _check_descent_pruned_ball(g, radius, monkeypatch)
+    rng = random.Random(1993)
+    for _ in range(200):
+        verts = "abcdefg"[: rng.randint(5, 7)]
+        edges = [p for p in itertools.combinations(verts, 2) if rng.random() < 0.5]
+        _check_descent_pruned_ball(DefiningGraph(verts, edges), rng.randint(0, 4), monkeypatch)
 
 
 def test_finite_group_ball_saturates():
