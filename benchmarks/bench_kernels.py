@@ -10,8 +10,9 @@ and 10, and the falsifier core on the certified words of the radius-8
 ball plus one planted non-essential word, at conjugation radius 4 (the
 conjugator table build and the falsifier calls, timed together).  Then
 the enumerate paths: ``certificates.bad_mask`` on the full-support
-elements of the radius-10 ball, and ``verify_subgroup_covering`` with the
-index-8 parity subgroup of ``graphs/parity8.sub`` at radius 8.  Then the
+elements of the radius-10 ball, ``verify_subgroup_covering`` with the
+index-8 parity subgroup of ``graphs/parity8.sub`` at radius 8, and
+``verify_cancellator_uniformity`` at radius 8.  Then the
 exhaustive checks: the rewriting-closure partition of the pentagon's
 words up to length 8, ``verify_join_lemma`` on every labelled graph with
 at most 6 vertices, and ``verify_parity_invariance`` with 10k trials.
@@ -61,6 +62,7 @@ PLANTED = bytes([4, 1, 3, 2, 0, 2, 3, 1, 4])
 GOODNESS_RADIUS = 10
 SUBGROUP_FILE = "graphs/parity8.sub"
 SUBGROUP_RADIUS = 8
+UNIFORMITY_RADIUS = 8
 CLOSURE_CAP = 8
 JOIN_MAX_VERTICES = 6
 PARITY_TRIALS = 10_000
@@ -178,6 +180,14 @@ def main():
             "subgroup_covering",
             {"graph": "C5", "subgroup": SUBGROUP_FILE, "radius": SUBGROUP_RADIUS},
             lambda: verify.verify_subgroup_covering(C5, spec, SUBGROUP_RADIUS),
+            _payload,
+        )
+    )
+    rows.append(
+        _row(
+            "uniformity",
+            {"graph": "C5", "radius": UNIFORMITY_RADIUS},
+            lambda: verify.verify_cancellator_uniformity(C5, None, UNIFORMITY_RADIUS),
             _payload,
         )
     )

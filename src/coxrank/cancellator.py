@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from . import kernels
-from .certificates import bad_mask, is_good_essential
+from .certificates import _goodness_masks, is_good_essential
 from .errors import (
     ContractViolationError,
     ExponentTooSmallError,
@@ -33,7 +33,7 @@ from .errors import (
 )
 from .graphs import DefiningGraph
 from .subgroups import SubgroupSpec, index_and_exponent, member
-from .words import Word, decode_word, encode_word, support_bits
+from .words import Word, decode_word, encode_word, format_word, support_bits
 
 
 class BlockerVariant(str, Enum):
@@ -63,8 +63,8 @@ class TraceStep:
             "sPrime": self.choice.s_prime,
             "sDoublePrime": self.choice.s_double_prime,
             "variant": self.choice.variant.value,
-            "multiplier": " ".join(self.multiplier) or "e",
-            "runningWord": " ".join(self.running_word) or "e",
+            "multiplier": format_word(self.multiplier),
+            "runningWord": format_word(self.running_word),
         }
 
 
@@ -77,7 +77,7 @@ class MultiplierTrace:
     def to_json_dict(self) -> dict:
         return {
             "steps": [st.to_json_dict() for st in self.steps],
-            "totalMultiplier": " ".join(self.total_multiplier) or "e",
+            "totalMultiplier": format_word(self.total_multiplier),
             "exponent": self.exponent,
         }
 
@@ -143,51 +143,88 @@ def multiplier_word(choice: BlockerChoice, n: int) -> Word:
     return unit * n
 
 
+def _trace_steps(g: DefiningGraph, steps) -> tuple[TraceStep, ...]:
+    """Trace steps from ``(choice, multiplier, running word)``, encoded."""
+    return tuple(
+        TraceStep(choice.s, choice, decode_word(g, mult), decode_word(g, nxt))
+        for choice, mult, nxt in steps
+    )
+
+
+def _repair(
+    g: DefiningGraph, enc: bytes, n: int, goodness: bool = False
+) -> tuple[bytes, bytes, tuple]:
+    """Prepend repair multipliers to the reduced word ``enc``, least target
+    first, until no target is left: the missing generators, or with
+    ``goodness`` the bad ones (``enc`` must then have full support).  A
+    support repair adds its target and removes nothing; a goodness repair
+    keeps full support and strictly shrinks the bad set.  Returns the word,
+    the total multiplier (newest leftmost) and the encoded steps."""
+    comm = g.comm_masks
+    full = (1 << g.n) - 1
+
+    def targets_of(w):
+        if not goodness:
+            return full & ~support_bits(w)
+        present, _, bad = _goodness_masks(w, comm)
+        return bad if present == full else None
+
+    if goodness:
+        step_error = "did not strictly shrink the bad set"
+        final_error = "bad set nonempty after one repair per generator"
+    else:
+        step_error = "removed a generator from the support"
+        final_error = "generators still missing after one repair per generator"
+    steps = []
+    targets = targets_of(enc)
+    for _ in range(g.n):
+        if not targets:
+            break
+        bit = targets & -targets
+        choice = choose_blockers(g, g.vertices[bit.bit_length() - 1])
+        mult = encode_word(g, multiplier_word(choice, n))
+        nxt = kernels.reduce_word(mult + enc, comm)
+        new = targets_of(nxt)  # None: a goodness repair lost a generator
+        # a proper subset, and a support repair must also add its target
+        allowed = targets if goodness else targets & ~bit
+        if new is None or new & ~allowed or new == targets:
+            raise ContractViolationError(
+                f"repair for {choice.s!r} {step_error}",
+                trace=_trace_steps(g, steps),
+            )
+        steps.append((choice, mult, nxt))
+        enc = nxt
+        targets = new
+    else:
+        if targets:
+            raise ContractViolationError(final_error, trace=_trace_steps(g, steps))
+    return enc, b"".join(m for _, m, _ in reversed(steps)), tuple(steps)
+
+
+def _essentialize(g: DefiningGraph, enc: bytes, n: int):
+    """Support repairs, then goodness repairs, on a reduced encoded word.
+
+    Returns the word after the support repairs, the final word, the total
+    multiplier (newest leftmost) and the steps of each phase."""
+    w1, m1, steps1 = _repair(g, enc, n)
+    w2, m2, steps2 = _repair(g, w1, n, goodness=True)
+    return w1, w2, m2 + m1, steps1, steps2
+
+
+def _reduced(g: DefiningGraph, word) -> bytes:
+    return kernels.reduce_word(encode_word(g, word), g.comm_masks)
+
+
+def _result(g: DefiningGraph, enc: bytes, total: bytes, steps, n: int):
+    trace = MultiplierTrace(_trace_steps(g, steps), decode_word(g, total), n)
+    return decode_word(g, enc), trace
+
+
 def fix_missing(g: DefiningGraph, word, n: int = 2) -> tuple[Word, MultiplierTrace]:
     """Prepend repair multipliers until every generator appears in the
     reduced form; the least missing generator is targeted first.  Already
     present generators never disappear (asserted)."""
-    comm = g.comm_masks
-    current = kernels.reduce_word(encode_word(g, word), comm)
-    full = (1 << g.n) - 1
-    steps: list[TraceStep] = []
-    total = b""
-    for _ in range(g.n):
-        supp = support_bits(current)
-        if supp == full:
-            break
-        target = (~supp & full)
-        ti = (target & -target).bit_length() - 1
-        choice = choose_blockers(g, g.vertices[ti])
-        mult = encode_word(g, multiplier_word(choice, n))
-        nxt = kernels.reduce_word(mult + current, comm)
-        required = supp | (1 << ti)
-        if support_bits(nxt) & required != required:
-            raise ContractViolationError(
-                f"repair for {g.vertices[ti]!r} removed a generator "
-                f"from the support",
-                trace=tuple(steps),
-            )
-        steps.append(
-            TraceStep(
-                target=g.vertices[ti],
-                choice=choice,
-                multiplier=decode_word(g, mult),
-                running_word=decode_word(g, nxt),
-            )
-        )
-        total = mult + total
-        current = nxt
-    else:
-        if support_bits(current) != full:
-            raise ContractViolationError(
-                "generators still missing after one repair per generator",
-                trace=tuple(steps),
-            )
-    return (
-        decode_word(g, current),
-        MultiplierTrace(tuple(steps), decode_word(g, total), n),
-    )
+    return _result(g, *_repair(g, _reduced(g, word), n), n)
 
 
 def make_good(g: DefiningGraph, word, n: int = 2) -> tuple[Word, MultiplierTrace]:
@@ -198,52 +235,13 @@ def make_good(g: DefiningGraph, word, n: int = 2) -> tuple[Word, MultiplierTrace
     become good, other good generators stay good); a non-shrinking step
     raises CONTRACT_VIOLATION with the trace as evidence.
     """
-    comm = g.comm_masks
-    current = kernels.reduce_word(encode_word(g, word), comm)
-    full = (1 << g.n) - 1
-    supp = support_bits(current)
-    if supp != full:
+    enc = _reduced(g, word)
+    supp = support_bits(enc)
+    if supp != (1 << g.n) - 1:
         raise MissingGeneratorsError(
             [v for i, v in enumerate(g.vertices) if not (supp >> i) & 1]
         )
-    steps: list[TraceStep] = []
-    total = b""
-    bad = bad_mask(g, current)
-    for _ in range(g.n):
-        if not bad:
-            break
-        ti = (bad & -bad).bit_length() - 1
-        choice = choose_blockers(g, g.vertices[ti])
-        mult = encode_word(g, multiplier_word(choice, n))
-        nxt = kernels.reduce_word(mult + current, comm)
-        new_bad = bad_mask(g, nxt) if support_bits(nxt) == full else None
-        if new_bad is None or new_bad & ~bad or new_bad == bad:
-            raise ContractViolationError(
-                f"repair for {g.vertices[ti]!r} did not strictly shrink the "
-                f"bad set",
-                trace=tuple(steps),
-            )
-        steps.append(
-            TraceStep(
-                target=g.vertices[ti],
-                choice=choice,
-                multiplier=decode_word(g, mult),
-                running_word=decode_word(g, nxt),
-            )
-        )
-        total = mult + total
-        current = nxt
-        bad = new_bad
-    else:
-        if bad:
-            raise ContractViolationError(
-                "bad set nonempty after one repair per generator",
-                trace=tuple(steps),
-            )
-    return (
-        decode_word(g, current),
-        MultiplierTrace(tuple(steps), decode_word(g, total), n),
-    )
+    return _result(g, *_repair(g, enc, n, goodness=True), n)
 
 
 def essentialize(
@@ -259,22 +257,17 @@ def essentialize(
     if spec is not None and not member(spec, word):
         raise NotInSubgroupError("word is not a member of the subgroup")
     n = 2 if spec is None else max(2, index_and_exponent(spec)[1])
-    w1, t1 = fix_missing(g, word, n)
-    w2, t2 = make_good(g, w1, n)
-    trace = MultiplierTrace(
-        steps=t1.steps + t2.steps,
-        total_multiplier=tuple(t2.total_multiplier) + tuple(t1.total_multiplier),
-        exponent=n,
-    )
-    if not is_good_essential(g, w2):
+    _, w2, total, steps1, steps2 = _essentialize(g, _reduced(g, word), n)
+    final, trace = _result(g, w2, total, steps1 + steps2, n)
+    if not is_good_essential(g, final):
         raise ContractViolationError(
             "pipeline output failed its own certificate", trace=trace.steps
         )
-    if spec is not None:
-        if any(not member(spec, st.multiplier) for st in trace.steps) or not member(
-            spec, w2
-        ):
-            raise ContractViolationError(
-                "pipeline left the designated subgroup", trace=trace.steps
-            )
-    return w2, trace
+    if spec is not None and (
+        any(not member(spec, st.multiplier) for st in trace.steps)
+        or not member(spec, final)
+    ):
+        raise ContractViolationError(
+            "pipeline left the designated subgroup", trace=trace.steps
+        )
+    return final, trace

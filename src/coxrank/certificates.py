@@ -191,10 +191,14 @@ def is_all_odd_essential(g: DefiningGraph, word) -> bool:
 def is_good_essential(g: DefiningGraph, word) -> bool:
     """The reduced form has full support and is s-good for every s.
     Sufficient for essentiality; independent of the all-odd criterion."""
-    enc = kernels.reduce_word(encode_word(g, word), g.comm_masks)
-    if len(set(enc)) != g.n:
-        return False
-    return bad_mask(g, enc) == 0
+    comm = g.comm_masks
+    return _good_essential_enc(kernels.reduce_word(encode_word(g, word), comm), comm)
+
+
+def _good_essential_enc(enc: bytes, comm) -> bool:
+    """Full support and an empty bad set, for a reduced encoded word."""
+    present, _, bad = _goodness_masks(enc, comm)
+    return present == (1 << len(comm)) - 1 and not bad
 
 
 def find_even_completion(g: DefiningGraph, word) -> Word:

@@ -28,6 +28,7 @@ from .kernels import BACKEND
 from .ranks import rank_raag, rank_racg
 from .subgroups import basis_strings, index_and_exponent, member, resolve_subgroup
 from .words import (
+    DEFAULT_BALL_CAP,
     equal,
     format_word,
     normal_form,
@@ -109,7 +110,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     _add_common(p, word=True)
     p.add_argument("--conj-radius", type=int, default=3)
-    p.add_argument("--cap", type=int, default=10, help="ball radius cap")
+    p.add_argument("--cap", type=int, default=DEFAULT_BALL_CAP, help="ball radius cap")
 
     p = sub.add_parser(
         "completion", help="even-parity completion multiplier (element of the covering set)"
@@ -152,21 +153,21 @@ def _build_parser() -> argparse.ArgumentParser:
     q = vsub.add_parser("covering", help="even-completion covering of the ball")
     _add_common(q)
     q.add_argument("--radius", type=int, default=8)
-    q.add_argument("--cap", type=int, default=10, help="ball radius cap")
+    q.add_argument("--cap", type=int, default=DEFAULT_BALL_CAP, help="ball radius cap")
     q.add_argument("--jobs", type=int, default=1)
 
     q = vsub.add_parser("subgroup-covering", help="covering inside a subgroup")
     _add_common(q)
     q.add_argument("--subgroup", default="commutator")
     q.add_argument("--radius", type=int, default=8)
-    q.add_argument("--cap", type=int, default=10, help="ball radius cap")
+    q.add_argument("--cap", type=int, default=DEFAULT_BALL_CAP, help="ball radius cap")
     q.add_argument("--jobs", type=int, default=1)
 
     q = vsub.add_parser("uniformity", help="is one multiplier uniform per bad set?")
     _add_common(q)
     q.add_argument("--subgroup", help="group only the members of this subgroup")
     q.add_argument("--radius", type=int, default=6)
-    q.add_argument("--cap", type=int, default=10, help="ball radius cap")
+    q.add_argument("--cap", type=int, default=DEFAULT_BALL_CAP, help="ball radius cap")
 
     q = vsub.add_parser("joinlemma", help="join(g) <=> join(doubled g), exhaustively")
     _add_common(q, graph=False)
@@ -176,7 +177,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(q)
     q.add_argument("--radius", type=int, default=6)
     q.add_argument("--conj-radius", type=int, default=3)
-    q.add_argument("--cap", type=int, default=10, help="ball radius cap")
+    q.add_argument("--cap", type=int, default=DEFAULT_BALL_CAP, help="ball radius cap")
     q.add_argument("--jobs", type=int, default=1)
 
     return parser

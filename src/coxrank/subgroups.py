@@ -14,7 +14,14 @@ from dataclasses import dataclass
 
 from .errors import SubgroupParseError
 from .graphs import DefiningGraph, load_graph
-from .words import Word, ball_bytes, decode_word, parity_bits, parity_mask
+from .words import (
+    DEFAULT_BALL_CAP,
+    Word,
+    ball_bytes,
+    decode_word,
+    parity_bits,
+    parity_mask,
+)
 
 
 @dataclass(frozen=True)
@@ -101,7 +108,9 @@ def member_mask(spec: SubgroupSpec, pmask: int) -> bool:
     return _reduce_vector(pmask, spec.basis) == 0
 
 
-def enumerate_members(spec: SubgroupSpec, radius: int, cap: int = 10) -> list[Word]:
+def enumerate_members(
+    spec: SubgroupSpec, radius: int, cap: int = DEFAULT_BALL_CAP
+) -> list[Word]:
     """Ball elements that lie in the subgroup, shortlex order."""
     g = spec.graph
     out = []

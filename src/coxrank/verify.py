@@ -22,12 +22,12 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from . import kernels
-from .cancellator import fix_missing, make_good
+from .cancellator import _essentialize, _repair
 from .certificates import (
     _falsify_enc,
+    _good_essential_enc,
     bad_mask,
     conjugator_table,
-    is_good_essential,
 )
 from .errors import (
     CoxrankError,
@@ -36,7 +36,7 @@ from .errors import (
     RadiusCapError,
 )
 from .graphs import DefiningGraph, dj_prime, is_join
-from .subgroups import SubgroupSpec, index_and_exponent, member, member_mask
+from .subgroups import SubgroupSpec, index_and_exponent, member_mask
 from .words import (
     DEFAULT_BALL_CAP,
     ball_bytes,
@@ -424,34 +424,28 @@ def _subgroup_covering_chunk(args):
     multipliers = set()
     max_steps = 0
     for w in chunk:
-        word = decode_word(g, w)
         # w is a ball element, already reduced: its letters are its support
         missing0 = g.n - bin(support_bits(w)).count("1")
         try:
-            w1, t1 = fix_missing(g, word, nexp)
-            bad1 = bin(bad_mask(g, encode_word(g, w1))).count("1")
-            w2, t2 = make_good(g, w1, nexp)
+            w1, w2, total, steps1, steps2 = _essentialize(g, w, nexp)
         except CoxrankError as exc:
-            failures.append({"word": format_word(word), "reason": f"{exc.code}: {exc}"})
+            failures.append({"word": _fmt(g, w), "reason": f"{exc.code}: {exc}"})
             continue
-        total_mult = tuple(t2.total_multiplier) + tuple(t1.total_multiplier)
         problems = []
-        if not is_good_essential(g, w2):
+        if not _good_essential_enc(w2, g.comm_masks):
             problems.append("final word is not s-good for all s")
-        if not member(spec, w2):
+        if not member_mask(spec, parity_bits(w2)):
             problems.append("final word left the subgroup")
-        if any(not member(spec, st.multiplier) for st in t1.steps + t2.steps):
+        if any(not member_mask(spec, parity_bits(m)) for _, m, _ in steps1 + steps2):
             problems.append("a multiplier left the subgroup")
-        if len(t1.steps) > missing0:
+        if len(steps1) > missing0:
             problems.append("more support repairs than missing generators")
-        if len(t2.steps) > bad1:
+        if len(steps2) > bin(bad_mask(g, w1)).count("1"):
             problems.append("more goodness repairs than bad generators")
         if problems:
-            failures.append(
-                {"word": format_word(word), "reason": "; ".join(problems)}
-            )
-        multipliers.add(total_mult)
-        max_steps = max(max_steps, len(t1.steps) + len(t2.steps))
+            failures.append({"word": _fmt(g, w), "reason": "; ".join(problems)})
+        multipliers.add(total)
+        max_steps = max(max_steps, len(steps1) + len(steps2))
     return failures, multipliers, max_steps
 
 
@@ -480,7 +474,7 @@ def verify_subgroup_covering(
         jobs,
     )
     failures = []
-    multipliers: set[str] = set()
+    multipliers: set[bytes] = set()
     max_steps = 0
     for fails, mults, steps in results:
         failures.extend(fails)
@@ -539,20 +533,18 @@ def verify_cancellator_uniformity(
             " ".join(v for i, v in enumerate(g.vertices) if (bm >> i) & 1)
             or "(empty)"
         )
-        _, trace = make_good(g, decode_word(g, words_in_class[0]), nexp)
-        mult = encode_word(g, trace.total_multiplier)
+        _, mult, _ = _repair(g, words_in_class[0], nexp, goodness=True)
         bad_words = []
         for w in words_in_class[1:]:
             total += 1
-            r = kernels.reduce_word(mult + w, comm)
-            if len(set(r)) != g.n or bad_mask(g, r) != 0:
+            if not _good_essential_enc(kernels.reduce_word(mult + w, comm), comm):
                 bad_words.append(w)
         failures.extend(
             {"badSet": label, "word": _fmt(g, w)} for w in bad_words
         )
         per_class[label] = {
             "size": len(words_in_class),
-            "multiplier": format_word(trace.total_multiplier),
+            "multiplier": _fmt(g, mult),
             "verdict": "FAIL" if bad_words else "PASS",
         }
     params = {"radius": radius, "exponent": nexp, "perBadSet": per_class}

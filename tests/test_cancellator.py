@@ -1,24 +1,46 @@
+import random
+
 import pytest
 
+from coxrank import cancellator, kernels
 from coxrank.cancellator import (
     BlockerChoice,
     BlockerVariant,
+    MultiplierTrace,
+    TraceStep,
     choose_blockers,
     essentialize,
     fix_missing,
     make_good,
     multiplier_word,
 )
-from coxrank.certificates import bad_set, is_good_essential
+from coxrank.certificates import bad_mask, bad_set, is_good_essential
 from coxrank.errors import (
+    ContractViolationError,
+    CoxrankError,
     ExponentTooSmallError,
     MissingGeneratorsError,
     NoBlockerError,
     NotInSubgroupError,
 )
-from coxrank.graphs import DefiningGraph
-from coxrank.subgroups import commutator_subgroup, member, whole_group
-from coxrank.words import enumerate_ball, parity_vector, reduce_word, support
+from coxrank.graphs import DefiningGraph, is_join
+from coxrank.subgroups import (
+    commutator_subgroup,
+    index_and_exponent,
+    make_subgroup,
+    member,
+    whole_group,
+)
+from coxrank.verify import verify_subgroup_covering
+from coxrank.words import (
+    decode_word,
+    encode_word,
+    enumerate_ball,
+    parity_vector,
+    reduce_word,
+    support,
+    support_bits,
+)
 
 
 def test_choose_blockers_pentagon(c5):
@@ -159,3 +181,201 @@ def test_distinct_total_multipliers_bounded_on_ball8(c5):
         _, trace = essentialize(c5, w)
         multipliers.add(trace.total_multiplier)
     assert 1 <= len(multipliers) <= 200
+
+
+# -- the two repair loops as they were written before they shared one body,
+# kept here as the reference for the shared loop
+
+
+def _ref_fix_missing(g, word, n=2):
+    comm = g.comm_masks
+    current = kernels.reduce_word(encode_word(g, word), comm)
+    full = (1 << g.n) - 1
+    steps = []
+    total = b""
+    for _ in range(g.n):
+        supp = support_bits(current)
+        if supp == full:
+            break
+        target = ~supp & full
+        ti = (target & -target).bit_length() - 1
+        choice = choose_blockers(g, g.vertices[ti])
+        mult = encode_word(g, multiplier_word(choice, n))
+        nxt = kernels.reduce_word(mult + current, comm)
+        required = supp | (1 << ti)
+        if support_bits(nxt) & required != required:
+            raise ContractViolationError(
+                f"repair for {g.vertices[ti]!r} removed a generator "
+                f"from the support",
+                trace=tuple(steps),
+            )
+        steps.append(
+            TraceStep(g.vertices[ti], choice, decode_word(g, mult), decode_word(g, nxt))
+        )
+        total = mult + total
+        current = nxt
+    else:
+        if support_bits(current) != full:
+            raise ContractViolationError(
+                "generators still missing after one repair per generator",
+                trace=tuple(steps),
+            )
+    return decode_word(g, current), MultiplierTrace(
+        tuple(steps), decode_word(g, total), n
+    )
+
+
+def _ref_make_good(g, word, n=2):
+    comm = g.comm_masks
+    current = kernels.reduce_word(encode_word(g, word), comm)
+    full = (1 << g.n) - 1
+    supp = support_bits(current)
+    if supp != full:
+        raise MissingGeneratorsError(
+            [v for i, v in enumerate(g.vertices) if not (supp >> i) & 1]
+        )
+    steps = []
+    total = b""
+    bad = bad_mask(g, current)
+    for _ in range(g.n):
+        if not bad:
+            break
+        ti = (bad & -bad).bit_length() - 1
+        choice = choose_blockers(g, g.vertices[ti])
+        mult = encode_word(g, multiplier_word(choice, n))
+        nxt = kernels.reduce_word(mult + current, comm)
+        new_bad = bad_mask(g, nxt) if support_bits(nxt) == full else None
+        if new_bad is None or new_bad & ~bad or new_bad == bad:
+            raise ContractViolationError(
+                f"repair for {g.vertices[ti]!r} did not strictly shrink the "
+                f"bad set",
+                trace=tuple(steps),
+            )
+        steps.append(
+            TraceStep(g.vertices[ti], choice, decode_word(g, mult), decode_word(g, nxt))
+        )
+        total = mult + total
+        current = nxt
+        bad = new_bad
+    else:
+        if bad:
+            raise ContractViolationError(
+                "bad set nonempty after one repair per generator",
+                trace=tuple(steps),
+            )
+    return decode_word(g, current), MultiplierTrace(
+        tuple(steps), decode_word(g, total), n
+    )
+
+
+def _ref_essentialize(g, word, spec=None):
+    if spec is not None and not member(spec, word):
+        raise NotInSubgroupError("word is not a member of the subgroup")
+    n = 2 if spec is None else max(2, index_and_exponent(spec)[1])
+    w1, t1 = _ref_fix_missing(g, word, n)
+    w2, t2 = _ref_make_good(g, w1, n)
+    trace = MultiplierTrace(
+        t1.steps + t2.steps, t2.total_multiplier + t1.total_multiplier, n
+    )
+    if not is_good_essential(g, w2):
+        raise ContractViolationError(
+            "pipeline output failed its own certificate", trace=trace.steps
+        )
+    if spec is not None and (
+        any(not member(spec, st.multiplier) for st in trace.steps)
+        or not member(spec, w2)
+    ):
+        raise ContractViolationError(
+            "pipeline left the designated subgroup", trace=trace.steps
+        )
+    return w2, trace
+
+
+def _outcome(f, *args):
+    """The word and trace JSON, or the error code, message and trace."""
+    try:
+        word, trace = f(*args)
+    except CoxrankError as exc:
+        trace = getattr(exc, "trace", None)
+        steps = None if trace is None else [st.to_json_dict() for st in trace]
+        return ("error", exc.code, str(exc), steps)
+    return ("ok", word, trace.to_json_dict())
+
+
+def _random_join_free_graphs(count, seed):
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        k = rng.randint(3, 7)
+        labels = "abcdefg"[:k]
+        edges = [
+            (labels[i], labels[j])
+            for i in range(k)
+            for j in range(i + 1, k)
+            if rng.random() < 0.4
+        ]
+        g = DefiningGraph(labels, edges)
+        if not is_join(g):
+            out.append((g, rng))
+    return out
+
+
+def _assert_same_as_reference(g, words, specs):
+    for w in words:
+        for n in (2, 4):
+            assert _outcome(fix_missing, g, w, n) == _outcome(_ref_fix_missing, g, w, n)
+            assert _outcome(make_good, g, w, n) == _outcome(_ref_make_good, g, w, n)
+        for spec in specs:
+            assert _outcome(essentialize, g, w, spec) == _outcome(
+                _ref_essentialize, g, w, spec
+            )
+
+
+def test_shared_repair_loop_matches_the_two_loops_on_the_c5_ball(c5):
+    parity8 = make_subgroup(c5, ["11000", "00110"])  # graphs/parity8.sub
+    specs = (None, commutator_subgroup(c5), parity8)
+    _assert_same_as_reference(c5, enumerate_ball(c5, 6), specs)
+
+
+def test_shared_repair_loop_matches_the_two_loops_on_random_graphs():
+    for g, rng in _random_join_free_graphs(200, seed=2024):
+        words = []
+        for _ in range(3):
+            w = [rng.choice(g.vertices) for _ in range(rng.randint(0, 8))]
+            shuffled = rng.sample(w, len(w))
+            words += [tuple(w), tuple(w + shuffled)]  # the second is all-even
+        rows = [rng.randrange(1 << g.n) for _ in range(rng.randint(0, g.n))]
+        specs = (None, commutator_subgroup(g), make_subgroup(g, rows))
+        _assert_same_as_reference(g, words, specs)
+
+
+def test_repair_that_adds_nothing_is_a_contract_violation(c5, monkeypatch):
+    monkeypatch.setattr(cancellator, "multiplier_word", lambda choice, n: ())
+    with pytest.raises(ContractViolationError) as info:
+        fix_missing(c5, ("a", "b"))
+    assert str(info.value) == "repair for 'c' removed a generator from the support"
+    assert info.value.trace == ()
+    # a b c d e a: full support, a is bad
+    with pytest.raises(ContractViolationError) as info:
+        make_good(c5, tuple("abcdea"))
+    assert str(info.value) == "repair for 'a' did not strictly shrink the bad set"
+    assert info.value.trace == ()
+    report = verify_subgroup_covering(c5, commutator_subgroup(c5), radius=2)
+    assert report.verdict == "FAIL"
+    assert report.failures[0] == {
+        "word": "e",
+        "reason": "CONTRACT_VIOLATION: repair for 'a' removed a generator "
+        "from the support",
+    }
+
+
+def test_support_repair_must_add_its_target(c5, monkeypatch):
+    # the one-letter multiplier s' = d makes d appear but not the target b:
+    # the missing set shrinks, which is not enough
+    monkeypatch.setattr(
+        cancellator, "multiplier_word", lambda choice, n: (choice.s_prime,)
+    )
+    with pytest.raises(ContractViolationError) as info:
+        fix_missing(c5, ("a",))
+    assert str(info.value) == "repair for 'b' removed a generator from the support"
+    assert info.value.trace == ()
