@@ -26,11 +26,9 @@ from .errors import (
     GeneratorAbsentError,
     MissingGeneratorsError,
     NotReducedError,
-    RadiusCapError,
 )
 from .graphs import MAX_VERTICES, DefiningGraph
 from .words import (
-    DEFAULT_BALL_CAP,
     Word,
     ball_bytes,
     decode_word,
@@ -297,12 +295,7 @@ def _falsify_enc(
     return None
 
 
-def falsify_essential(
-    g: DefiningGraph,
-    word,
-    conj_radius: int,
-    cap: int = DEFAULT_BALL_CAP,
-) -> Counterexample | None:
+def falsify_essential(g: DefiningGraph, word, conj_radius: int) -> Counterexample | None:
     """Bounded search for evidence that the element is NOT essential.
 
     Tries every conjugator u of reduced length <= conj_radius; if the
@@ -317,9 +310,7 @@ def falsify_essential(
     not by reducing ``u w u^-1`` from scratch.  The evidence is the same:
     every conjugator up to the radius, first hit in shortlex order.
     """
-    if conj_radius > cap:
-        raise RadiusCapError(f"radius {conj_radius} exceeds cap {cap}")
-    table = conjugator_table(g, ball_bytes(g, conj_radius, cap))
+    table = conjugator_table(g, ball_bytes(g, conj_radius))
     hit = _falsify_enc(g, encode_word(g, word), table)
     if hit is None:
         return None

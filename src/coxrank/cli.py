@@ -28,7 +28,6 @@ from .kernels import BACKEND
 from .ranks import rank_raag, rank_racg
 from .subgroups import basis_strings, index_and_exponent, member, resolve_subgroup
 from .words import (
-    DEFAULT_BALL_CAP,
     equal,
     format_word,
     normal_form,
@@ -110,7 +109,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     _add_common(p, word=True)
     p.add_argument("--conj-radius", type=int, default=3)
-    p.add_argument("--cap", type=int, default=DEFAULT_BALL_CAP, help="ball radius cap")
 
     p = sub.add_parser(
         "completion", help="even-parity completion multiplier (element of the covering set)"
@@ -153,21 +151,16 @@ def _build_parser() -> argparse.ArgumentParser:
     q = vsub.add_parser("covering", help="even-completion covering of the ball")
     _add_common(q)
     q.add_argument("--radius", type=int, default=8)
-    q.add_argument("--cap", type=int, default=DEFAULT_BALL_CAP, help="ball radius cap")
-    q.add_argument("--jobs", type=int, default=1)
 
     q = vsub.add_parser("subgroup-covering", help="covering inside a subgroup")
     _add_common(q)
     q.add_argument("--subgroup", default="commutator")
     q.add_argument("--radius", type=int, default=8)
-    q.add_argument("--cap", type=int, default=DEFAULT_BALL_CAP, help="ball radius cap")
-    q.add_argument("--jobs", type=int, default=1)
 
     q = vsub.add_parser("uniformity", help="is one multiplier uniform per bad set?")
     _add_common(q)
     q.add_argument("--subgroup", help="group only the members of this subgroup")
     q.add_argument("--radius", type=int, default=6)
-    q.add_argument("--cap", type=int, default=DEFAULT_BALL_CAP, help="ball radius cap")
 
     q = vsub.add_parser("joinlemma", help="join(g) <=> join(doubled g), exhaustively")
     _add_common(q, graph=False)
@@ -177,8 +170,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(q)
     q.add_argument("--radius", type=int, default=6)
     q.add_argument("--conj-radius", type=int, default=3)
-    q.add_argument("--cap", type=int, default=DEFAULT_BALL_CAP, help="ball radius cap")
-    q.add_argument("--jobs", type=int, default=1)
 
     return parser
 
@@ -251,7 +242,7 @@ def _cmd_essential(args) -> int:
         "goodness": goodness_report(g, reduced).to_json_dict(),
         "falsifier": {"conjRadius": args.conj_radius},
     }
-    hit = falsify_essential(g, word, args.conj_radius, cap=args.cap)
+    hit = falsify_essential(g, word, args.conj_radius)
     payload["falsifier"]["counterexample"] = (
         None
         if hit is None
@@ -360,26 +351,18 @@ def _cmd_verify(args) -> int:
         elif sub == "wordproblem":
             report = verify_mod.verify_word_problem(g, max_len=args.max_len)
         elif sub == "covering":
-            report = verify_mod.verify_covering(
-                g, radius=args.radius, jobs=args.jobs, cap=args.cap
-            )
+            report = verify_mod.verify_covering(g, radius=args.radius)
         elif sub == "subgroup-covering":
             spec = resolve_subgroup(g, args.subgroup)
-            report = verify_mod.verify_subgroup_covering(
-                g, spec, radius=args.radius, jobs=args.jobs, cap=args.cap
-            )
+            report = verify_mod.verify_subgroup_covering(g, spec, radius=args.radius)
         elif sub == "uniformity":
             spec = resolve_subgroup(g, args.subgroup) if args.subgroup else None
             report = verify_mod.verify_cancellator_uniformity(
-                g, spec, radius=args.radius, cap=args.cap
+                g, spec, radius=args.radius
             )
         else:
             report = verify_mod.verify_essential_certificates(
-                g,
-                radius=args.radius,
-                conj_radius=args.conj_radius,
-                jobs=args.jobs,
-                cap=args.cap,
+                g, radius=args.radius, conj_radius=args.conj_radius
             )
     _emit(
         report.to_json_dict(),

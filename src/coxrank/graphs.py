@@ -29,11 +29,42 @@ MAX_VERTICES = 64
 _LABEL_RE = re.compile(r"[A-Za-z0-9_]+\Z")
 
 
-def _check_size(n: int) -> None:
+def _check_size(n: int, line: int | None = None) -> None:
     if n > MAX_VERTICES:
         raise GraphParseError(
-            "SYNTAX_ERROR", None, f"more than {MAX_VERTICES} vertices"
+            "SYNTAX_ERROR", line, f"more than {MAX_VERTICES} vertices"
         )
+
+
+# The input checks, shared by the constructor and the parser; ``line`` is
+# the source line a parse error names, None for programmatic input.
+def _vertex_index(labels, line: int | None = None) -> dict[str, int]:
+    """Index of each label; rejects too many vertices, bad labels and
+    duplicates."""
+    _check_size(len(labels), line)
+    index: dict[str, int] = {}
+    for v in labels:
+        if not isinstance(v, str) or not _LABEL_RE.match(v):
+            raise GraphParseError("SYNTAX_ERROR", line, f"bad vertex label {v!r}")
+        if v in index:
+            raise GraphParseError("DUPLICATE_VERTEX", line, f"duplicate vertex {v!r}")
+        index[v] = len(index)
+    return index
+
+
+def _add_edge(masks: list, index, a, b, line: int | None = None) -> None:
+    """Mark a and b as commuting; rejects unknown endpoints and self-loops."""
+    ia = index.get(a)
+    ib = index.get(b)
+    if ia is None or ib is None:
+        bad = a if ia is None else b
+        raise GraphParseError(
+            "UNKNOWN_ENDPOINT", line, f"edge endpoint {bad!r} not declared"
+        )
+    if ia == ib:
+        raise GraphParseError("SELF_LOOP", line, f"self-loop at {a!r}")
+    masks[ia] |= 1 << ib
+    masks[ib] |= 1 << ia
 
 
 class DefiningGraph:
@@ -48,29 +79,10 @@ class DefiningGraph:
         vertices = tuple(vertices)
         if not vertices:
             raise EmptyGraphError("a defining graph needs at least one vertex")
-        _check_size(len(vertices))
-        index: dict[str, int] = {}
-        for v in vertices:
-            if not isinstance(v, str) or not _LABEL_RE.match(v):
-                raise GraphParseError("SYNTAX_ERROR", None, f"bad vertex label {v!r}")
-            if v in index:
-                raise GraphParseError(
-                    "DUPLICATE_VERTEX", None, f"duplicate vertex {v!r}"
-                )
-            index[v] = len(index)
+        index = _vertex_index(vertices)
         masks = [0] * len(vertices)
         for a, b in edges:
-            ia = index.get(a)
-            ib = index.get(b)
-            if ia is None or ib is None:
-                bad = a if ia is None else b
-                raise GraphParseError(
-                    "UNKNOWN_ENDPOINT", None, f"edge endpoint {bad!r} not declared"
-                )
-            if ia == ib:
-                raise GraphParseError("SELF_LOOP", None, f"self-loop at {a!r}")
-            masks[ia] |= 1 << ib
-            masks[ib] |= 1 << ia
+            _add_edge(masks, index, a, b)
         self._set(vertices, tuple(masks), index)
 
     @classmethod
@@ -195,8 +207,8 @@ def parse_graph(text: str) -> DefiningGraph:
     the downstream alphabet order.
     """
     vertices: tuple[str, ...] | None = None
-    edges: list[tuple[str, str]] = []
-    declared: set[str] = set()
+    index: dict[str, int] = {}
+    masks: list[int] = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -209,20 +221,8 @@ def parse_graph(text: str) -> DefiningGraph:
             labels = line[len("vertices:"):].split()
             if not labels:
                 raise GraphParseError("SYNTAX_ERROR", lineno, "no vertices declared")
-            if len(labels) > MAX_VERTICES:
-                raise GraphParseError(
-                    "SYNTAX_ERROR", lineno, f"more than {MAX_VERTICES} vertices"
-                )
-            for lab in labels:
-                if not _LABEL_RE.match(lab):
-                    raise GraphParseError(
-                        "SYNTAX_ERROR", lineno, f"bad vertex label {lab!r}"
-                    )
-                if lab in declared:
-                    raise GraphParseError(
-                        "DUPLICATE_VERTEX", lineno, f"duplicate vertex {lab!r}"
-                    )
-                declared.add(lab)
+            index = _vertex_index(labels, lineno)
+            masks = [0] * len(labels)
             vertices = tuple(labels)
         elif line.startswith("edge:"):
             if vertices is None:
@@ -234,25 +234,14 @@ def parse_graph(text: str) -> DefiningGraph:
                 raise GraphParseError(
                     "SYNTAX_ERROR", lineno, "expected 'edge: <label> <label>'"
                 )
-            a, b = parts
-            if a not in declared:
-                raise GraphParseError(
-                    "UNKNOWN_ENDPOINT", lineno, f"edge endpoint {a!r} not declared"
-                )
-            if b not in declared:
-                raise GraphParseError(
-                    "UNKNOWN_ENDPOINT", lineno, f"edge endpoint {b!r} not declared"
-                )
-            if a == b:
-                raise GraphParseError("SELF_LOOP", lineno, f"self-loop at {a!r}")
-            edges.append((a, b))
+            _add_edge(masks, index, *parts, lineno)
         else:
             raise GraphParseError(
                 "SYNTAX_ERROR", lineno, f"unrecognized line {line!r}"
             )
     if vertices is None:
         raise GraphParseError("SYNTAX_ERROR", 1, "missing 'vertices:' line")
-    return DefiningGraph(vertices, edges)
+    return DefiningGraph._from_masks(vertices, tuple(masks), index)
 
 
 def load_graph(path) -> DefiningGraph:

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from .errors import SubgroupParseError
 from .graphs import DefiningGraph, load_graph
 from .words import (
-    DEFAULT_BALL_CAP,
     Word,
     ball_bytes,
     decode_word,
@@ -108,13 +107,11 @@ def member_mask(spec: SubgroupSpec, pmask: int) -> bool:
     return _reduce_vector(pmask, spec.basis) == 0
 
 
-def enumerate_members(
-    spec: SubgroupSpec, radius: int, cap: int = DEFAULT_BALL_CAP
-) -> list[Word]:
+def enumerate_members(spec: SubgroupSpec, radius: int) -> list[Word]:
     """Ball elements that lie in the subgroup, shortlex order."""
     g = spec.graph
     out = []
-    for enc in ball_bytes(g, radius, cap):
+    for enc in ball_bytes(g, radius):
         if member_mask(spec, parity_bits(enc)):
             out.append(decode_word(g, enc))
     return out

@@ -14,7 +14,6 @@ never pass: they are reported as FAIL with reason EMPTY_DOMAIN.
 
 from __future__ import annotations
 
-import multiprocessing
 import random
 import time
 from collections import Counter
@@ -38,7 +37,6 @@ from .errors import (
 from .graphs import DefiningGraph, dj_prime, is_join
 from .subgroups import SubgroupSpec, index_and_exponent, member_mask
 from .words import (
-    DEFAULT_BALL_CAP,
     ball_bytes,
     decode_word,
     encode_word,
@@ -103,19 +101,11 @@ def _fmt(g: DefiningGraph, enc: bytes) -> str:
     return format_word(decode_word(g, enc))
 
 
-def _chunks(items, jobs):
-    if not items:
-        return [items]
-    size = (len(items) + jobs - 1) // jobs
-    return [items[i : i + size] for i in range(0, len(items), size)]
-
-
-def _run_chunked(worker, arg_list, jobs):
-    if jobs <= 1 or len(arg_list) <= 1:
-        return [worker(a) for a in arg_list]
-    ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(processes=min(jobs, len(arg_list))) as pool:
-        return pool.map(worker, arg_list)
+def _require_serial(jobs: int) -> None:
+    # the ball-based drivers run serially; ``jobs`` stays only because
+    # perfbench/workloads.py passes jobs=1 by keyword
+    if jobs != 1:
+        raise ParameterRangeError(f"jobs must be 1, got {jobs}")
 
 
 # -- parity invariance ---------------------------------------------------
@@ -365,14 +355,21 @@ def rewriting_closure_equal(g: DefiningGraph, w1, w2) -> bool:
 # -- covering checks -------------------------------------------------------
 
 
-def _covering_chunk(args):
-    """The multiplier alpha and its check depend only on the word's parity
+def verify_covering(g: DefiningGraph, radius: int = 8, jobs: int = 1) -> VerificationReport:
+    """Every ball element w must become all-odd (hence certified
+    essential) after left-multiplying by its even-parity completion, and
+    every multiplier used must be a product of distinct generators.
+
+    The multiplier alpha and its check depend only on the word's parity
     mask, so both are worked out once per parity class; failing words are
     then listed in ball order."""
-    g, chunk = args
+    t0 = time.perf_counter()
+    _require_serial(jobs)
+    _require_irreducible_nonaffine(g)
+    ball = ball_bytes(g, radius)
     n = g.n
     full = (1 << n) - 1
-    parities = list(map(parity_bits, chunk))
+    parities = list(map(parity_bits, ball))
     hist: Counter = Counter()
     failing = {}  # parity mask -> alpha, for the classes that fail
     for pm, count in Counter(parities).items():
@@ -384,32 +381,9 @@ def _covering_chunk(args):
         hist[_fmt(g, alpha) if alpha else "(identity)"] += count
     failures = [
         {"word": _fmt(g, w), "alpha": _fmt(g, failing[pm])}
-        for w, pm in zip(chunk, parities)
+        for w, pm in zip(ball, parities)
         if pm in failing
     ]
-    return failures, hist
-
-
-def verify_covering(
-    g: DefiningGraph,
-    radius: int = 8,
-    jobs: int = 1,
-    cap: int = DEFAULT_BALL_CAP,
-) -> VerificationReport:
-    """Every ball element w must become all-odd (hence certified
-    essential) after left-multiplying by its even-parity completion, and
-    every multiplier used must be a product of distinct generators."""
-    t0 = time.perf_counter()
-    _require_irreducible_nonaffine(g)
-    ball = ball_bytes(g, radius, cap)
-    results = _run_chunked(
-        _covering_chunk, [(g, c) for c in _chunks(ball, max(jobs, 1))], jobs
-    )
-    failures = []
-    hist: Counter = Counter()
-    for fails, h in results:
-        failures.extend(fails)
-        hist.update(h)
     params = {
         "radius": radius,
         "alphaHistogram": {k: hist[k] for k in sorted(hist)},
@@ -418,12 +392,27 @@ def verify_covering(
     return _finish("covering", params, failures, len(ball), t0)
 
 
-def _subgroup_covering_chunk(args):
-    g, chunk, spec, nexp = args
+def verify_subgroup_covering(
+    g: DefiningGraph,
+    spec: SubgroupSpec,
+    radius: int = 8,
+    jobs: int = 1,
+) -> VerificationReport:
+    """Every subgroup member in the ball must essentialize — via repair
+    multipliers staying inside the subgroup — into a full-support,
+    s-good-for-all-s member, using at most one support repair per missing
+    generator and one goodness repair per bad generator.  The distinct
+    total multipliers form the empirical covering set."""
+    t0 = time.perf_counter()
+    _require_serial(jobs)
+    _require_irreducible_nonaffine(g)
+    index, exponent = index_and_exponent(spec)
+    nexp = max(2, exponent)
+    members = [w for w in ball_bytes(g, radius) if member_mask(spec, parity_bits(w))]
     failures = []
-    multipliers = set()
+    multipliers: set[bytes] = set()
     max_steps = 0
-    for w in chunk:
+    for w in members:
         # w is a ball element, already reduced: its letters are its support
         missing0 = g.n - bin(support_bits(w)).count("1")
         try:
@@ -446,40 +435,6 @@ def _subgroup_covering_chunk(args):
             failures.append({"word": _fmt(g, w), "reason": "; ".join(problems)})
         multipliers.add(total)
         max_steps = max(max_steps, len(steps1) + len(steps2))
-    return failures, multipliers, max_steps
-
-
-def verify_subgroup_covering(
-    g: DefiningGraph,
-    spec: SubgroupSpec,
-    radius: int = 8,
-    jobs: int = 1,
-    cap: int = DEFAULT_BALL_CAP,
-) -> VerificationReport:
-    """Every subgroup member in the ball must essentialize — via repair
-    multipliers staying inside the subgroup — into a full-support,
-    s-good-for-all-s member, using at most one support repair per missing
-    generator and one goodness repair per bad generator.  The distinct
-    total multipliers form the empirical covering set."""
-    t0 = time.perf_counter()
-    _require_irreducible_nonaffine(g)
-    index, exponent = index_and_exponent(spec)
-    nexp = max(2, exponent)
-    members = [
-        w for w in ball_bytes(g, radius, cap) if member_mask(spec, parity_bits(w))
-    ]
-    results = _run_chunked(
-        _subgroup_covering_chunk,
-        [(g, c, spec, nexp) for c in _chunks(members, max(jobs, 1))],
-        jobs,
-    )
-    failures = []
-    multipliers: set[bytes] = set()
-    max_steps = 0
-    for fails, mults, steps in results:
-        failures.extend(fails)
-        multipliers.update(mults)
-        max_steps = max(max_steps, steps)
     params = {
         "radius": radius,
         "subgroupIndex": index,
@@ -493,13 +448,13 @@ def verify_subgroup_covering(
 
 
 def _bad_set_classes(
-    g: DefiningGraph, spec: SubgroupSpec | None, radius: int, cap: int
+    g: DefiningGraph, spec: SubgroupSpec | None, radius: int
 ) -> dict[int, list[bytes]]:
     """Full-support ball elements (subgroup members only, when a subgroup
     is given) grouped by bad-set mask, each class in ball order."""
     full = (1 << g.n) - 1
     groups: dict[int, list[bytes]] = {}
-    for w in ball_bytes(g, radius, cap):
+    for w in ball_bytes(g, radius):
         if support_bits(w) == full and (
             spec is None or member_mask(spec, parity_bits(w))
         ):
@@ -511,7 +466,6 @@ def verify_cancellator_uniformity(
     g: DefiningGraph,
     spec: SubgroupSpec | None = None,
     radius: int = 6,
-    cap: int = DEFAULT_BALL_CAP,
 ) -> VerificationReport:
     """Group full-support ball elements by bad set; synthesize the repair
     multiplier for the first representative of each class and re-apply it
@@ -523,7 +477,7 @@ def verify_cancellator_uniformity(
     _require_irreducible_nonaffine(g)
     nexp = 2 if spec is None else max(2, index_and_exponent(spec)[1])
     comm = g.comm_masks
-    groups = _bad_set_classes(g, spec, radius, cap)
+    groups = _bad_set_classes(g, spec, radius)
     failures = []
     per_class = {}
     total = 0
@@ -586,10 +540,36 @@ def verify_join_lemma(max_vertices: int = 5) -> VerificationReport:
     return _finish("join-lemma", params, failures, total, t0)
 
 
-def _certificates_chunk(args):
-    g, chunk, table = args
+def verify_essential_certificates(
+    g: DefiningGraph,
+    radius: int = 6,
+    conj_radius: int = 3,
+    extra_certified=(),
+    jobs: int = 1,
+) -> VerificationReport:
+    """Every ball element certified by either criterion must survive the
+    bounded falsifier.  ``extra_certified`` injects words treated as
+    certified regardless — the self-test hook for the harness (an
+    uncertified word there must produce a recorded FAIL).
+
+    The conjugator ball is indexed once (prefix, last letter, inverse);
+    for each certified word every conjugate is then built from its
+    prefix's conjugate by one letter.  The evidence is unchanged: every
+    conjugator up to ``conj_radius``, first hit in shortlex order."""
+    t0 = time.perf_counter()
+    _require_serial(jobs)
+    full = (1 << g.n) - 1
+    certified: list[tuple[bytes, str]] = []
+    for w in ball_bytes(g, radius):
+        if parity_bits(w) == full:
+            certified.append((w, "all-odd"))
+        elif support_bits(w) == full and bad_mask(g, w) == 0:
+            certified.append((w, "good-for-all"))
+    for word in extra_certified:
+        certified.append((encode_word(g, word), "assumed"))
+    table = conjugator_table(g, ball_bytes(g, conj_radius))
     failures = []
-    for w, why in chunk:
+    for w, why in certified:
         hit = _falsify_enc(g, w, table)
         if hit is not None:
             u, supp = hit
@@ -603,43 +583,6 @@ def _certificates_chunk(args):
                     ),
                 }
             )
-    return failures
-
-
-def verify_essential_certificates(
-    g: DefiningGraph,
-    radius: int = 6,
-    conj_radius: int = 3,
-    extra_certified=(),
-    jobs: int = 1,
-    cap: int = DEFAULT_BALL_CAP,
-) -> VerificationReport:
-    """Every ball element certified by either criterion must survive the
-    bounded falsifier.  ``extra_certified`` injects words treated as
-    certified regardless — the self-test hook for the harness (an
-    uncertified word there must produce a recorded FAIL).
-
-    The conjugator ball is indexed once (prefix, last letter, inverse);
-    for each certified word every conjugate is then built from its
-    prefix's conjugate by one letter.  The evidence is unchanged: every
-    conjugator up to ``conj_radius``, first hit in shortlex order."""
-    t0 = time.perf_counter()
-    full = (1 << g.n) - 1
-    certified: list[tuple[bytes, str]] = []
-    for w in ball_bytes(g, radius, cap):
-        if parity_bits(w) == full:
-            certified.append((w, "all-odd"))
-        elif support_bits(w) == full and bad_mask(g, w) == 0:
-            certified.append((w, "good-for-all"))
-    for word in extra_certified:
-        certified.append((encode_word(g, word), "assumed"))
-    table = conjugator_table(g, ball_bytes(g, conj_radius, cap))
-    results = _run_chunked(
-        _certificates_chunk,
-        [(g, c, table) for c in _chunks(certified, max(jobs, 1))],
-        jobs,
-    )
-    failures = [f for fs in results for f in fs]
     params = {
         "radius": radius,
         "conjRadius": conj_radius,

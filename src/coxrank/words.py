@@ -15,7 +15,10 @@ from .graphs import DefiningGraph
 
 Word = tuple[str, ...]
 
-DEFAULT_BALL_CAP = 10
+# ball limits: the radius, and how many elements the ball may reach
+# (C5 at radius 10 peaks at 85,501 in the per-sphere bound below)
+MAX_BALL_RADIUS = 10
+MAX_BALL_ELEMENTS = 500_000
 EMPTY_WORD_DISPLAY = "e"
 
 
@@ -126,25 +129,36 @@ def support(g: DefiningGraph, word) -> frozenset[str]:
     return frozenset(decode_word(g, kernels.reduce_word(encode_word(g, word), g.comm_masks)))
 
 
-def ball_bytes(g: DefiningGraph, radius: int, cap: int = DEFAULT_BALL_CAP) -> list[bytes]:
+def ball_bytes(g: DefiningGraph, radius: int) -> list[bytes]:
     """All elements of reduced length <= radius as encoded normal forms,
     shortlex sorted (byte order = vertex order).
 
     Each element carries its right-descent mask, the letters x with
     |w x| < |w|: for v = w x with x outside desc(w), desc(v) is
     {x} | (desc(w) & comm[x]).  Only the extensions by letters outside
-    desc(w) are normalized, and each of them is one letter longer."""
+    desc(w) are normalized, and each of them is one letter longer.
+
+    Radii above MAX_BALL_RADIUS raise ``RadiusCapError``, and so does a
+    ball that could outgrow MAX_BALL_ELEMENTS: each frontier element adds
+    at most n to the next sphere, so the bound is checked before each
+    sphere is built and nothing is allocated past it."""
     if radius < 0:
         raise ParameterRangeError(f"radius must be at least 0, got {radius}")
-    if radius > cap:
-        raise RadiusCapError(f"radius {radius} exceeds cap {cap}")
+    if radius > MAX_BALL_RADIUS:
+        raise RadiusCapError(f"radius {radius} exceeds cap {MAX_BALL_RADIUS}")
     comm = g.comm_masks
     nf = kernels.normal_form
     gens = [(bytes([x]), 1 << x, comm[x]) for x in range(g.n)]
     out = [b""]
     frontier = [b""]
     descs = [0]
-    for _ in range(radius):
+    for r in range(1, radius + 1):
+        bound = len(out) + len(frontier) * g.n
+        if bound > MAX_BALL_ELEMENTS:
+            raise RadiusCapError(
+                f"ball of radius {radius} may exceed {MAX_BALL_ELEMENTS} "
+                f"elements ({bound} possible through radius {r})"
+            )
         grown: dict[bytes, int] = {}
         for w, desc in zip(frontier, descs):
             for s, bit, mask in gens:
@@ -156,7 +170,7 @@ def ball_bytes(g: DefiningGraph, radius: int, cap: int = DEFAULT_BALL_CAP) -> li
     return out
 
 
-def enumerate_ball(g: DefiningGraph, radius: int, cap: int = DEFAULT_BALL_CAP) -> list[Word]:
+def enumerate_ball(g: DefiningGraph, radius: int) -> list[Word]:
     """Distinct group elements of reduced length <= radius, each as its
     normal form, shortlex sorted.
 
@@ -164,4 +178,4 @@ def enumerate_ball(g: DefiningGraph, radius: int, cap: int = DEFAULT_BALL_CAP) -
     >>> [" ".join(w) or "e" for w in enumerate_ball(g, 3)]
     ['e', 'a', 'b', 'a b', 'b a', 'a b a', 'b a b']
     """
-    return [decode_word(g, w) for w in ball_bytes(g, radius, cap)]
+    return [decode_word(g, w) for w in ball_bytes(g, radius)]

@@ -1,6 +1,9 @@
+import hashlib
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -153,15 +156,60 @@ def test_verify_report_json(capsys, c5_file):
     assert payload["verdict"] == "PASS"
 
 
-def test_jobs_only_on_the_chunked_verifies(capsys, c5_file):
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "parity", "--graph", c5_file, "--trials", "5", "--jobs", "2"])
-    assert exc.value.code == 2
-    code, out, _ = run_main(
-        capsys, "verify", "covering", "--graph", c5_file, "--radius", "2",
-        "--jobs", "2",
-    )
-    assert (code, "verdict: PASS" in out) == (0, True)
+def test_balls_past_the_limits_exit_2(capsys, tmp_path):
+    # join-free, so legal input; its radius-10 ball would hold ~4.5e14
+    # elements, and the element limit stops it at radius 4
+    path = tmp_path / "free30.txt"
+    path.write_text("vertices: " + " ".join(f"v{i}" for i in range(30)) + "\n")
+    for args in (
+        ("verify", "covering", "--graph", str(path), "--radius", "10"),
+        ("essential", "--graph", str(path), "--word", "v0 v1", "--conj-radius", "10"),
+    ):
+        code, out, err = run_main(capsys, *args)
+        assert (code, out) == (2, "")
+        assert err.startswith("error [RADIUS_EXCEEDS_CAP]: ball of radius 10 ")
+
+
+def test_ball_commands_take_no_jobs_or_cap(c5_file):
+    for flag in ("--jobs", "--cap"):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "covering", "--graph", c5_file, flag, "2"])
+        assert exc.value.code == 2
+
+
+GRAPHS = Path(__file__).resolve().parent.parent / "graphs"
+C5 = str(GRAPHS / "c5.txt")
+
+# SHA-256 of each command's --format json output without the elapsedMs
+# line: reports are byte-reproducible for fixed arguments, so a changed
+# digest is a changed report
+JSON_DIGESTS = [
+    (("verify", "covering", "--graph", C5, "--radius", "8"),
+     "7889b907921e58eab73475c31899bea4dcf804e791555de8e24d447a5ec576a9"),
+    (("verify", "subgroup-covering", "--graph", C5, "--subgroup", "commutator",
+      "--radius", "8"),
+     "90e995ec12d2293033bde741d10eeca2741a413114e9514ab503cb32af554796"),
+    (("verify", "subgroup-covering", "--graph", C5,
+      "--subgroup", str(GRAPHS / "parity8.sub"), "--radius", "8"),
+     "acacdc08cc2dd888d75e2b8b1c7545abbc50db15f74bf96c0de0fbcbcc85d7ce"),
+    (("verify", "uniformity", "--graph", C5, "--radius", "8"),
+     "7245daacae59853baf61e9b7c056250b2e5c69a834d95ffbb1005a628c7360f3"),
+    (("verify", "certificates", "--graph", C5, "--radius", "7", "--conj-radius", "3"),
+     "787ec9507ed73dd386a58b7463d9a670925f0f2dca1548fec9b62c81c3bab1bc"),
+    (("essential", "--graph", C5, "--word", "b d a", "--conj-radius", "3"),
+     "76f75b5aa79ccda1f3476945dfb96ba4ae4b45dc55799c4a61dd3c363379e21f"),
+    (("cancellator", "--graph", C5, "--word", "a c a c b d b d",
+      "--subgroup", "commutator"),
+     "7add6d9b61c397507bda7f15a7b98927c641a92bc6aed83b0d715e79d202a0fe"),
+]
+
+
+def test_json_reports_keep_their_bytes(capsys):
+    for argv, digest in JSON_DIGESTS:
+        code, out, err = run_main(capsys, *argv, "--format", "json")
+        assert (code, err) == (0, "")
+        out = re.sub(r'\n *"elapsedMs": \d+,', "", out)
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
 
 
 def test_malformed_subgroup_file_exit_code(capsys, c5_file, tmp_path):

@@ -5,7 +5,7 @@ import pytest
 
 from coxrank import kernels
 from coxrank.errors import ParameterRangeError, RadiusCapError, UnknownGeneratorError
-from coxrank.graphs import DefiningGraph
+from coxrank.graphs import DefiningGraph, load_graph
 from coxrank.words import (
     ball_bytes,
     enumerate_ball,
@@ -205,15 +205,28 @@ def test_ball_monotone_growth(c5, dinf):
 
 
 def test_ball_radius_cap(c5):
-    with pytest.raises(RadiusCapError):
+    with pytest.raises(RadiusCapError) as exc:
         enumerate_ball(c5, 11)
-    assert len(enumerate_ball(c5, 3, cap=3)) == len(enumerate_ball(c5, 3))
-    with pytest.raises(RadiusCapError):
-        enumerate_ball(c5, 4, cap=3)
+    assert str(exc.value) == "radius 11 exceeds cap 10"
     with pytest.raises(ParameterRangeError) as exc:
         ball_bytes(c5, -1)
     assert isinstance(exc.value, ValueError)
     assert exc.value.code == "PARAMETER_OUT_OF_RANGE"
+
+
+def test_ball_element_limit(tmp_path):
+    # 30 involutions, no edges: 26,131 elements through radius 3, and each
+    # of the 25,230 on the frontier could add 30 more, past the limit
+    path = tmp_path / "free30.txt"
+    path.write_text("vertices: " + " ".join(f"v{i}" for i in range(30)) + "\n")
+    g = load_graph(path)
+    assert len(enumerate_ball(g, 3)) == 26_131
+    with pytest.raises(RadiusCapError) as exc:
+        enumerate_ball(g, 10)
+    assert str(exc.value) == (
+        "ball of radius 10 may exceed 500000 elements "
+        "(783031 possible through radius 4)"
+    )
 
 
 def _ball_by_seen_set(comm, radius):
