@@ -93,32 +93,27 @@ def choose_blockers(g: DefiningGraph, s: str) -> BlockerChoice:
     ('c', 'd', 'TYPE1')
     """
     si = g.index(s)
-    masks = g.comm_masks
-    sp = next(
-        (j for j in range(g.n) if j != si and not (masks[si] >> j) & 1), None
-    )
-    if sp is None:
+    comm = g.comm_masks
+    others = ((1 << g.n) - 1) & ~(1 << si)
+    rest = others & ~comm[si]
+    if not rest:
         raise NoBlockerError(
             f"{s!r} commutes with every other generator; the graph is a join"
         )
-    for j in range(g.n):
-        if j == si or j == sp:
-            continue
-        if not (masks[si] >> j) & 1:
-            return BlockerChoice(
-                s, g.vertices[sp], g.vertices[j], BlockerVariant.TYPE1
-            )
-    for j in range(g.n):
-        if j == si or j == sp:
-            continue
-        if not (masks[sp] >> j) & 1:
-            return BlockerChoice(
-                s, g.vertices[sp], g.vertices[j], BlockerVariant.TYPE2
-            )
-    raise NoBlockerError(
-        f"every other generator commutes with both {s!r} and "
-        f"{g.vertices[sp]!r}; the group splits off their factor"
-    )
+    sp = (rest & -rest).bit_length() - 1
+    others &= ~(1 << sp)
+    rest &= others
+    variant = BlockerVariant.TYPE1
+    if not rest:
+        rest = others & ~comm[sp]
+        variant = BlockerVariant.TYPE2
+    if not rest:
+        raise NoBlockerError(
+            f"every other generator commutes with both {s!r} and "
+            f"{g.vertices[sp]!r}; the group splits off their factor"
+        )
+    spp = (rest & -rest).bit_length() - 1
+    return BlockerChoice(s, g.vertices[sp], g.vertices[spp], variant)
 
 
 def multiplier_word(choice: BlockerChoice, n: int) -> Word:

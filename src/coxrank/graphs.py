@@ -156,25 +156,12 @@ class DefiningGraph:
     def complement_components(self) -> list[list[int]]:
         """Connected components of the complement graph, as sorted index
         lists, ordered by least member."""
-        full = (1 << self.n) - 1
-        unvisited = full
+        unvisited = (1 << self.n) - 1
         comps = []
         while unvisited:
-            start = (unvisited & -unvisited).bit_length() - 1
-            comp = 0
-            frontier = 1 << start
-            while frontier:
-                comp |= frontier
-                unvisited &= ~frontier
-                nxt = 0
-                f = frontier
-                while f:
-                    i = (f & -f).bit_length() - 1
-                    f &= f - 1
-                    nxt |= full & ~self.comm_masks[i] & ~(1 << i)
-                frontier = nxt & unvisited
+            comp = _complement_reach(self.comm_masks, unvisited & -unvisited)
+            unvisited &= ~comp
             comps.append([i for i in range(self.n) if (comp >> i) & 1])
-        comps.sort(key=lambda c: c[0])
         return comps
 
     # -- serialization -------------------------------------------------
@@ -252,13 +239,12 @@ def load_graph(path) -> DefiningGraph:
 # -- join structure ----------------------------------------------------
 
 
-def is_join(g: DefiningGraph) -> bool:
-    """True iff g is a join of two nonempty subgraphs, i.e. the complement
-    graph is disconnected.  Searches the complement from vertex 0 and stops
-    as soon as every vertex is reached."""
-    comm = g.comm_masks
+def _complement_reach(comm, start_bit: int) -> int:
+    """Mask of the vertices that ``start_bit`` reaches in the complement of
+    the commutation graph ``comm``; stops as soon as every vertex is
+    reached."""
     full = (1 << len(comm)) - 1
-    seen = frontier = 1
+    seen = frontier = start_bit
     while frontier and seen != full:
         nxt = 0
         while frontier:
@@ -267,7 +253,14 @@ def is_join(g: DefiningGraph) -> bool:
             nxt |= ~comm[low.bit_length() - 1]
         frontier = nxt & full & ~seen
         seen |= frontier
-    return seen != full
+    return seen
+
+
+def is_join(g: DefiningGraph) -> bool:
+    """True iff g is a join of two nonempty subgraphs, i.e. the complement
+    graph is disconnected: vertex 0 does not reach every vertex in it."""
+    comm = g.comm_masks
+    return _complement_reach(comm, 1) != (1 << len(comm)) - 1
 
 
 def join_decompose(g: DefiningGraph) -> list[DefiningGraph]:

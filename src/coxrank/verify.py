@@ -18,7 +18,7 @@ import random
 import time
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 
 from . import kernels
 from .cancellator import _essentialize, _repair
@@ -265,7 +265,7 @@ def verify_word_problem(g: DefiningGraph, max_len: int = WORD_PROBLEM_MAX_LEN) -
             f"closure universe of {universe} words (length <= {cap} over "
             f"{n} generators) exceeds cap {WORD_PROBLEM_MAX_UNIVERSE}"
         )
-    parent, offsets, pows, find = _closure_partition(n, comm, cap)
+    _, offsets, _, find = _closure_partition(n, comm, cap)
 
     failures = []
     by_root: dict[int, tuple[bytes, bytes]] = {}
@@ -273,8 +273,7 @@ def verify_word_problem(g: DefiningGraph, max_len: int = WORD_PROBLEM_MAX_LEN) -
     sphere_sizes = [0] * (max_len + 1)
     for length in range(0, max_len + 1):
         base = offsets[length]
-        digits = [0] * length
-        for r in range(pows[length]):
+        for r, digits in enumerate(product(range(n), repeat=length)):
             w = bytes(digits)
             root = find(base + r)
             nf = kernels.normal_form(w, comm)
@@ -301,14 +300,6 @@ def verify_word_problem(g: DefiningGraph, max_len: int = WORD_PROBLEM_MAX_LEN) -
                         "kind": "normal-forms-equal-but-oracle-differs",
                     }
                 )
-            k = length - 1
-            while k >= 0:
-                digits[k] += 1
-                if digits[k] == n:
-                    digits[k] = 0
-                    k -= 1
-                else:
-                    break
     words = offsets[max_len + 1]
     params = {
         "maxLen": max_len,

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -66,6 +67,50 @@ def test_choose_blockers_type2():
     g = DefiningGraph("abcd", [("a", "b"), ("a", "c"), ("b", "d")])
     c = choose_blockers(g, "a")
     assert (c.s_prime, c.s_double_prime, c.variant) == ("d", "c", BlockerVariant.TYPE2)
+
+
+def _ref_choose_blockers(g, s):
+    """Reference blocker choice by scanning generator indices in order."""
+    si = g.index(s)
+    masks = g.comm_masks
+    sp = next((j for j in range(g.n) if j != si and not (masks[si] >> j) & 1), None)
+    if sp is None:
+        raise NoBlockerError(
+            f"{s!r} commutes with every other generator; the graph is a join"
+        )
+    for j in range(g.n):
+        if j == si or j == sp:
+            continue
+        if not (masks[si] >> j) & 1:
+            return BlockerChoice(s, g.vertices[sp], g.vertices[j], BlockerVariant.TYPE1)
+    for j in range(g.n):
+        if j == si or j == sp:
+            continue
+        if not (masks[sp] >> j) & 1:
+            return BlockerChoice(s, g.vertices[sp], g.vertices[j], BlockerVariant.TYPE2)
+    raise NoBlockerError(
+        f"every other generator commutes with both {s!r} and "
+        f"{g.vertices[sp]!r}; the group splits off their factor"
+    )
+
+
+def _choice_or_error(f, g, s):
+    try:
+        return f(g, s)
+    except NoBlockerError as exc:
+        return ("error", exc.code, str(exc))
+
+
+def test_choose_blockers_matches_the_index_scan_on_every_5_vertex_graph():
+    for k in range(1, 6):
+        labels = "abcde"[:k]
+        pairs = list(itertools.combinations(labels, 2))
+        for bits in range(1 << len(pairs)):
+            g = DefiningGraph(labels, [e for i, e in enumerate(pairs) if (bits >> i) & 1])
+            for s in labels:
+                assert _choice_or_error(choose_blockers, g, s) == _choice_or_error(
+                    _ref_choose_blockers, g, s
+                ), (g, s)
 
 
 def test_multiplier_word_patterns():

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import re
 import subprocess
 import sys
@@ -7,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import coxrank
 from coxrank.cli import main
 from coxrank.graphs import parse_graph
 
@@ -179,37 +181,121 @@ def test_ball_commands_take_no_jobs_or_cap(c5_file):
 
 GRAPHS = Path(__file__).resolve().parent.parent / "graphs"
 C5 = str(GRAPHS / "c5.txt")
+C4 = str(GRAPHS / "c4.txt")
+K3 = str(GRAPHS / "k3.txt")
+DINF = str(GRAPHS / "dinf.txt")
+P8 = str(GRAPHS / "parity8.sub")
+J = ("--format", "json")
+T = ("--format", "text")
 
-# SHA-256 of each command's --format json output without the elapsedMs
-# line: reports are byte-reproducible for fixed arguments, so a changed
+# SHA-256 of each command's output: stdout without the elapsedMs or
+# "elapsed: N ms" line when it succeeds, "exit 2" and stderr when it is
+# refused.  Reports are byte-reproducible for fixed arguments, so a changed
 # digest is a changed report
 JSON_DIGESTS = [
-    (("verify", "covering", "--graph", C5, "--radius", "8"),
+    (("verify", "covering", "--graph", C5, "--radius", "8", *J),
      "7889b907921e58eab73475c31899bea4dcf804e791555de8e24d447a5ec576a9"),
     (("verify", "subgroup-covering", "--graph", C5, "--subgroup", "commutator",
-      "--radius", "8"),
+      "--radius", "8", *J),
      "90e995ec12d2293033bde741d10eeca2741a413114e9514ab503cb32af554796"),
-    (("verify", "subgroup-covering", "--graph", C5,
-      "--subgroup", str(GRAPHS / "parity8.sub"), "--radius", "8"),
+    (("verify", "subgroup-covering", "--graph", C5, "--subgroup", P8,
+      "--radius", "8", *J),
      "acacdc08cc2dd888d75e2b8b1c7545abbc50db15f74bf96c0de0fbcbcc85d7ce"),
-    (("verify", "uniformity", "--graph", C5, "--radius", "8"),
+    (("verify", "uniformity", "--graph", C5, "--radius", "8", *J),
      "7245daacae59853baf61e9b7c056250b2e5c69a834d95ffbb1005a628c7360f3"),
-    (("verify", "certificates", "--graph", C5, "--radius", "7", "--conj-radius", "3"),
+    (("verify", "certificates", "--graph", C5, "--radius", "7", "--conj-radius", "3",
+      *J),
      "787ec9507ed73dd386a58b7463d9a670925f0f2dca1548fec9b62c81c3bab1bc"),
-    (("essential", "--graph", C5, "--word", "b d a", "--conj-radius", "3"),
+    (("essential", "--graph", C5, "--word", "b d a", "--conj-radius", "3", *J),
      "76f75b5aa79ccda1f3476945dfb96ba4ae4b45dc55799c4a61dd3c363379e21f"),
     (("cancellator", "--graph", C5, "--word", "a c a c b d b d",
-      "--subgroup", "commutator"),
+      "--subgroup", "commutator", *J),
      "7add6d9b61c397507bda7f15a7b98927c641a92bc6aed83b0d715e79d202a0fe"),
+    (("classify", "--graph", C5, "--kind", "racg", *J),
+     "e8be8f1662a91d3d73e7ab0d3096a6951ec141a81fd58fc9b7dce8ac1e297bc9"),
+    (("classify", "--graph", C4, "--kind", "raag", *J),
+     "5f78eba3bbea828b73eeb57397d6cc5fd0383a289dbd407386b9d6fdf5e35ba5"),
+    (("reduce", "--graph", C5, "--word", "a b a c e c", *J),
+     "e401bd806158d4f4ee1917e7c3c7dd0428f2d8c496de02bdfb9c34e993665ff9"),
+    (("nf", "--graph", C5, "--word", "e d b a", *J),
+     "5cd8bb3fdf1385c8032f7e88cb503d798cc932ec2efa550a167c70d70613f463"),
+    (("equal", "--graph", C5, "--left", "a c", "--right", "c a", *J),
+     "7a69f786d94c0c189c625fa8801a4ba14855f5d467470a96892be4fc9815a390"),
+    (("parity", "--graph", C5, "--word", "a b a c", *J),
+     "15ac3d2deffdaad3f957475a6edb5c9489916116c5a4acf6e1f600fdbe4a4a41"),
+    (("completion", "--graph", C5, "--word", "a c", *J),
+     "189a5d0e61d3f3c265df2072ed1253f38a48d3eda82e5963ead5e2d3448d9608"),
+    (("dj", "--graph", K3, "--variant", "prime", *J),
+     "c2afd24b94c67f6f35acfe9bd33d7cde0cc5eebdf8af0d6bcbe052c6a25a3458"),
+    (("dj", "--graph", DINF, "--variant", "doubleprime", *J),
+     "be934d520c53bf1f600fbd2f51b98efedbcec7850bff63726175db7f4e9e1ccb"),
+    (("subgroup", "index", "--graph", C5, "--subgroup", P8, *J),
+     "d02a356c0c0b54549a3129e7388ae23ae10cee40d223fb863140cb64d8feeac7"),
+    (("subgroup", "member", "--graph", C5, "--subgroup", P8, "--word", "a b", *J),
+     "bd52c01552055fd1737fa1e99014a53131faab8a49567aa6a7a8bedec2d47c08"),
+    (("verify", "parity", "--graph", C5, "--trials", "200", "--seed", "4", *J),
+     "0f2f3b55d4b2a0195fee4aedae4b17b3f213d530194e26eefb84d955b4603480"),
+    (("verify", "wordproblem", "--graph", C5, "--max-len", "4", *J),
+     "1dd97847166d66e13aeb8f8c0dc91e7fd9931f3de0cae5f50ec7078e9c49a9b6"),
+    (("verify", "joinlemma", "--max-vertices", "4", *J),
+     "4c583726f00d7b59b672e1e200313397e46d76f0fc02dfdab805af7bed5018b9"),
+    (("classify", "--graph", C4, *T),
+     "7585d05bdce90d6128e2f87aa7a9a084bfaf6b537cc8c54dbca59475dd46b423"),
+    (("reduce", "--graph", C5, "--word", "a b a c e c", *T),
+     "bb8f6e2ea7e8e6e5e446da6f8fa7d1ac4a7f6d82378aa20379d649b5d2884cd4"),
+    (("nf", "--graph", C5, "--word", "e d b a", *T),
+     "c249ae3ddf680d925e0a196832cee46f7144ba959b4711a2b9899be11217cebc"),
+    (("equal", "--graph", C5, "--left", "a c", "--right", "c a", *T),
+     "2ed27c1421e6928dbe13dbfdb5c59e1045b30341fe7ebe05700006bc5ac572c0"),
+    (("parity", "--graph", C5, "--word", "a b a c", *T),
+     "b882b3d0beebd24b8bc906d083d0b2fe69b198b956d67025da2143b1b19f88bf"),
+    (("essential", "--graph", C5, "--word", "b d a", "--conj-radius", "2", *T),
+     "1a84a4d3ccc86adb8c4af058b9bf6b414ce6286933cbc4d9f8b8978cacb0513e"),
+    (("completion", "--graph", C5, "--word", "a c", *T),
+     "d624d703ea205f7b393d9ddcb2f140a228e4d505b0c8e3b483add94c8a11acd8"),
+    (("cancellator", "--graph", C5, "--word", "a b a b", "--subgroup", "commutator",
+      *T),
+     "b43054e90327507fbc44c7d676f48b090a4dbc04a74e2fcde1bf49e46d2243e3"),
+    (("dj", "--graph", K3, "--variant", "prime", *T),
+     "6097495550f06743704d51b418911d9ed700376a9df2a075010e171dd536bd69"),
+    (("subgroup", "index", "--graph", C5, "--subgroup", P8, *T),
+     "106f1698baa576fabb7c297d35dfd9408929a16e5242fb7b0c7208a4d2dfdfcd"),
+    (("subgroup", "member", "--graph", C5, "--subgroup", P8, "--word", "a b", *T),
+     "a17fcf0a2f50e2d495e4f90ce263410edc183add6c62699a2facbccf60410f74"),
+    (("verify", "parity", "--graph", C5, "--trials", "200", "--seed", "4", *T),
+     "0321af01e629f5f0930b58b0a20b2447fb76eae66fb19725e1594cb7b6d47274"),
+    (("verify", "wordproblem", "--graph", C5, "--max-len", "4", *T),
+     "83f1440a448a15a2925f1c933860108fd8ce5fb51cd86a192cf5a5cc7f49c17a"),
+    (("verify", "covering", "--graph", C5, "--radius", "6", *T),
+     "35a74b17d3e92ef8c6bb6175e0a3175012ae6658d9267429963c6f21b7cff4f9"),
+    (("verify", "subgroup-covering", "--graph", C5, "--subgroup", P8, "--radius", "6",
+      *T),
+     "552603e8c5d3704271561a4029947a304351eb96af06bd9922eecdd8b0908787"),
+    (("verify", "uniformity", "--graph", C5, "--subgroup", P8, "--radius", "6", *T),
+     "8e217461e230e0b9d1805ac76ea49f8e0baf2b4bb0ee983e2f16210abd38dd23"),
+    (("verify", "joinlemma", "--max-vertices", "4", *T),
+     "c294818bbd342f540782ee667a98a411883a285e7e843db5fe6e378dc7050949"),
+    (("verify", "certificates", "--graph", C5, "--radius", "5", "--conj-radius", "2",
+      *T),
+     "40faed92a73e0c5b4ca9efd0d69c77b21cb25b8d236ba5265224fd77e068428c"),
+    (("reduce", "--graph", C5, "--word", "a q", *T),
+     "f4d2ce5a95e6662ff64660b4416110e31273a0b1259c8191958e23f13f464ce9"),
+    (("verify", "covering", "--graph", C5, "--radius", "11", *J),
+     "b4d53b1928478c8e6007ba2202d42efad9ae110184a5143c643a786257c95d84"),
 ]
 
 
 def test_json_reports_keep_their_bytes(capsys):
     for argv, digest in JSON_DIGESTS:
-        code, out, err = run_main(capsys, *argv, "--format", "json")
-        assert (code, err) == (0, "")
-        out = re.sub(r'\n *"elapsedMs": \d+,', "", out)
-        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+        code, out, err = run_main(capsys, *argv)
+        if code == 2:
+            assert out == ""
+            got = f"exit {code}\n{err}"
+        else:
+            assert (code, err) == (0, "")
+            got = re.sub(r'\n *"elapsedMs": \d+,', "", out)
+            got = re.sub(r"^elapsed: \d+ ms\n", "", got, flags=re.M)
+        assert hashlib.sha256(got.encode()).hexdigest() == digest, argv
 
 
 def test_malformed_subgroup_file_exit_code(capsys, c5_file, tmp_path):
@@ -251,15 +337,25 @@ def test_unknown_generator_exit_code(capsys, c5_file):
     assert "UNKNOWN_GENERATOR" in err
 
 
+# `python -m coxrank.cli` in a child process runs the package these tests
+# import, whether it is installed or found through the pytest pythonpath
+CHILD_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(
+        filter(None, (str(Path(coxrank.__file__).parents[1]), os.environ.get("PYTHONPATH")))
+    ),
+}
+
+
 def test_console_script_usage_errors():
     proc = subprocess.run(
         [sys.executable, "-m", "coxrank.cli", "frobnicate"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=CHILD_ENV,
     )
     assert proc.returncode == 2
     proc = subprocess.run(
         [sys.executable, "-m", "coxrank.cli", "classify", "--graph", "x", "--bogus"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=CHILD_ENV,
     )
     assert proc.returncode == 2
 
@@ -273,7 +369,7 @@ def test_console_script_end_to_end(tmp_path):
             "verify", "wordproblem", "--graph", str(path),
             "--max-len", "3", "--format", "json",
         ],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=CHILD_ENV,
     )
     assert proc.returncode == 0
     payload = json.loads(proc.stdout)

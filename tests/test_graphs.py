@@ -134,6 +134,35 @@ def test_join_decompose_reconstructs_and_factors_are_join_free():
         assert _join_of(factors) == g
 
 
+def _splits(g):
+    """Nonempty vertex masks A with every vertex of A adjacent to every
+    vertex outside A, by brute force over all bipartitions."""
+    n = g.n
+    return [
+        a
+        for a in range(1, 1 << n)
+        if all(
+            g.adjacent(g.vertices[i], g.vertices[j])
+            for i in range(n)
+            if (a >> i) & 1
+            for j in range(n)
+            if not (a >> j) & 1
+        )
+    ]
+
+
+def test_join_structure_matches_brute_force_bipartitions():
+    # g is a join iff a proper subset splits off; the complement's
+    # components are the minimal splitting subsets
+    for g in _all_graphs(5):
+        splits = _splits(g)
+        assert is_join(g) == (len(splits) > 1)
+        minimal = [a for a in splits if not any(b != a and b & a == b for b in splits)]
+        assert g.complement_components() == sorted(
+            [i for i in range(g.n) if (a >> i) & 1] for a in minimal
+        )
+
+
 def test_classify_factor(c5):
     assert classify_factor(DefiningGraph("a")).kind is FactorKind.SPHERICAL_POINT
     assert classify_factor(DefiningGraph("ab")).kind is FactorKind.AFFINE_DIHEDRAL
