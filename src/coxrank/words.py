@@ -138,6 +138,13 @@ def ball_bytes(g: DefiningGraph, radius: int) -> list[bytes]:
     {x} | (desc(w) & comm[x]).  Only the extensions by letters outside
     desc(w) are normalized, and each of them is one letter longer.
 
+    Of each such extension only the suffix that x can move into is
+    normalized: if k is least such that every letter of w[k:] commutes
+    with x, then nf(w x) = w[:k] + nf(w[k:] x).  The letter w[k-1]
+    neither commutes with x nor equals it (x is not a descent), so x
+    cannot pass it, and the greedy lex extraction emits w[:k] exactly as
+    it does for w.
+
     Radii above MAX_BALL_RADIUS raise ``RadiusCapError``, and so does a
     ball that could outgrow MAX_BALL_ELEMENTS: each frontier element adds
     at most n to the next sphere, so the bound is checked before each
@@ -163,7 +170,10 @@ def ball_bytes(g: DefiningGraph, radius: int) -> list[bytes]:
         for w, desc in zip(frontier, descs):
             for s, bit, mask in gens:
                 if not desc & bit:
-                    grown[nf(w + s, comm)] = bit | (desc & mask)
+                    k = len(w)
+                    while k and (mask >> w[k - 1]) & 1:
+                        k -= 1
+                    grown[w[:k] + nf(w[k:] + s, comm)] = bit | (desc & mask)
         frontier = sorted(grown)
         descs = list(map(grown.__getitem__, frontier))
         out.extend(frontier)

@@ -58,3 +58,20 @@ def test_parity_and_support_are_class_invariants(gw):
     assert parity_vector(g, w) == parity_vector(g, nf)
     assert support(g, w) == support(g, nf)
     assert support(g, w) <= set(w)
+
+
+@given(graph_and_word())
+@settings(max_examples=200, deadline=None)
+def test_normal_form_of_an_extension_moves_only_the_commuting_suffix(gw):
+    # for w a normal form and x outside its right descent set, with w[k:]
+    # the longest suffix whose letters all commute with x:
+    # nf(w x) == w[:k] + nf(w[k:] x)
+    g, word = gw
+    w = normal_form(g, word)
+    for x in g.vertices:
+        if len(reduce_word(g, w + (x,))) < len(w):
+            continue
+        k = len(w)
+        while k and g.adjacent(w[k - 1], x):
+            k -= 1
+        assert normal_form(g, w + (x,)) == w[:k] + normal_form(g, w[k:] + (x,))

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -259,13 +260,21 @@ def _check_descent_pruned_ball(g, radius, monkeypatch):
     assert ball_bytes(g, radius) == expected
     monkeypatch.undo()
     # one call per extension w x of w in B(r-1) with x outside the right
-    # descent set of w (the letters that shorten it)
-    descents = [
-        sum(len(kernels.reduce_word(w + bytes([x]), comm)) < len(w) for x in range(g.n))
-        for w in expected
-        if len(w) < radius
-    ]
-    assert len(calls) == sum(g.n - d for d in descents)
+    # descent set of w (the letters that shorten it), in ball order, and
+    # each call gets only w[k:] x, where w[k:] is the longest suffix of w
+    # whose letters all commute with x
+    suffixes = []
+    for w in expected:
+        if len(w) == radius:
+            continue
+        for x in range(g.n):
+            if len(kernels.reduce_word(w + bytes([x]), comm)) < len(w):
+                continue
+            k = len(w)
+            while k and (comm[x] >> w[k - 1]) & 1:
+                k -= 1
+            suffixes.append(w[k:] + bytes([x]))
+    assert calls == suffixes
 
 
 def test_descent_pruned_ball_matches_the_seen_set_ball(monkeypatch):
@@ -280,6 +289,61 @@ def test_descent_pruned_ball_matches_the_seen_set_ball(monkeypatch):
         verts = "abcdefg"[: rng.randint(5, 7)]
         edges = [p for p in itertools.combinations(verts, 2) if rng.random() < 0.5]
         _check_descent_pruned_ball(DefiningGraph(verts, edges), rng.randint(0, 4), monkeypatch)
+
+
+def _growth_series(n, edges, radius):
+    """Sphere sizes 0..radius from the clique polynomial alone: the growth
+    series of a right-angled Coxeter group is 1/f(-t/(1+t)), where f(t)
+    sums t^|c| over the cliques c of the graph, the empty one included
+    (Davis, The Geometry and Topology of Coxeter Groups, ch. 17).  With d
+    the largest clique size, that is (1+t)^d / P(t), where
+    P(t) = sum_k f_k (-t)^k (1+t)^(d-k) has constant term 1."""
+    adj = {frozenset(e) for e in edges}
+    f = [0] * (n + 1)
+    for subset in range(1 << n):
+        members = [i for i in range(n) if (subset >> i) & 1]
+        if all(frozenset(p) in adj for p in itertools.combinations(members, 2)):
+            f[len(members)] += 1
+    d = max(k for k, c in enumerate(f) if c)
+    p = [0] * (n + 1)
+    for k in range(d + 1):
+        for j in range(d - k + 1):
+            p[k + j] += f[k] * (-1) ** k * math.comb(d - k, j)
+    num = [math.comb(d, j) for j in range(d + 1)] + [0] * radius
+    sizes = []
+    for r in range(radius + 1):
+        sizes.append(num[r] - sum(p[j] * sizes[r - j] for j in range(1, min(r, n) + 1)))
+    return sizes
+
+
+def _sphere_sizes(g, radius):
+    sizes = [0] * (radius + 1)
+    for w in ball_bytes(g, radius):
+        sizes[len(w)] += 1
+    return sizes
+
+
+def test_ball_sphere_sizes_match_the_growth_series():
+    # the oracle reads only the edge list: no kernel, no normal form.
+    # Hand counts: the infinite dihedral group has two elements of each
+    # positive length, (Z/2)^2 is 1 + 2t + t^2
+    assert _growth_series(2, [], 4) == [1, 2, 2, 2, 2]
+    assert _growth_series(2, [(0, 1)], 4) == [1, 2, 1, 0, 0]
+    for n in range(1, 5):
+        verts = "abcd"[:n]
+        pairs = list(itertools.combinations(range(n), 2))
+        for bits in range(1 << len(pairs)):
+            edges = [p for k, p in enumerate(pairs) if (bits >> k) & 1]
+            g = DefiningGraph(verts, [(verts[i], verts[j]) for i, j in edges])
+            assert _sphere_sizes(g, 6) == _growth_series(n, edges, 6), edges
+    rng = random.Random(17)
+    for _ in range(100):
+        n = rng.randint(5, 8)
+        verts = [f"v{i}" for i in range(n)]
+        edges = [p for p in itertools.combinations(range(n), 2) if rng.random() < 0.5]
+        g = DefiningGraph(verts, [(verts[i], verts[j]) for i, j in edges])
+        radius = rng.randint(0, 4)
+        assert _sphere_sizes(g, radius) == _growth_series(n, edges, radius), edges
 
 
 def test_finite_group_ball_saturates():
