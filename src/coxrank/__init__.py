@@ -30,7 +30,6 @@ from .certificates import (
     is_all_odd_essential,
     is_good_essential,
     is_s_good,
-    is_s_minimal,
 )
 from .errors import CoxrankError
 from .graphs import (

@@ -161,7 +161,7 @@ def _repair(
     def targets_of(w):
         if not goodness:
             return full & ~support_bits(w)
-        present, _, bad = _goodness_masks(w, comm)
+        present, bad = _goodness_masks(w, comm)
         return bad if present == full else None
 
     if goodness:

@@ -42,8 +42,6 @@ class GoodnessStatus(str, Enum):
     GOOD = "GOOD"
     NOT_GOOD = "NOT_GOOD"
     ABSENT = "ABSENT"
-    # unreachable on reduced input; kept so reports can name the case
-    NOT_MINIMAL_IMPOSSIBLE = "NOT_MINIMAL_IMPOSSIBLE"
 
 
 @dataclass(frozen=True)
@@ -75,58 +73,45 @@ def _require_reduced(g: DefiningGraph, enc: bytes) -> None:
         raise NotReducedError("word is not reduced")
 
 
-def _goodness_masks(enc: bytes, comm) -> tuple[int, int, int]:
-    """(present, not_minimal, bad) masks of a word, for every generator at
-    once, in one left-to-right pass.
+def _goodness_masks(enc: bytes, comm) -> tuple[int, int]:
+    """(present, bad) masks of a reduced word, for every generator at once,
+    in one left-to-right pass.
 
     A letter t is an s-blocker for every s outside comm[t] other than t.
     ``blocked`` holds the s that have seen a blocker since their last
     occurrence (or since the start, before their first), ``head`` the s
-    whose first block w0 carries one.  An s occurring again with no
-    blocker since its last occurrence has a blocker-free interior block;
-    at the end ``blocked`` is the last block's verdict, so the wrapped
-    block w(k+1)w0 has a blocker exactly where ``blocked | head`` does."""
-    seen = multi = not_minimal = head = blocked = 0
+    whose first block w0 carries one.  The word is reduced, so every
+    interior block carries a blocker; at the end ``blocked`` is the last
+    block's verdict, and the wrapped block w(k+1)w0 of an s occurring
+    more than once has a blocker exactly where ``blocked | head`` does."""
+    seen = multi = head = blocked = 0
     everyone = (1 << len(comm)) - 1
     for t in enc:
         bit = 1 << t
         if seen & bit:
             multi |= bit
-            if not blocked & bit:
-                not_minimal |= bit
         else:
             seen |= bit
             head |= blocked & bit
         blocked = (blocked | (everyone & ~comm[t])) & ~bit
-    return seen, not_minimal, multi & (not_minimal | ~(blocked | head))
-
-
-def _masks_for(g: DefiningGraph, word, s: str) -> tuple[int, int, int]:
-    """(bit of s, not_minimal, bad) for a reduced word in which s occurs."""
-    enc = encode_word(g, word)
-    _require_reduced(g, enc)
-    bit = 1 << g.index(s)
-    present, not_minimal, bad = _goodness_masks(enc, g.comm_masks)
-    if not present & bit:
-        raise GeneratorAbsentError(f"generator {s!r} does not occur")
-    return bit, not_minimal, bad
-
-
-def is_s_minimal(g: DefiningGraph, word, s: str) -> bool:
-    """Every interior block between occurrences of s carries an s-blocker.
-
-    Vacuously true when s occurs once.  For Coxeter words the reduction of
-    ``s wi s`` with blocker-free wi would delete both s's, so every reduced
-    word is s-minimal; this checker evaluates the definition anyway.
-    """
-    bit, not_minimal, _ = _masks_for(g, word, s)
-    return not not_minimal & bit
+    return seen, multi & ~(blocked | head)
 
 
 def is_s_good(g: DefiningGraph, word, s: str) -> bool:
-    """s-minimal and, when s occurs k+1 >= 2 times, the wrapped block
-    w(k+1)w0 carries an s-blocker.  Single occurrences count as good."""
-    bit, _, bad = _masks_for(g, word, s)
+    """For a reduced word in which s occurs k+1 times, the wrapped block
+    w(k+1)w0 carries an s-blocker; a single occurrence (k = 0) counts as
+    good.  The interior blocks always carry one, since the word is reduced.
+
+    >>> g = DefiningGraph("abcde", [("a","b"),("b","c"),("c","d"),("d","e"),("e","a")])
+    >>> is_s_good(g, tuple("abcdea"), "a"), is_s_good(g, tuple("abcdea"), "c")
+    (False, True)
+    """
+    enc = encode_word(g, word)
+    _require_reduced(g, enc)
+    bit = 1 << g.index(s)
+    present, bad = _goodness_masks(enc, g.comm_masks)
+    if not present & bit:
+        raise GeneratorAbsentError(f"generator {s!r} does not occur")
     return not bad & bit
 
 
@@ -135,15 +120,13 @@ def goodness_report(g: DefiningGraph, word) -> GoodnessReport:
     support report ABSENT and stay out of the bad set."""
     enc = encode_word(g, word)
     _require_reduced(g, enc)
-    present, not_minimal, bad = _goodness_masks(enc, g.comm_masks)
+    present, bad = _goodness_masks(enc, g.comm_masks)
     statuses: dict[str, GoodnessStatus] = {}
     bad_labels = []
     for si, label in enumerate(g.vertices):
         bit = 1 << si
         if not present & bit:
             statuses[label] = GoodnessStatus.ABSENT
-        elif not_minimal & bit:
-            statuses[label] = GoodnessStatus.NOT_MINIMAL_IMPOSSIBLE
         elif bad & bit:
             statuses[label] = GoodnessStatus.NOT_GOOD
             bad_labels.append(label)
@@ -158,7 +141,7 @@ def goodness_report(g: DefiningGraph, word) -> GoodnessReport:
 
 def bad_mask(g: DefiningGraph, enc: bytes) -> int:
     """Bad set of a reduced encoded word as a bitmask (hot-loop helper)."""
-    return _goodness_masks(enc, g.comm_masks)[2]
+    return _goodness_masks(enc, g.comm_masks)[1]
 
 
 def bad_set(g: DefiningGraph, word) -> GoodnessReport:
@@ -195,7 +178,7 @@ def is_good_essential(g: DefiningGraph, word) -> bool:
 
 def _good_essential_enc(enc: bytes, comm) -> bool:
     """Full support and an empty bad set, for a reduced encoded word."""
-    present, _, bad = _goodness_masks(enc, comm)
+    present, bad = _goodness_masks(enc, comm)
     return present == (1 << len(comm)) - 1 and not bad
 
 

@@ -21,7 +21,6 @@ from .certificates import (
     find_even_completion,
     goodness_report,
     is_all_odd_essential,
-    is_good_essential,
 )
 from .errors import CoxrankError
 from .graphs import dj_double_prime, dj_prime, load_graph
@@ -232,13 +231,14 @@ def _cmd_essential(g, args) -> int:
     word = parse_word(g, args.word)
     reduced = reduce_word(g, word)
     all_odd = is_all_odd_essential(g, word)
-    good = is_good_essential(g, word)
+    report = goodness_report(g, reduced)
+    good = report.full_support and not report.bad_set
     payload = {
         "word": format_word(word),
         "reduced": format_word(reduced),
         "allOddEssential": all_odd,
         "goodForAllEssential": good,
-        "goodness": goodness_report(g, reduced).to_json_dict(),
+        "goodness": report.to_json_dict(),
         "falsifier": {"conjRadius": args.conj_radius},
     }
     hit = falsify_essential(g, word, args.conj_radius)

@@ -19,7 +19,6 @@ from coxrank.certificates import (
     is_all_odd_essential,
     is_good_essential,
     is_s_good,
-    is_s_minimal,
 )
 from coxrank.errors import (
     GeneratorAbsentError,
@@ -32,27 +31,21 @@ from coxrank.words import (
     ball_bytes,
     enumerate_ball,
     parity_vector,
-    support,
     support_bits,
 )
 
 
-def test_s_minimal_examples(c5):
-    assert is_s_minimal(c5, ("c", "a", "c"), "c")
-    assert is_s_minimal(c5, ("a",), "a")  # vacuous single occurrence
-
-
-def test_s_minimal_errors(c5):
+def test_s_good_errors(c5):
     with pytest.raises(NotReducedError):
-        is_s_minimal(c5, ("a", "a"), "a")
+        is_s_good(c5, ("a", "a"), "a")
     with pytest.raises(GeneratorAbsentError):
-        is_s_minimal(c5, ("a",), "b")
+        is_s_good(c5, ("a",), "b")
 
 
 def test_every_reduced_word_is_s_minimal(c5):
-    for w in enumerate_ball(c5, 5):
-        for s in support(c5, w):
-            assert is_s_minimal(c5, w, s)
+    comm = c5.comm_masks
+    for enc in ball_bytes(c5, 5):
+        assert _goodness_masks(enc, comm) == _masks_by_blocks(enc, comm)
 
 
 def test_s_good_examples(c5):
@@ -61,7 +54,6 @@ def test_s_good_examples(c5):
     w = ("d", "c", "a", "c", "d")
     assert not is_s_good(c5, w, "c")  # outside blocks are "d" and "d": both commute with c
     assert not is_s_good(c5, w, "d")  # outside blocks empty
-    assert is_s_minimal(c5, w, "c") and is_s_minimal(c5, w, "d")
 
 
 def test_bad_set_examples(c5):
@@ -169,6 +161,19 @@ def _minimal_and_good_by_blocks(blocks, mask):
     return minimal, minimal and (wrapped is None or _has_blocker(wrapped, mask))
 
 
+def _masks_by_blocks(enc, comm):
+    """Reference (present, bad) masks of a reduced word.  Every s must be
+    minimal: two s with only letters commuting with s between them would
+    cancel."""
+    present = bad = 0
+    for s in set(enc):
+        minimal, good = _minimal_and_good_by_blocks(_blocks(enc, s), comm[s])
+        assert minimal, (enc, s)
+        present |= 1 << s
+        bad |= (not good) << s
+    return present, bad
+
+
 def test_goodness_masks_match_the_block_definition_on_every_4_vertex_graph():
     verts = "abcd"
     pairs = list(combinations(verts, 2))
@@ -176,19 +181,12 @@ def test_goodness_masks_match_the_block_definition_on_every_4_vertex_graph():
         DefiningGraph(verts, [p for k, p in enumerate(pairs) if (bits >> k) & 1])
         for bits in range(1 << len(pairs))
     ]
-    # reduced and unreduced words alike: the definition applies to both
     for length in range(7):
         for enc in map(bytes, product(range(4), repeat=length)):
-            blocks = {s: _blocks(enc, s) for s in set(enc)}
-            present = sum(1 << s for s in blocks)
             for g in graphs:
                 comm = g.comm_masks
-                not_minimal = bad = 0
-                for s, cut in blocks.items():
-                    minimal, good = _minimal_and_good_by_blocks(cut, comm[s])
-                    not_minimal |= (not minimal) << s
-                    bad |= (not good) << s
-                assert _goodness_masks(enc, comm) == (present, not_minimal, bad)
+                if kernels.is_reduced(enc, comm):
+                    assert _goodness_masks(enc, comm) == _masks_by_blocks(enc, comm)
     # the public readers of the masks, on the path a - b - c - d
     path = DefiningGraph(verts, [("a", "b"), ("b", "c"), ("c", "d")])
     for length in range(7):
@@ -198,13 +196,12 @@ def test_goodness_masks_match_the_block_definition_on_every_4_vertex_graph():
             word = tuple(verts[i] for i in enc)
             report = goodness_report(path, word)
             assert bad_mask(path, enc) == sum(1 << verts.index(v) for v in report.bad_set)
+            _, bad = _masks_by_blocks(enc, path.comm_masks)
             for si in set(enc):
-                cut = _blocks(enc, si)
-                expected = _minimal_and_good_by_blocks(cut, path.comm_masks[si])
+                good = not (bad >> si) & 1
                 s = verts[si]
-                assert (is_s_minimal(path, word, s), is_s_good(path, word, s)) == expected
-                status = report.per_generator[s]
-                assert (status is GoodnessStatus.GOOD) == expected[1]
+                assert is_s_good(path, word, s) == good
+                assert (report.per_generator[s] is GoodnessStatus.GOOD) == good
 
 
 def test_conjugate_by_letter_matches_reduce_word_on_every_4_vertex_graph():

@@ -208,6 +208,8 @@ JSON_DIGESTS = [
      "787ec9507ed73dd386a58b7463d9a670925f0f2dca1548fec9b62c81c3bab1bc"),
     (("essential", "--graph", C5, "--word", "b d a", "--conj-radius", "3", *J),
      "76f75b5aa79ccda1f3476945dfb96ba4ae4b45dc55799c4a61dd3c363379e21f"),
+    (("essential", "--graph", C5, "--word", "a b c d e a", *J),
+     "7f15f11fb1807879a7c66b0051ba76d21653998f331ebc572d02a5193e20a78b"),
     (("cancellator", "--graph", C5, "--word", "a c a c b d b d",
       "--subgroup", "commutator", *J),
      "7add6d9b61c397507bda7f15a7b98927c641a92bc6aed83b0d715e79d202a0fe"),
@@ -251,6 +253,8 @@ JSON_DIGESTS = [
      "b882b3d0beebd24b8bc906d083d0b2fe69b198b956d67025da2143b1b19f88bf"),
     (("essential", "--graph", C5, "--word", "b d a", "--conj-radius", "2", *T),
      "1a84a4d3ccc86adb8c4af058b9bf6b414ce6286933cbc4d9f8b8978cacb0513e"),
+    (("essential", "--graph", C5, "--word", "a b c d e a", *T),
+     "b637e3d1c175a7088042cebe5b187674c9f8e8fb538873532de3c977c46e9b1b"),
     (("completion", "--graph", C5, "--word", "a c", *T),
      "d624d703ea205f7b393d9ddcb2f140a228e4d505b0c8e3b483add94c8a11acd8"),
     (("cancellator", "--graph", C5, "--word", "a b a b", "--subgroup", "commutator",
