@@ -15,6 +15,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 from .errors import (
     EmptyGraphError,
@@ -307,32 +308,41 @@ def classify_factor(g: DefiningGraph) -> FactorClassification:
 # -- Davis-Januszkiewicz doubling constructions ------------------------
 
 
+@lru_cache(maxsize=16)
+def _doubled(vertices: tuple, low: str, high: str) -> tuple[tuple, dict]:
+    """Labels and label index of a double on ``vertices``: every label with
+    suffix ``low``, then every label with suffix ``high``.
+
+    Cached, so every double built on the same vertices shares one labels
+    tuple and one index; graphs never mutate either.
+    """
+    _check_size(2 * len(vertices))
+    labels = tuple([v + low for v in vertices] + [v + high for v in vertices])
+    return labels, {v: i for i, v in enumerate(labels)}
+
+
 def dj_prime(g: DefiningGraph) -> DefiningGraph:
     """Graph double: two labelled copies of g ("_m1" and "_1" suffixes),
     plus a cross edge (i,-1)-(j,1) whenever i != j span an edge of g.
 
     The associated right-angled Coxeter group is commensurable to the
-    right-angled Artin group of g.
+    right-angled Artin group of g.  Doubles of graphs on the same vertices
+    share their labels tuple and index.
     """
+    labels, index = _doubled(g.vertices, "_m1", "_1")
     n = g.n
-    _check_size(2 * n)
     half = tuple(m | (m << n) for m in g.comm_masks)
-    return DefiningGraph._from_masks(
-        tuple([f"{v}_m1" for v in g.vertices] + [f"{v}_1" for v in g.vertices]),
-        half + half,
-    )
+    return DefiningGraph._from_masks(labels, half + half, index)
 
 
 def dj_double_prime(g: DefiningGraph) -> DefiningGraph:
     """Doubled graph with a clique base: vertices (i,0),(i,1) with labels
     "_0"/"_1"; edges (i,1)-(j,1) for each edge of g, (i,0)-(j,0) for all
-    i != j, and (i,0)-(j,1) whenever i != j."""
+    i != j, and (i,0)-(j,1) whenever i != j.  Doubles of graphs on the same
+    vertices share their labels tuple and index."""
+    labels, index = _doubled(g.vertices, "_0", "_1")
     n = g.n
-    _check_size(2 * n)
     full = (1 << n) - 1
     lo = [(full & ~(1 << i)) * ((1 << n) + 1) for i in range(n)]
     hi = [(m << n) | (full & ~(1 << i)) for i, m in enumerate(g.comm_masks)]
-    return DefiningGraph._from_masks(
-        tuple([f"{v}_0" for v in g.vertices] + [f"{v}_1" for v in g.vertices]),
-        tuple(lo + hi),
-    )
+    return DefiningGraph._from_masks(labels, tuple(lo + hi), index)

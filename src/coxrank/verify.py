@@ -19,6 +19,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, product
+from operator import or_
 
 from . import kernels
 from .cancellator import _essentialize, _repair
@@ -49,6 +50,8 @@ WORD_PROBLEM_MAX_LEN = 6  # closure universe is n^(maxLen+2); keep desk scale
 # words of length <= maxLen + 2 the closure table may hold (C5 at maxLen 6
 # needs 488,281)
 WORD_PROBLEM_MAX_UNIVERSE = 4_000_000
+# a parity trial takes time quadratic in maxLen: about 0.1 s on C5 at this cap
+PARITY_MAX_LEN = 1000
 
 
 @dataclass
@@ -111,6 +114,13 @@ def _require_serial(jobs: int) -> None:
 # -- parity invariance ---------------------------------------------------
 
 
+def _move_counts(word, comm) -> tuple[int, int]:
+    """Numbers of swap positions (adjacent distinct commuting letters) and
+    cancel positions (adjacent equal letters) of ``word``."""
+    pairs = list(zip(word, word[1:]))
+    return sum([(comm[x] >> y) & 1 for x, y in pairs]), sum([x == y for x, y in pairs])
+
+
 def verify_parity_invariance(
     g: DefiningGraph,
     trials: int = 10_000,
@@ -121,12 +131,21 @@ def verify_parity_invariance(
     """Random words, random legal-move sequences; the per-generator letter
     count mod 2 (recounted from scratch after every move) must never
     change.  ``_corrupt`` injects one illegal single-letter deletion per
-    trial — a self-test hook that must make the check FAIL."""
+    trial — a self-test hook that must make the check FAIL.
+
+    Each move is drawn uniformly from the word's swap positions, cancel
+    positions and doubled-letter insertions.  The numbers of swap and
+    cancel positions are running counts: an insertion updates them from
+    the pairs it creates and splits, any other move recounts them, and a
+    word is scanned for the chosen swap or cancel only when one is drawn.
+    ``maxLen`` is capped at PARITY_MAX_LEN."""
     t0 = time.perf_counter()
     if trials < 0:
         raise ParameterRangeError(f"trials must be at least 0, got {trials}")
     if max_len < 1:
         raise ParameterRangeError(f"maxLen must be at least 1, got {max_len}")
+    if max_len > PARITY_MAX_LEN:
+        raise RadiusCapError(f"maxLen {max_len} exceeds cap {PARITY_MAX_LEN}")
     rng = random.Random(seed)
     n = g.n
     comm = g.comm_masks
@@ -137,29 +156,41 @@ def verify_parity_invariance(
         start = bytes(word)
         nmoves = rng.randint(1, 2 * max_len)
         corrupt_at = rng.randrange(nmoves) if _corrupt else -1
+        ns, nc = _move_counts(word, comm)
         for m in range(nmoves):
             if m == corrupt_at:
                 if word:
                     del word[rng.randrange(len(word))]
                 else:
                     word.append(rng.randrange(n))
+                ns, nc = _move_counts(word, comm)
             else:
-                swaps = []
-                cancels = []
-                for i, x, y in zip(range(len(word)), word, word[1:]):
-                    if x == y:
-                        cancels.append(i)
-                    elif (comm[x] >> y) & 1:
-                        swaps.append(i)
-                pick = rng.randrange(len(swaps) + len(cancels) + (len(word) + 1) * n)
-                if pick < len(swaps):
-                    i = swaps[pick]
-                    word[i], word[i + 1] = word[i + 1], word[i]
-                elif pick < len(swaps) + len(cancels):
-                    i = cancels[pick - len(swaps)]
-                    del word[i : i + 2]
+                pick = rng.randrange(ns + nc + (len(word) + 1) * n)
+                if pick < ns + nc:
+                    pairs = zip(range(len(word)), word, word[1:])
+                    if pick < ns:
+                        i = [j for j, x, y in pairs if (comm[x] >> y) & 1][pick]
+                        word[i], word[i + 1] = word[i + 1], word[i]
+                    else:
+                        i = [j for j, x, y in pairs if x == y][pick - ns]
+                        del word[i : i + 2]
+                    ns, nc = _move_counts(word, comm)
                 else:
-                    pos, s = divmod(pick - len(swaps) - len(cancels), n)
+                    pos, s = divmod(pick - ns - nc, n)
+                    # pairs (prev, s), (s, s), (s, next) replace (prev, next);
+                    # no self-loops, so a commuting pair is never a cancel
+                    nc += 1
+                    if pos:
+                        prev = word[pos - 1]
+                        ns += (comm[prev] >> s) & 1
+                        nc += prev == s
+                    if pos < len(word):
+                        nxt = word[pos]
+                        ns += (comm[s] >> nxt) & 1
+                        nc += s == nxt
+                        if pos:
+                            ns -= (comm[prev] >> nxt) & 1
+                            nc -= prev == nxt
                     word[pos:pos] = [s, s]
             if parity_bits(word) != expected:
                 failures.append(
@@ -499,9 +530,25 @@ def verify_cancellator_uniformity(
 # -- structural checks ------------------------------------------------------
 
 
+def _edge_subset_masks(k: int, pairs) -> list[tuple[int, ...]]:
+    """Commutation masks of the k-vertex graph on each subset of ``pairs``,
+    indexed by the subset's bits (bit t: ``pairs[t]``)."""
+    table = [(0,) * k]
+    for i, j in pairs:
+        edge = [0] * k
+        edge[i] = 1 << j
+        edge[j] = 1 << i
+        table += [tuple(map(or_, t, edge)) for t in table]
+    return table
+
+
 def verify_join_lemma(max_vertices: int = 5) -> VerificationReport:
     """Exhaustively over all labeled graphs with 1..max_vertices vertices:
-    a graph is a join exactly when its doubled graph is."""
+    a graph is a join exactly when its doubled graph is.
+
+    Graphs are visited by ascending edge bits; each graph's masks are the
+    union of two table entries, one for the lower half of the vertex pairs
+    and one for the upper half."""
     t0 = time.perf_counter()
     if not 1 <= max_vertices <= 6:
         raise ParameterRangeError(
@@ -514,16 +561,13 @@ def verify_join_lemma(max_vertices: int = 5) -> VerificationReport:
         verts = labels[:k]
         index = {v: i for i, v in enumerate(verts)}
         pairs = list(combinations(range(k), 2))
+        h = len(pairs) // 2
+        low = _edge_subset_masks(k, pairs[:h])
+        high = _edge_subset_masks(k, pairs[h:])
+        below = (1 << h) - 1
         for bits in range(1 << len(pairs)):
-            masks = [0] * k
-            rest = bits
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                i, j = pairs[low.bit_length() - 1]
-                masks[i] |= 1 << j
-                masks[j] |= 1 << i
-            graph = DefiningGraph._from_masks(verts, tuple(masks), index)
+            masks = tuple(map(or_, low[bits & below], high[bits >> h]))
+            graph = DefiningGraph._from_masks(verts, masks, index)
             if is_join(graph) != is_join(dj_prime(graph)):
                 failures.append({"graph": graph.to_text()})
             total += 1

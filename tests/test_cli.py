@@ -172,6 +172,15 @@ def test_balls_past_the_limits_exit_2(capsys, tmp_path):
         assert err.startswith("error [RADIUS_EXCEEDS_CAP]: ball of radius 10 ")
 
 
+def test_parity_max_len_past_the_cap_exits_2(capsys, c5_file):
+    for max_len in ("1001", "1000000000"):
+        code, out, err = run_main(
+            capsys, "verify", "parity", "--graph", c5_file, "--max-len", max_len
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error [RADIUS_EXCEEDS_CAP]: maxLen {max_len} exceeds cap 1000")
+
+
 def test_ball_commands_take_no_jobs_or_cap(c5_file):
     for flag in ("--jobs", "--cap"):
         with pytest.raises(SystemExit) as exc:

@@ -206,6 +206,18 @@ def test_dj_double_prime_top_copy_is_base_graph():
         assert top.edges == g.edges  # index pairs survive the relabeling
 
 
+def test_doubles_on_the_same_vertices_share_labels_and_index(c5):
+    other = DefiningGraph("abcde", [("a", "c")])
+    for double in (dj_prime, dj_double_prime):
+        d1, d2 = double(c5), double(other)
+        assert d1.vertices is d2.vertices
+        assert d1._index is d2._index
+        assert d1._index == {v: i for i, v in enumerate(d1.vertices)}
+    prime, double_prime = dj_prime(c5), dj_double_prime(c5)
+    assert prime.vertices != double_prime.vertices
+    assert prime._index is not double_prime._index
+
+
 def test_join_lemma_small():
     for g in _all_graphs(4):
         assert is_join(g) == is_join(dj_prime(g))

@@ -1,7 +1,11 @@
+import random
+from itertools import combinations
+
 import pytest
 
+import coxrank.verify
 from coxrank.errors import ParameterRangeError, PreconditionClassError, RadiusCapError
-from coxrank.graphs import DefiningGraph
+from coxrank.graphs import DefiningGraph, dj_prime, is_join
 from coxrank.subgroups import (
     commutator_subgroup,
     make_subgroup,
@@ -9,6 +13,7 @@ from coxrank.subgroups import (
     whole_group,
 )
 from coxrank.verify import (
+    PARITY_MAX_LEN,
     WORD_PROBLEM_MAX_LEN,
     WORD_PROBLEM_MAX_UNIVERSE,
     _bad_set_classes,
@@ -44,6 +49,102 @@ def test_parity_invariance_deterministic(c5):
     da, db = a.to_json_dict(), b.to_json_dict()
     da.pop("elapsedMs"), db.pop("elapsedMs")
     assert da == db
+
+
+def _relisting_parity_payload(g, trials, max_len, seed, corrupt):
+    """Reference parity driver: every move re-lists all swap and cancel
+    positions of the word.  It shares no code with
+    verify_parity_invariance and returns its payload without elapsedMs."""
+    rng = random.Random(seed)
+    n = g.n
+    comm = g.comm_masks
+
+    def parity(word):
+        return [word.count(x) % 2 for x in range(n)]
+
+    def fmt(word):
+        return " ".join(g.vertices[x] for x in word) or "e"
+
+    failures = []
+    for trial in range(trials):
+        word = [rng.randrange(n) for _ in range(rng.randint(0, max_len))]
+        expected = parity(word)
+        start = list(word)
+        nmoves = rng.randint(1, 2 * max_len)
+        corrupt_at = rng.randrange(nmoves) if corrupt else -1
+        for m in range(nmoves):
+            if m == corrupt_at:
+                if word:
+                    del word[rng.randrange(len(word))]
+                else:
+                    word.append(rng.randrange(n))
+            else:
+                swaps = []
+                cancels = []
+                for i in range(len(word) - 1):
+                    x, y = word[i], word[i + 1]
+                    if x == y:
+                        cancels.append(i)
+                    elif comm[x] & (1 << y):
+                        swaps.append(i)
+                pick = rng.randrange(len(swaps) + len(cancels) + (len(word) + 1) * n)
+                if pick < len(swaps):
+                    i = swaps[pick]
+                    word[i], word[i + 1] = word[i + 1], word[i]
+                elif pick < len(swaps) + len(cancels):
+                    i = cancels[pick - len(swaps)]
+                    del word[i : i + 2]
+                else:
+                    pos, s = divmod(pick - len(swaps) - len(cancels), n)
+                    word[pos:pos] = [s, s]
+            if parity(word) != expected:
+                failures.append(
+                    {"trial": trial, "start": fmt(start), "after": fmt(word), "moveIndex": m}
+                )
+                break
+    return {
+        "check": "parity-invariance",
+        "params": {"trials": trials, "maxLen": max_len, "corrupted": corrupt},
+        "totalCases": trials,
+        "failures": failures,
+        "verdict": "FAIL" if failures else "PASS",
+        "seed": seed,
+    }
+
+
+def _random_small_graphs(count, seed):
+    rng = random.Random(seed)
+    for _ in range(count):
+        verts = "abcdef"[: rng.randint(1, 6)]
+        yield DefiningGraph(
+            verts, [p for p in combinations(verts, 2) if rng.random() < 0.5]
+        )
+
+
+def test_parity_running_counts_match_the_relisting_driver(c4, c5, k3, dinf):
+    p4 = DefiningGraph("abcd", [("a", "b"), ("b", "c"), ("c", "d")])
+    graphs = [c4, c5, k3, dinf, p4, *_random_small_graphs(30, seed=1212)]
+    failing = 0
+    for g in graphs:
+        for seed in range(4):
+            for max_len in (1, 2, 3, 12):
+                for corrupt in (False, True):
+                    got = verify_parity_invariance(
+                        g, trials=12, max_len=max_len, seed=seed, _corrupt=corrupt
+                    ).to_json_dict()
+                    del got["elapsedMs"]
+                    want = _relisting_parity_payload(g, 12, max_len, seed, corrupt)
+                    assert got == want, (g, seed, max_len, corrupt)
+                    failing += bool(want["failures"])
+    assert failing  # the corrupted runs do compare failure lists
+
+
+def test_parity_max_len_cap(c5):
+    assert verify_parity_invariance(c5, trials=1, max_len=PARITY_MAX_LEN).verdict == "PASS"
+    for max_len in (PARITY_MAX_LEN + 1, 10**9):
+        with pytest.raises(RadiusCapError) as exc:
+            verify_parity_invariance(c5, trials=1, max_len=max_len)
+        assert exc.value.code == "RADIUS_EXCEEDS_CAP"
 
 
 def test_word_problem_pentagon(c5):
@@ -183,6 +284,49 @@ def test_join_lemma_counts():
     assert report.total_cases == 75  # 1 + 2 + 8 + 64
     with pytest.raises(ParameterRangeError):
         verify_join_lemma(7)
+
+
+def _join_lemma_graphs(max_vertices):
+    """Every labelled graph on 1..max_vertices vertices, by ascending edge
+    bits, its masks built edge by edge."""
+    for k in range(1, max_vertices + 1):
+        verts = tuple("abcdef"[:k])
+        pairs = list(combinations(range(k), 2))
+        for bits in range(1 << len(pairs)):
+            masks = [0] * k
+            for t, (i, j) in enumerate(pairs):
+                if bits >> t & 1:
+                    masks[i] |= 1 << j
+                    masks[j] |= 1 << i
+            yield DefiningGraph._from_masks(verts, tuple(masks))
+
+
+def test_join_lemma_visits_graphs_in_ascending_bits_order(monkeypatch):
+    seen = []
+
+    def recording_dj_prime(g):
+        seen.append((g.vertices, g.comm_masks))
+        return dj_prime(g)
+
+    monkeypatch.setattr(coxrank.verify, "dj_prime", recording_dj_prime)
+    report = verify_join_lemma(5)
+    want = [(g.vertices, g.comm_masks) for g in _join_lemma_graphs(5)]
+    assert seen == want
+    assert report.total_cases == len(want) and report.verdict == "PASS"
+
+
+def test_join_lemma_reports_failures_in_visit_order(monkeypatch):
+    # doubles have four edges per edge of the graph, so only the graphs
+    # with exactly one edge get a planted wrong answer
+    def planted(g):
+        return is_join(g) != (g.edge_count == 1)
+
+    monkeypatch.setattr(coxrank.verify, "is_join", planted)
+    report = verify_join_lemma(4)
+    want = [{"graph": g.to_text()} for g in _join_lemma_graphs(4) if g.edge_count == 1]
+    assert len(want) == 0 + 1 + 3 + 6
+    assert report.failures == want
+    assert report.verdict == "FAIL"
 
 
 def test_certificates_pass_small(c5):
