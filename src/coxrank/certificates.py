@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import NamedTuple
 
 from . import kernels
@@ -198,12 +199,17 @@ def find_even_completion(g: DefiningGraph, word) -> Word:
 class ConjugatorTable(NamedTuple):
     """A conjugator ball with, per element, the index of its prefix
     ``u[:-1]``, its last letter and the index of its inverse (entry 0 is
-    the empty word: its own prefix, letter -1)."""
+    the empty word: its own prefix, letter -1).
+
+    ``inner`` is ``max(parent) + 1``: every element that is another's
+    prefix has an index below it, so the elements from ``inner`` on are
+    leaves, whose conjugates the falsifier never builds."""
 
     ball: list[bytes]
     parent: list[int]
     letter: list[int]
     inverse: list[int]
+    inner: int
 
 
 def conjugator_table(g: DefiningGraph, conj_ball: list[bytes]) -> ConjugatorTable:
@@ -216,7 +222,7 @@ def conjugator_table(g: DefiningGraph, conj_ball: list[bytes]) -> ConjugatorTabl
     parent = [index[u[:-1]] for u in conj_ball]
     letter = [u[-1] if u else -1 for u in conj_ball]
     inverse = [index[kernels.normal_form(u[::-1], comm)] for u in conj_ball]
-    return ConjugatorTable(conj_ball, parent, letter, inverse)
+    return ConjugatorTable(conj_ball, parent, letter, inverse, max(parent) + 1)
 
 
 _LETTERS = [bytes((i,)) for i in range(MAX_VERTICES)]
@@ -251,6 +257,12 @@ def _conjugate_by_letter(r: bytes, x: int, mask: int) -> bytes:
     return r + _LETTERS[x]
 
 
+@lru_cache(maxsize=1024)
+def _commuters(mask: int) -> bytes:
+    """The letters set in ``mask``, as bytes for ``bytes.strip``."""
+    return bytes(t for t in range(MAX_VERTICES) if (mask >> t) & 1)
+
+
 def _falsify_enc(
     g: DefiningGraph, enc: bytes, table: ConjugatorTable
 ) -> tuple[bytes, int] | None:
@@ -261,17 +273,44 @@ def _falsify_enc(
     ``conj[i]`` is ``v^-1 w v`` for the i-th ball element ``v = v' x``,
     built as ``x conj[v'] x``; the conjugate ``u w u^-1`` is then
     ``conj[inverse of u]``.  Supports are kept alongside: conjugating by x
-    changes at most whether x occurs."""
+    changes at most whether x occurs.
+
+    Conjugates are built only below ``table.inner``, where every element
+    that is some element's prefix lies.  For a leaf ``v' x`` only the
+    support is needed, and the x bit follows from the number c of x in
+    ``r = conj[v']`` by the same one-letter fact ``_conjugate_by_letter``
+    computes: with c = 0, x stays out exactly when it commutes with every
+    letter of r (it then passes through and cancels itself); with c >= 3,
+    each outer x cancels at most one x of r, so one is left; with c = 1,
+    if the left x cancels it, the right x finds none and stays; with
+    c = 2, both cancel exactly when the first x is reached from the front
+    and the last x from the back through letters that commute with x."""
     comm = g.comm_masks
     full = (1 << g.n) - 1
     r = kernels.reduce_word(enc, comm)
     conj = [r]
     supp = [support_bits(r)]
-    for p, x in zip(table.parent[1:], table.letter[1:]):
+    parent, letter, inner = table.parent, table.letter, table.inner
+    for p, x in zip(parent[1:inner], letter[1:inner]):
         d = _conjugate_by_letter(conj[p], x, comm[x])
         conj.append(d)
         bit = 1 << x
         supp.append(supp[p] | bit if x in d else supp[p] & ~bit)
+    strips = list(map(_commuters, comm))
+    for p, x in zip(parent[inner:], letter[inner:]):
+        d = conj[p]
+        s = supp[p]
+        c = d.count(x)
+        if c == 0:
+            if s & ~comm[x]:
+                s |= 1 << x
+        elif c == 2:
+            skip = strips[x]
+            if d.lstrip(skip)[0] == x == d.rstrip(skip)[-1]:
+                s &= ~(1 << x)
+        supp.append(s)
+    if supp.count(full) == len(supp):
+        return None  # ``inverse`` is a permutation, so no conjugate misses
     for u, j in zip(table.ball, table.inverse):
         if supp[j] != full:
             return u, supp[j]
@@ -288,13 +327,18 @@ def falsify_essential(g: DefiningGraph, word, conj_radius: int) -> Counterexampl
     returned.  None means no counterexample at this radius, which is
     evidence, not proof.
 
-    The word is reduced once; each conjugate is then built from its
-    prefix's conjugate by one letter (``x r x`` with two short scans),
-    not by reducing ``u w u^-1`` from scratch.  The evidence is the same:
-    every conjugator up to the radius, first hit in shortlex order.
+    The word is encoded before the conjugator ball is built, so an
+    unknown label fails at once.  It is reduced once; each conjugate is
+    then built from its prefix's conjugate by one letter (``x r x`` with
+    two short scans), not by reducing ``u w u^-1`` from scratch, and only
+    for conjugators that are some element's prefix.  For the others (the
+    last sphere, in an infinite group) only the support is taken, from
+    the number of x in the prefix's conjugate; that count decides exactly
+    whether x survives ``x r x``.  The evidence is the same: every
+    conjugator up to the radius, first hit in shortlex order.
     """
-    table = conjugator_table(g, ball_bytes(g, conj_radius))
-    hit = _falsify_enc(g, encode_word(g, word), table)
+    enc = encode_word(g, word)
+    hit = _falsify_enc(g, enc, conjugator_table(g, ball_bytes(g, conj_radius)))
     if hit is None:
         return None
     u, supp = hit

@@ -588,9 +588,13 @@ def verify_essential_certificates(
     uncertified word there must produce a recorded FAIL).
 
     The conjugator ball is indexed once (prefix, last letter, inverse);
-    for each certified word every conjugate is then built from its
-    prefix's conjugate by one letter.  The evidence is unchanged: every
-    conjugator up to ``conj_radius``, first hit in shortlex order."""
+    for each certified word the conjugate by every conjugator that is some
+    element's prefix is built from its prefix's conjugate by one letter.
+    Leaf conjugators (the last sphere, in an infinite group) get only a
+    support, from the count of their last letter in the prefix's
+    conjugate, which decides exactly whether that letter survives.  The
+    evidence is unchanged: every conjugator up to ``conj_radius``, first
+    hit in shortlex order."""
     t0 = time.perf_counter()
     _require_serial(jobs)
     full = (1 << g.n) - 1

@@ -1,10 +1,12 @@
 import random
 from itertools import combinations, product
+from pathlib import Path
 
 import pytest
 
-from coxrank import kernels
+from coxrank import certificates, kernels
 from coxrank.certificates import (
+    ConjugatorTable,
     Counterexample,
     GoodnessStatus,
     _conjugate_by_letter,
@@ -25,14 +27,17 @@ from coxrank.errors import (
     MissingGeneratorsError,
     NotReducedError,
     RadiusCapError,
+    UnknownGeneratorError,
 )
-from coxrank.graphs import DefiningGraph
+from coxrank.graphs import DefiningGraph, load_graph
 from coxrank.words import (
     ball_bytes,
     enumerate_ball,
     parity_vector,
     support_bits,
 )
+
+GRAPHS = Path(__file__).resolve().parent.parent / "graphs"
 
 
 def test_s_good_errors(c5):
@@ -231,26 +236,101 @@ def _falsify_by_reducing_every_conjugate(g, enc, conj_ball):
     return None
 
 
+def test_leaf_supports_match_reduce_word_on_every_4_vertex_graph():
+    # A two-element table whose second entry, the conjugator x, is a leaf
+    # (inner = 1), so its support comes from the letter count rule.  Its
+    # inverse index is swapped on purpose: the scan reads the leaf's
+    # support first and returns it whenever it is not full.
+    verts = "abcd"
+    pairs = list(combinations(verts, 2))
+    words = [
+        bytes(w) for length in range(7) for w in product(range(4), repeat=length)
+    ]
+    full = 0b1111
+    cases = 0
+    for bits in range(1 << len(pairs)):
+        g = DefiningGraph(verts, [p for k, p in enumerate(pairs) if (bits >> k) & 1])
+        comm = g.comm_masks
+        tables = [
+            ConjugatorTable([b"", bytes([x])], [0, 0], [-1, x], [1, 0], 1)
+            for x in range(4)
+        ]
+        for r in words:
+            if not kernels.is_reduced(r, comm):
+                continue
+            for x, table in enumerate(tables):
+                hit = _falsify_enc(g, r, table)
+                leaf = hit[1] if hit is not None and hit[0] == b"" else full
+                expected = kernels.reduce_word(bytes([x]) + r + bytes([x]), comm)
+                assert leaf == support_bits(expected)
+                cases += 1
+    assert cases == 189_056
+
+
+def test_falsify_encodes_the_word_before_building_the_ball(c5, monkeypatch):
+    def no_ball(g, radius):
+        raise AssertionError("ball built before the word was encoded")
+
+    monkeypatch.setattr(certificates, "ball_bytes", no_ball)
+    with pytest.raises(UnknownGeneratorError):
+        falsify_essential(c5, ("a", "z"), 10)
+
+
+def _check_against_reducing_every_conjugate(g, enc, conj_ball, table):
+    expected = _falsify_by_reducing_every_conjugate(g, enc, conj_ball)
+    assert _falsify_enc(g, enc, table) == expected
+    return expected
+
+
 def test_incremental_falsifier_matches_reducing_every_conjugate():
     rng = random.Random(20121005)
-    hits = misses = 0
+    hits = misses = last_sphere = 0
     for _ in range(240):
         n = rng.randint(2, 6)
         verts = "abcdef"[:n]
         edges = [p for p in combinations(verts, 2) if rng.random() < 0.4]
         g = DefiningGraph(verts, edges)
-        conj_ball = ball_bytes(g, rng.randint(0, 4))
+        conj_radius = rng.randint(0, 4)
+        conj_ball = ball_bytes(g, conj_radius)
         table = conjugator_table(g, conj_ball)
-        for k in range(4):
+        sphere = [u for u in conj_ball if len(u) == conj_radius]
+        for k in range(6):
             # raw random words, unreduced ones included; every other one is
             # a conjugate v w v^-1 of a word w missing a generator, so that
-            # hits at nontrivial conjugators are common
+            # hits at nontrivial conjugators are common; for one of them per
+            # graph, |v| is the conjugation radius, so that first hits land
+            # in the last sphere, whose conjugates are never built
             enc = bytes(rng.randrange(n) for _ in range(rng.randint(0, 12)))
             if k % 2:
-                v = bytes(rng.randrange(n) for _ in range(rng.randint(1, 5)))
+                if k == 3 and sphere:
+                    v = rng.choice(sphere)
+                else:
+                    v = bytes(rng.randrange(n) for _ in range(rng.randint(1, 5)))
                 enc = v + enc.replace(bytes([rng.randrange(n)]), b"") + v[::-1]
-            expected = _falsify_by_reducing_every_conjugate(g, enc, conj_ball)
-            assert _falsify_enc(g, enc, table) == expected
+            expected = _check_against_reducing_every_conjugate(g, enc, conj_ball, table)
             hits += expected is not None and expected[0] != b""
             misses += expected is None
-    assert hits > 50 and misses > 50
+            if expected is not None and expected[0] and len(expected[0]) == conj_radius:
+                last_sphere += 1
+    assert hits > 50 and misses > 50 and last_sphere > 20
+
+
+def test_falsifier_past_the_diameter_of_a_finite_group():
+    # K3 gives (Z/2)^3, of diameter 3: at conjugation radius 5 the
+    # requested last sphere is empty, and the leaves start inside the
+    # ball, at ac (index 5), not where any sphere starts.
+    k3 = load_graph(GRAPHS / "k3.txt")
+    conj_ball = ball_bytes(k3, 5)
+    table = conjugator_table(k3, conj_ball)
+    assert len(conj_ball) == 8 and table.inner == 5
+    assert [len(u) for u in conj_ball[table.inner - 1 : table.inner + 1]] == [2, 2]
+    rng = random.Random(3)
+    hits = 0
+    for length in range(5):
+        for enc in map(bytes, product(range(3), repeat=length)):
+            hit = _check_against_reducing_every_conjugate(k3, enc, conj_ball, table)
+            hits += hit is not None
+    for _ in range(200):
+        enc = bytes(rng.randrange(3) for _ in range(rng.randint(5, 15)))
+        _check_against_reducing_every_conjugate(k3, enc, conj_ball, table)
+    assert 0 < hits < 121
