@@ -14,8 +14,10 @@ elements of the radius-10 ball, ``verify_subgroup_covering`` with the
 index-8 parity subgroup of ``graphs/parity8.sub`` at radius 8, and
 ``verify_cancellator_uniformity`` at radius 8.  Then the
 exhaustive checks: the rewriting-closure partition of the pentagon's
-words up to length 8, ``verify_join_lemma`` on every labelled graph with
-at most 6 vertices, and ``verify_parity_invariance`` with 10k trials.
+words up to length 8, ``verify_word_problem`` at max-len 6 (the same
+closure plus a normal form per word of length <= 6), ``verify_join_lemma``
+on every labelled graph with at most 6 vertices, and
+``verify_parity_invariance`` with 10k trials.
 
 Each row is the median of REPEATS runs and records its parameters, the
 kernel backend, the Python version and a digest of the results: equal
@@ -64,6 +66,7 @@ SUBGROUP_FILE = "graphs/parity8.sub"
 SUBGROUP_RADIUS = 8
 UNIFORMITY_RADIUS = 8
 CLOSURE_CAP = 8
+WORD_PROBLEM_MAX_LEN = 6
 JOIN_MAX_VERTICES = 6
 PARITY_TRIALS = 10_000
 PARITY_SEED = 1
@@ -197,6 +200,12 @@ def main():
             {"graph": "C5", "cap": CLOSURE_CAP},
             lambda: verify._closure_partition(C5.n, comm, CLOSURE_CAP),
             _closure_roots,
+        ),
+        _row(
+            "wordproblem",
+            {"graph": "C5", "maxLen": WORD_PROBLEM_MAX_LEN},
+            lambda: verify.verify_word_problem(C5, WORD_PROBLEM_MAX_LEN),
+            _payload,
         ),
         _row(
             "join_lemma",

@@ -3,9 +3,13 @@ machine-readable reports.
 
 The word-problem ground truth here is deliberately independent of the
 kernel algorithms: it only ever applies raw legal moves (swap an adjacent
-commuting pair, delete a doubled letter, insert a doubled letter) and
-takes breadth-first closures, so it exercises the rewriting theorem
-directly rather than any normal-form code path.
+commuting pair, delete a doubled letter, insert a doubled letter), so it
+exercises the rewriting theorem directly rather than any normal-form code
+path.  The whole capped word universe is partitioned by a union-find
+built by prefix recursion (the classes of words ``c w`` are shifted
+copies of the classes of ``w``, joined by the moves at the first
+position).  A single pair is checked by closing each word under the
+non-increasing moves.
 
 Every report is reproducible bit for bit given the same parameters;
 randomized checks take an explicit seed and record it.  Empty case sets
@@ -16,6 +20,7 @@ from __future__ import annotations
 
 import random
 import time
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, product
@@ -215,13 +220,18 @@ def _closure_partition(n: int, comm, cap: int):
     Words are ranked shortlex (rank = offsets[len] + base-n digit value);
     swap edges connect commuting transpositions, cancel edges connect a
     word with a doubled letter to the shorter word (which also realizes
-    every doubled-letter insertion below the cap).  Returns (parent,
-    offsets, pows, find); class roots are the shortlex-least members.
+    every doubled-letter insertion below the cap).  Returns (roots,
+    offsets, pows, find): ``roots[x]`` is the shortlex-least member of the
+    class of rank x, and ``find`` is ``roots.__getitem__``.
 
-    Edges are visited per (length, position i, move pair): the words of
-    length L holding letters a, b at positions i, i+1 form n^i blocks of
-    n^(L-2-i) consecutive ranks, one block per prefix p, and every partner
-    is an offset of its word's rank, so no word is ever decoded.
+    Built by prefix recursion on the cap k: a move at position i >= 1 of
+    ``c w`` is ``c`` times a move at position i - 1 of ``w``, so the
+    classes of the words of length <= k are n shifted copies of those of
+    length <= k - 1 (the least member of ``c . class`` is ``c`` times the
+    least of the class), joined only by the position-0 moves ``a a w ~ w``
+    and ``a b w ~ b a w``.  A root r of length l shifts to
+    r + (c + 1) n^l under the first letter c.  Only raw moves are applied;
+    no normal-form code is involved.
     """
     pows = [1]
     for _ in range(cap):
@@ -229,48 +239,49 @@ def _closure_partition(n: int, comm, cap: int):
     offsets = [0]
     for length in range(cap + 1):
         offsets.append(offsets[-1] + pows[length])
-    parent = list(range(offsets[cap + 1]))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        # find(x) and find(y) inlined; the smaller root wins
-        while parent[x] != x:
-            parent[x] = x = parent[parent[x]]
-        while parent[y] != y:
-            parent[y] = y = parent[parent[y]]
-        if x < y:
-            parent[y] = x
-        elif y < x:
-            parent[x] = y
-
     # swap partners b > a of each letter a
     above = [[b for b in range(a + 1, n) if (comm[a] >> b) & 1] for a in range(n)]
-    for length in range(2, cap + 1):
-        base = offsets[length]
-        shorter = offsets[length - 2]
-        for i in range(length - 1):
-            lo = pows[length - 2 - i]  # weight of position i + 1
-            hi = lo * n  # weight of position i
-            for p in range(pows[i]):
-                start = base + p * hi * n
-                for a in range(n):
-                    # a a at i: the partner drops both letters
-                    x = start + a * (hi + lo)
-                    y = shorter + p * lo
-                    for s in range(lo):
-                        union(x + s, y + s)
-                    # a b at i, a < b commuting: the partner holds b a
-                    for b in above[a]:
-                        x = start + a * hi + b * lo
-                        d = (b - a) * (hi - lo)
-                        for r in range(x, x + lo):
-                            union(r, r + d)
-    return parent, offsets, pows, find
+
+    roots = [0]
+    for k in range(1, cap + 1):
+        prev = roots
+        roots = [0]
+        for length in range(1, k + 1):
+            block = prev[offsets[length - 1] : offsets[length]]
+            # the block holds few distinct roots: shift each once, so the
+            # list keeps one int object per class rather than one per word
+            step = {r: pows[bisect_right(offsets, r) - 1] for r in set(block)}
+            for c in range(n):
+                shifted = {r: r + (c + 1) * p for r, p in step.items()}
+                roots += map(shifted.__getitem__, block)
+        for length in range(2, k + 1):
+            base = offsets[length]
+            lo = pows[length - 2]  # weight of position 1
+            hi = lo * n  # weight of position 0
+            # blocks of lo consecutive ranks, paired rank by rank:
+            # a a w ~ w, and a b w ~ b a w for commuting a < b
+            blocks = [(base + a * (hi + lo), offsets[length - 2]) for a in range(n)]
+            blocks += [
+                (base + a * hi + b * lo, base + b * hi + a * lo)
+                for a in range(n)
+                for b in above[a]
+            ]
+            for x0, y0 in blocks:
+                for x, y in zip(range(x0, x0 + lo), range(y0, y0 + lo)):
+                    # union with path halving; the smaller root wins
+                    while roots[x] != x:
+                        roots[x] = x = roots[roots[x]]
+                    while roots[y] != y:
+                        roots[y] = y = roots[roots[y]]
+                    if x < y:
+                        roots[y] = x
+                    elif y < x:
+                        roots[x] = y
+        # every link points down (roots[x] <= x), so one increasing pass
+        # leaves each rank on its class's least member
+        for x in range(len(roots)):
+            roots[x] = roots[roots[x]]
+    return roots, offsets, pows, roots.__getitem__
 
 
 def verify_word_problem(g: DefiningGraph, max_len: int = WORD_PROBLEM_MAX_LEN) -> VerificationReport:
@@ -296,7 +307,7 @@ def verify_word_problem(g: DefiningGraph, max_len: int = WORD_PROBLEM_MAX_LEN) -
             f"closure universe of {universe} words (length <= {cap} over "
             f"{n} generators) exceeds cap {WORD_PROBLEM_MAX_UNIVERSE}"
         )
-    _, offsets, _, find = _closure_partition(n, comm, cap)
+    roots, offsets, _, _ = _closure_partition(n, comm, cap)
 
     failures = []
     by_root: dict[int, tuple[bytes, bytes]] = {}
@@ -304,9 +315,10 @@ def verify_word_problem(g: DefiningGraph, max_len: int = WORD_PROBLEM_MAX_LEN) -
     sphere_sizes = [0] * (max_len + 1)
     for length in range(0, max_len + 1):
         base = offsets[length]
-        for r, digits in enumerate(product(range(n), repeat=length)):
+        for root, digits in zip(
+            roots[base : offsets[length + 1]], product(range(n), repeat=length)
+        ):
             w = bytes(digits)
-            root = find(base + r)
             nf = kernels.normal_form(w, comm)
             seen = by_root.get(root)
             if seen is None:
@@ -366,9 +378,9 @@ def _min_layer(g: DefiningGraph, enc: bytes) -> set[bytes]:
 
 
 def rewriting_closure_equal(g: DefiningGraph, w1, w2) -> bool:
-    """Ground-truth equality for a single pair: breadth-first closure of
-    each word under non-increasing legal moves; the words are equal in the
-    group iff the minimal-length layers (all reduced expressions) meet."""
+    """Ground-truth equality for a single pair: the closure of each word
+    under non-increasing legal moves; the words are equal in the group iff
+    the minimal-length layers (all reduced expressions) meet."""
     a = _min_layer(g, encode_word(g, w1))
     b = _min_layer(g, encode_word(g, w2))
     return not a.isdisjoint(b)
@@ -597,6 +609,8 @@ def verify_essential_certificates(
     hit in shortlex order."""
     t0 = time.perf_counter()
     _require_serial(jobs)
+    # encoded first, so an unknown label raises before any enumeration
+    extra = [(encode_word(g, word), "assumed") for word in extra_certified]
     full = (1 << g.n) - 1
     certified: list[tuple[bytes, str]] = []
     for w in ball_bytes(g, radius):
@@ -604,8 +618,7 @@ def verify_essential_certificates(
             certified.append((w, "all-odd"))
         elif support_bits(w) == full and bad_mask(g, w) == 0:
             certified.append((w, "good-for-all"))
-    for word in extra_certified:
-        certified.append((encode_word(g, word), "assumed"))
+    certified += extra
     table = conjugator_table(g, ball_bytes(g, conj_radius))
     failures = []
     for w, why in certified:

@@ -3,8 +3,14 @@ from itertools import combinations
 
 import pytest
 
+import coxrank.kernels
 import coxrank.verify
-from coxrank.errors import ParameterRangeError, PreconditionClassError, RadiusCapError
+from coxrank.errors import (
+    ParameterRangeError,
+    PreconditionClassError,
+    RadiusCapError,
+    UnknownGeneratorError,
+)
 from coxrank.graphs import DefiningGraph, dj_prime, is_join
 from coxrank.subgroups import (
     commutator_subgroup,
@@ -350,6 +356,39 @@ def test_certificates_selftest_flags_uncertified_word(c5):
     assert any(f["certificate"] == "assumed" for f in report.failures)
 
 
+def test_certificates_encode_extra_words_before_the_ball(c5, monkeypatch):
+    balls = []
+    real_ball = coxrank.verify.ball_bytes
+
+    def ball_recorder(g, radius):
+        balls.append(radius)
+        return real_ball(g, radius)
+
+    monkeypatch.setattr(coxrank.verify, "ball_bytes", ball_recorder)
+    with pytest.raises(UnknownGeneratorError):
+        verify_essential_certificates(c5, 10, 4, extra_certified=[("z",)])
+    assert balls == []
+
+    # the extra words are still falsified after the ball's certified words
+    checked = []
+    real_falsify = coxrank.verify._falsify_enc
+
+    def falsify_recorder(g, w, table):
+        checked.append(w)
+        return real_falsify(g, w, table)
+
+    monkeypatch.setattr(coxrank.verify, "_falsify_enc", falsify_recorder)
+    plain = verify_essential_certificates(c5, radius=5, conj_radius=2)
+    from_ball = list(checked)
+    checked.clear()
+    report = verify_essential_certificates(
+        c5, radius=5, conj_radius=2, extra_certified=[("a",), ("b", "a")]
+    )
+    assert checked == from_ball + [b"\x00", b"\x01\x00"]
+    assert report.params["certified"] == plain.params["certified"] + 2
+    assert [f["word"] for f in report.failures] == ["a", "b a"]
+
+
 def test_ball_drivers_run_serially(c5):
     # jobs=1 is the keyword the benchmark passes; any other value is refused
     spec = commutator_subgroup(c5)
@@ -411,6 +450,15 @@ def _closure_roots_word_by_word(n, comm, cap):
     return [find(x) for x in range(len(parent))]
 
 
+def _check_closure_partition(n, comm, cap):
+    roots, offsets, pows, find = _closure_partition(n, comm, cap)
+    assert len(roots) == offsets[cap + 1] == sum(pows)
+    assert [find(x) for x in range(len(roots))] == roots
+    # every rank sits on a fixed point no larger than itself
+    assert all(roots[x] <= x and roots[roots[x]] == roots[x] for x in range(len(roots)))
+    assert roots == _closure_roots_word_by_word(n, comm, cap)
+
+
 def test_closure_partition_matches_word_by_word_unions_on_every_4_vertex_graph():
     for n in range(1, 5):
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
@@ -421,10 +469,47 @@ def test_closure_partition_matches_word_by_word_unions_on_every_4_vertex_graph()
                     comm[i] |= 1 << j
                     comm[j] |= 1 << i
             for cap in range(6):
-                parent, offsets, pows, find = _closure_partition(n, comm, cap)
-                assert len(parent) == offsets[cap + 1] == sum(pows)
-                want = _closure_roots_word_by_word(n, comm, cap)
-                assert [find(x) for x in range(len(parent))] == want
+                _check_closure_partition(n, comm, cap)
+
+
+def test_closure_partition_matches_word_by_word_unions_on_5_vertex_graphs(c5):
+    _check_closure_partition(c5.n, c5.comm_masks, 6)
+    rng = random.Random(1405)
+    for cap in (3, 4, 5, 3, 4, 5, 3, 4, 5, 5):
+        g = DefiningGraph(
+            "abcde", [p for p in combinations("abcde", 2) if rng.random() < 0.5]
+        )
+        _check_closure_partition(g.n, g.comm_masks, cap)
+
+
+def test_word_problem_fails_on_a_normal_form_that_is_not_canonical(c5, monkeypatch):
+    # reduce_word keeps "b a" as it is, while the class of "b a" holds "a b"
+    monkeypatch.setattr(coxrank.kernels, "normal_form", coxrank.kernels.reduce_word)
+    report = verify_word_problem(c5, max_len=3)
+    assert report.verdict == "FAIL"
+    assert report.failures[0] == {
+        "left": "a b",
+        "right": "b a",
+        "kind": "oracle-equal-but-normal-forms-differ",
+    }
+
+
+def test_word_problem_fails_on_a_normal_form_that_merges_two_elements(c5, monkeypatch):
+    real = coxrank.kernels.normal_form
+
+    def merged(w, comm):
+        nf = real(w, comm)
+        return b"\x00" if nf == b"\x01" else nf  # b reads as a
+
+    monkeypatch.setattr(coxrank.kernels, "normal_form", merged)
+    report = verify_word_problem(c5, max_len=3)
+    assert report.verdict == "FAIL"
+    assert report.failures[0] == {
+        "left": "a",
+        "right": "b",
+        "kind": "normal-forms-equal-but-oracle-differs",
+    }
+    assert {f["kind"] for f in report.failures} == {"normal-forms-equal-but-oracle-differs"}
 
 
 def test_out_of_range_parameters_raise_a_coded_error(c5):
