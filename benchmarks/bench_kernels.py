@@ -5,10 +5,12 @@ loops, and record them in BENCH_kernels.json.
 Usage: python3 benchmarks/bench_kernels.py [--words N] [--max-len L] [--label NAME]
 
 Times is_reduced, reduce_word and normal_form over a seeded corpus of
-random words on the pentagon graph, ``words.ball_bytes`` at radii 8
-and 10, and the falsifier core on the certified words of the radius-8
-ball plus one planted non-essential word, at conjugation radius 4 (the
-conjugator table build and the falsifier calls, timed together).  Then
+random words on the pentagon graph, normal_form again over the words
+one radius-10 ball passes to it (recorded untimed, in call order),
+``words.ball_bytes`` at radii 8 and 10, and the falsifier core on the
+certified words of the radius-8 ball plus one planted non-essential
+word, at conjugation radius 4 (the conjugator table build and the
+falsifier calls, timed together).  Then
 the enumerate paths: ``certificates.bad_mask`` on the full-support
 elements of the radius-10 ball, ``verify_subgroup_covering`` with the
 index-8 parity subgroup of ``graphs/parity8.sub`` at radius 8, and
@@ -79,6 +81,24 @@ def _corpus(n_words, max_len):
         bytes(rng.randrange(C5.n) for _ in range(rng.randint(0, max_len)))
         for _ in range(n_words)
     ]
+
+
+def _ball_inputs(radius):
+    """The words ``ball_bytes(C5, radius)`` passes to ``kernels.normal_form``,
+    in call order, recorded by wrapping the kernel for one untimed ball."""
+    nf = kernels.normal_form
+    seen = []
+
+    def record(word, comm):
+        seen.append(word)
+        return nf(word, comm)
+
+    kernels.normal_form = record
+    try:
+        words.ball_bytes(C5, radius)
+    finally:
+        kernels.normal_form = nf
+    return seen
 
 
 def _certified():
@@ -153,6 +173,21 @@ def main():
         _row(op, corpus_params, lambda f=getattr(kernels, op): [f(w, comm) for w in corpus])
         for op in ("is_reduced", "reduce_word", "normal_form")
     ]
+    radius = max(BALL_RADII)
+    ball_inputs = _ball_inputs(radius)
+    ball_inputs_params = {
+        "graph": "C5",
+        "inputs": "ball",
+        "radius": radius,
+        "words": len(ball_inputs),
+    }
+    rows.append(
+        _row(
+            "normal_form",
+            ball_inputs_params,
+            lambda: [kernels.normal_form(w, comm) for w in ball_inputs],
+        )
+    )
     rows += [
         _row("ball_bytes", {"graph": "C5", "radius": r}, lambda r=r: words.ball_bytes(C5, r))
         for r in BALL_RADII

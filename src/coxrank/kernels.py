@@ -67,10 +67,35 @@ def reduce_word(word: bytes, comm) -> bytes:
 def normal_form(word: bytes, comm) -> bytes:
     """Lexicographically least reduced word of the same group element.
 
-    Greedy extraction: among the letters whose first occurrence is
-    preceded only by letters they commute with, repeatedly emit the least
-    one and delete that occurrence.
+    A word of at most two letters has a closed form: ``a a`` is the
+    identity, and ``a b`` reads ``b a`` when b < a and the two commute.
+    Longer words take greedy extraction: among the letters whose first
+    occurrence is preceded only by letters they commute with, repeatedly
+    emit the least one and delete that occurrence.
+
+    On the pentagon a-b-c-d-e-a (a=0, ..., e=4):
+
+    >>> from coxrank.graphs import DefiningGraph
+    >>> comm = DefiningGraph(
+    ...     "abcde", [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e"), ("e", "a")]
+    ... ).comm_masks
+    >>> list(normal_form(bytes([1, 0]), comm))  # b a: commuting, out of order
+    [0, 1]
+    >>> list(normal_form(bytes([2, 0]), comm))  # c a: not commuting
+    [2, 0]
+    >>> list(normal_form(bytes([3, 3]), comm))  # d d: the identity
+    []
     """
+    n = len(word)
+    if n < 2:
+        return bytes(word)
+    if n == 2:
+        a, b = word
+        if a == b:
+            return b""
+        if b < a and (comm[a] >> b) & 1:
+            return bytes((b, a))
+        return bytes(word)
     buf = _reduce(word, comm)
     out = bytearray()
     while buf:

@@ -463,7 +463,8 @@ def verify_subgroup_covering(
             problems.append("a multiplier left the subgroup")
         if len(steps1) > missing0:
             problems.append("more support repairs than missing generators")
-        if len(steps2) > bin(bad_mask(g, w1)).count("1"):
+        # zero goodness repairs never exceed the bad set: skip its pass
+        if steps2 and len(steps2) > bin(bad_mask(g, w1)).count("1"):
             problems.append("more goodness repairs than bad generators")
         if problems:
             failures.append({"word": _fmt(g, w), "reason": "; ".join(problems)})

@@ -1,5 +1,6 @@
 """The word kernels against the leftmost-pair reduction that defines
-``reduce_word``'s byte contract."""
+``reduce_word``'s byte contract, and ``normal_form`` against a brute-force
+closure."""
 
 from itertools import combinations, product
 
@@ -46,6 +47,46 @@ def test_reduction_matches_leftmost_pair_on_every_4_vertex_graph():
             expected = _leftmost_pair_reduce(w, comm)
             assert kernels.reduce_word(w, comm) == expected
             assert kernels.is_reduced(w, comm) == (expected == w)
+
+
+def _closure_normal_form(word: bytes, comm) -> bytes:
+    """Lex-least word of the shortest words reachable from ``word`` by
+    swapping adjacent commuting letters and deleting adjacent equal ones."""
+    seen = {word}
+    todo = [word]
+    while todo:
+        w = todo.pop()
+        for i in range(len(w) - 1):
+            a, b = w[i], w[i + 1]
+            if a == b:
+                v = w[:i] + w[i + 2 :]
+            elif (comm[a] >> b) & 1:
+                v = w[:i] + bytes((b, a)) + w[i + 2 :]
+            else:
+                continue
+            if v not in seen:
+                seen.add(v)
+                todo.append(v)
+    shortest = min(map(len, seen))
+    return min(v for v in seen if len(v) == shortest)
+
+
+def test_normal_form_matches_closure_on_every_4_vertex_graph():
+    # lengths 0-4 cover the two-letter closed form and the greedy
+    # extraction on both sides of it
+    verts = "abcd"
+    pairs = list(combinations(verts, 2))
+    words = [
+        bytes(w) for length in range(5) for w in product(range(4), repeat=length)
+    ]
+    for bits in range(1 << len(pairs)):
+        edges = [p for k, p in enumerate(pairs) if (bits >> k) & 1]
+        comm = DefiningGraph(verts, edges).comm_masks
+        for w in words:
+            expected = _closure_normal_form(w, comm)
+            assert kernels.normal_form(w, comm) == expected, (edges, list(w))
+            got = kernels.normal_form(bytearray(w), comm)
+            assert type(got) is bytes and got == expected
 
 
 def test_pure_kernel_reduction_order_is_leftmost():
