@@ -7,6 +7,8 @@ Usage: python3 benchmarks/bench_kernels.py [--words N] [--max-len L] [--label NA
 Times is_reduced, reduce_word and normal_form over a seeded corpus of
 random words on the pentagon graph, normal_form again over the words
 one radius-10 ball passes to it (recorded untimed, in call order),
+``words.equal`` on seeded pairs of long words (half of them equal by
+random legal moves, half one letter off),
 ``words.ball_bytes`` at radii 8 and 10, and the falsifier core on the
 certified words of the radius-8 ball plus one planted non-essential
 word, at conjugation radius 4 (the conjugator table build and the
@@ -72,6 +74,8 @@ WORD_PROBLEM_MAX_LEN = 6
 JOIN_MAX_VERTICES = 6
 PARITY_TRIALS = 10_000
 PARITY_SEED = 1
+EQUAL_PAIRS = 200
+EQUAL_LENGTHS = (50, 300)
 OUT = ROOT / "BENCH_kernels.json"
 
 
@@ -99,6 +103,30 @@ def _ball_inputs(radius):
     finally:
         kernels.normal_form = nf
     return seen
+
+
+def _equal_pairs():
+    """Label pairs of random words with EQUAL_LENGTHS letters: the second
+    is the first after as many random legal moves as it has letters, plus,
+    in every other pair, one inserted letter (a parity change)."""
+    rng = random.Random(CORPUS_SEED)
+    comm = C5.comm_masks
+    pairs = []
+    for i in range(EQUAL_PAIRS):
+        w = [rng.randrange(C5.n) for _ in range(rng.randint(*EQUAL_LENGTHS))]
+        other = list(w)
+        for _ in range(len(w)):
+            j = rng.randrange(len(other) + 1)
+            if j + 1 < len(other) and other[j] == other[j + 1]:
+                del other[j : j + 2]
+            elif j + 1 < len(other) and (comm[other[j]] >> other[j + 1]) & 1:
+                other[j], other[j + 1] = other[j + 1], other[j]
+            else:
+                other[j:j] = [rng.randrange(C5.n)] * 2
+        if i % 2:
+            other.insert(rng.randrange(len(other) + 1), rng.randrange(C5.n))
+        pairs.append((words.decode_word(C5, bytes(w)), words.decode_word(C5, bytes(other))))
+    return pairs
 
 
 def _certified():
@@ -186,6 +214,20 @@ def main():
             "normal_form",
             ball_inputs_params,
             lambda: [kernels.normal_form(w, comm) for w in ball_inputs],
+        )
+    )
+    pairs = _equal_pairs()
+    rows.append(
+        _row(
+            "equal",
+            {
+                "graph": "C5",
+                "pairs": len(pairs),
+                "minLen": EQUAL_LENGTHS[0],
+                "maxLen": EQUAL_LENGTHS[1],
+                "seed": CORPUS_SEED,
+            },
+            lambda: [words.equal(C5, a, b) for a, b in pairs],
         )
     )
     rows += [

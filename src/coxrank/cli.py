@@ -369,7 +369,13 @@ def main(argv=None) -> int:
     except CoxrankError as exc:
         print(f"error [{exc.code}]: {exc}", file=sys.stderr)
         return 2
-    except (OSError, ValueError) as exc:
+    except UnicodeDecodeError as exc:
+        print(f"error [NOT_UTF8]: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"error [FILE_UNREADABLE]: {exc}", file=sys.stderr)
+        return 2
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

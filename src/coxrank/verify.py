@@ -57,6 +57,10 @@ WORD_PROBLEM_MAX_LEN = 6  # closure universe is n^(maxLen+2); keep desk scale
 WORD_PROBLEM_MAX_UNIVERSE = 4_000_000
 # a parity trial takes time quadratic in maxLen: about 0.1 s on C5 at this cap
 PARITY_MAX_LEN = 1000
+# certified words times conjugators a certificates run may try: each ball
+# passes its own cap, but their product does not (C5 at radius 10 and
+# conj-radius 4 needs 3.95M, about 2.6 s; at conj-radius 6, 27.6M)
+FALSIFIER_MAX_WORK = 5_000_000
 
 
 @dataclass
@@ -607,7 +611,10 @@ def verify_essential_certificates(
     support, from the count of their last letter in the prefix's
     conjugate, which decides exactly whether that letter survives.  The
     evidence is unchanged: every conjugator up to ``conj_radius``, first
-    hit in shortlex order."""
+    hit in shortlex order.
+
+    A run whose certified words times conjugators exceed
+    FALSIFIER_MAX_WORK raises ``RadiusCapError`` before any falsifying."""
     t0 = time.perf_counter()
     _require_serial(jobs)
     # encoded first, so an unknown label raises before any enumeration
@@ -620,7 +627,14 @@ def verify_essential_certificates(
         elif support_bits(w) == full and bad_mask(g, w) == 0:
             certified.append((w, "good-for-all"))
     certified += extra
-    table = conjugator_table(g, ball_bytes(g, conj_radius))
+    conj_ball = ball_bytes(g, conj_radius)
+    work = len(certified) * len(conj_ball)
+    if work > FALSIFIER_MAX_WORK:
+        raise RadiusCapError(
+            f"{len(certified)} certified words times {len(conj_ball)} conjugators "
+            f"is {work}, over the falsifier's work cap {FALSIFIER_MAX_WORK}"
+        )
+    table = conjugator_table(g, conj_ball)
     failures = []
     for w, why in certified:
         hit = _falsify_enc(g, w, table)

@@ -112,10 +112,24 @@ def is_reduced(g: DefiningGraph, word) -> bool:
 
 
 def equal(g: DefiningGraph, w1, w2) -> bool:
-    comm = g.comm_masks
-    return kernels.normal_form(encode_word(g, w1), comm) == kernels.normal_form(
-        encode_word(g, w2), comm
-    )
+    """True iff the two words represent the same element.
+
+    Decided as the identity test ``w1 w2^-1 = 1``: a word is the
+    identity exactly when deletions and commuting swaps reduce it to the
+    empty word (Tits), and ``w2^-1`` is ``w2`` reversed since generators
+    are involutions.  One reduction pass, no normal form.  ``w1`` is
+    encoded before ``w2``, so the first unknown label raises
+    ``UnknownGeneratorError``.
+
+    >>> g = DefiningGraph("abcde", [("a","b"),("b","c"),("c","d"),("d","e"),("e","a")])
+    >>> equal(g, ("a", "b"), ("b", "a"))
+    True
+    >>> equal(g, ("a", "b", "a"), ("b",))
+    True
+    >>> equal(g, ("a", "c"), ("c", "a"))
+    False
+    """
+    return not kernels.reduce_word(encode_word(g, w1) + encode_word(g, w2)[::-1], g.comm_masks)
 
 
 def parity_vector(g: DefiningGraph, word) -> dict[str, int]:

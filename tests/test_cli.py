@@ -172,6 +172,16 @@ def test_balls_past_the_limits_exit_2(capsys, tmp_path):
         assert err.startswith("error [RADIUS_EXCEEDS_CAP]: ball of radius 10 ")
 
 
+def test_certificates_past_the_work_cap_exit_2(capsys):
+    code, out, err = run_main(
+        capsys, "verify", "certificates", "--graph", C5, "--radius", "8", "--conj-radius", "8"
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith(
+        "error [RADIUS_EXCEEDS_CAP]: 2520 certified words times 7981 conjugators is 20112120, "
+    )
+
+
 def test_parity_max_len_past_the_cap_exits_2(capsys, c5_file):
     for max_len in ("1001", "1000000000"):
         code, out, err = run_main(
@@ -342,6 +352,22 @@ def test_negative_radius_exit_code(capsys, c5_file):
         code, out, err = run_main(capsys, *args)
         assert (code, out) == (2, "")
         assert err.startswith("error [PARAMETER_OUT_OF_RANGE]: radius must be at least 0")
+
+
+def test_unreadable_files_exit_2_with_a_code(capsys, c5_file, tmp_path):
+    latin1 = tmp_path / "latin1.txt"
+    latin1.write_bytes("vertices: a \u00e9\n".encode("latin-1"))
+    for args, code_name in (
+        (("classify", "--graph", str(tmp_path / "missing.txt")), "FILE_UNREADABLE"),
+        (
+            ("subgroup", "index", "--graph", c5_file, "--subgroup", str(GRAPHS)),
+            "FILE_UNREADABLE",
+        ),
+        (("classify", "--graph", str(latin1)), "NOT_UTF8"),
+    ):
+        code, out, err = run_main(capsys, *args)
+        assert (code, out) == (2, ""), args
+        assert err.startswith(f"error [{code_name}]: "), err
 
 
 def test_unknown_generator_exit_code(capsys, c5_file):

@@ -19,6 +19,7 @@ from coxrank.subgroups import (
     whole_group,
 )
 from coxrank.verify import (
+    FALSIFIER_MAX_WORK,
     PARITY_MAX_LEN,
     WORD_PROBLEM_MAX_LEN,
     WORD_PROBLEM_MAX_UNIVERSE,
@@ -387,6 +388,34 @@ def test_certificates_encode_extra_words_before_the_ball(c5, monkeypatch):
     assert checked == from_ball + [b"\x00", b"\x01\x00"]
     assert report.params["certified"] == plain.params["certified"] + 2
     assert [f["word"] for f in report.failures] == ["a", "b a"]
+
+
+def test_certificates_refuse_work_past_the_cap(c5, monkeypatch):
+    # r=8 certifies 2,520 words; the conj-radius-8 ball has 7,981 elements
+    assert 2520 * 7981 > FALSIFIER_MAX_WORK
+    tables = []
+    real_table = coxrank.verify.conjugator_table
+
+    def table_recorder(g, ball):
+        tables.append(len(ball))
+        return real_table(g, ball)
+
+    monkeypatch.setattr(coxrank.verify, "conjugator_table", table_recorder)
+    with pytest.raises(RadiusCapError, match="2520 certified words times 7981 conjugators"):
+        verify_essential_certificates(c5, radius=8, conj_radius=8)
+    assert tables == []
+    # an unknown label is still reported first
+    with pytest.raises(UnknownGeneratorError):
+        verify_essential_certificates(c5, 8, 8, extra_certified=[("z",)])
+
+    # the cap is inclusive: r=8 with the 166 conjugators of conj-radius 4
+    monkeypatch.setattr(coxrank.verify, "FALSIFIER_MAX_WORK", 2520 * 166)
+    assert verify_essential_certificates(c5, radius=8, conj_radius=4).verdict == "PASS"
+    assert tables == [166]
+    monkeypatch.setattr(coxrank.verify, "FALSIFIER_MAX_WORK", 2520 * 166 - 1)
+    with pytest.raises(RadiusCapError):
+        verify_essential_certificates(c5, radius=8, conj_radius=4)
+    assert tables == [166]
 
 
 def test_ball_drivers_run_serially(c5):

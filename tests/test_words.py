@@ -7,6 +7,7 @@ import pytest
 from coxrank import kernels
 from coxrank.errors import ParameterRangeError, RadiusCapError, UnknownGeneratorError
 from coxrank.graphs import DefiningGraph, load_graph
+from coxrank.verify import rewriting_closure_equal
 from coxrank.words import (
     ball_bytes,
     enumerate_ball,
@@ -155,6 +156,60 @@ def test_equal_examples(c5):
     assert equal(c5, ("a", "b"), ("b", "a"))
     assert not equal(c5, ("a",), ("b",))
     assert equal(c5, ("a", "b", "a"), ("b",))
+
+
+def test_equal_matches_rewriting_closure_on_short_words(c5):
+    p4 = DefiningGraph("abcd", [("a", "b"), ("b", "c"), ("c", "d")])
+    for g in (c5, p4):
+        words = _words_upto(g, 3)
+        for w1, w2 in itertools.combinations_with_replacement(words, 2):
+            assert equal(g, w1, w2) == rewriting_closure_equal(g, w1, w2), (w1, w2)
+
+
+def _legal_moves(word, comm, rng, moves):
+    """Apply random legal moves: delete a doubled letter, swap a commuting
+    pair, or insert a doubled letter."""
+    w = list(word)
+    for _ in range(moves):
+        i = rng.randrange(len(w) + 1)
+        if i + 1 < len(w) and w[i] == w[i + 1]:
+            del w[i : i + 2]
+        elif i + 1 < len(w) and (comm[w[i]] >> w[i + 1]) & 1:
+            w[i], w[i + 1] = w[i + 1], w[i]
+        else:
+            w[i:i] = [rng.randrange(len(comm))] * 2
+    return w
+
+
+def test_equal_matches_normal_forms_on_long_words():
+    rng = random.Random(16)
+    labels = [f"v{i}" for i in range(12)]
+    g = DefiningGraph(
+        labels, [(a, b) for a, b in itertools.combinations(labels, 2) if rng.random() < 0.3]
+    )
+    comm = g.comm_masks
+    for i in range(200):
+        w1 = [rng.randrange(g.n) for _ in range(rng.randint(50, 300))]
+        w2 = _legal_moves(w1, comm, rng, len(w1))
+        if i % 2:
+            # one letter more flips a parity, so the elements differ
+            w2.insert(rng.randrange(len(w2) + 1), rng.randrange(g.n))
+        w1 = tuple(labels[x] for x in w1)
+        w2 = tuple(labels[x] for x in w2)
+        same = normal_form(g, w1) == normal_form(g, w2)
+        assert same == (i % 2 == 0)
+        assert equal(g, w1, w2) == same
+        assert equal(g, w2, w1) == same
+
+
+@pytest.mark.parametrize(
+    "w1, w2, label",
+    [(("a", "z"), ("a",), "z"), (("a",), ("b", "z"), "z"), (("y",), ("z",), "y")],
+)
+def test_equal_unknown_generator(c5, w1, w2, label):
+    with pytest.raises(UnknownGeneratorError) as exc:
+        equal(c5, w1, w2)
+    assert exc.value.label == label
 
 
 def test_parity_vector_examples(c5):
