@@ -15,7 +15,7 @@ word, at conjugation radius 4 (the conjugator table build and the
 falsifier calls, timed together).  Then
 the enumerate paths: ``certificates.bad_mask`` on the full-support
 elements of the radius-10 ball, ``verify_subgroup_covering`` with the
-index-8 parity subgroup of ``graphs/parity8.sub`` at radius 8, and
+index-8 parity subgroup of ``graphs/parity8.sub`` at radii 8 and 10, and
 ``verify_cancellator_uniformity`` at radius 8.  Then the
 exhaustive checks: the rewriting-closure partition of the pentagon's
 words up to length 8, ``verify_word_problem`` at max-len 6 (the same
@@ -67,7 +67,7 @@ CONJ_RADIUS = 4
 PLANTED = bytes([4, 1, 3, 2, 0, 2, 3, 1, 4])
 GOODNESS_RADIUS = 10
 SUBGROUP_FILE = "graphs/parity8.sub"
-SUBGROUP_RADIUS = 8
+SUBGROUP_RADII = (8, 10)
 UNIFORMITY_RADIUS = 8
 CLOSURE_CAP = 8
 WORD_PROBLEM_MAX_LEN = 6
@@ -255,14 +255,15 @@ def main():
         )
     )
     spec = parse_subgroup_file((ROOT / SUBGROUP_FILE).read_text(), graph=C5)
-    rows.append(
+    rows += [
         _row(
             "subgroup_covering",
-            {"graph": "C5", "subgroup": SUBGROUP_FILE, "radius": SUBGROUP_RADIUS},
-            lambda: verify.verify_subgroup_covering(C5, spec, SUBGROUP_RADIUS),
+            {"graph": "C5", "subgroup": SUBGROUP_FILE, "radius": r},
+            lambda r=r: verify.verify_subgroup_covering(C5, spec, r),
             _payload,
         )
-    )
+        for r in SUBGROUP_RADII
+    ]
     rows.append(
         _row(
             "uniformity",

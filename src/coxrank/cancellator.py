@@ -147,14 +147,20 @@ def _trace_steps(g: DefiningGraph, steps) -> tuple[TraceStep, ...]:
 
 
 def _repair(
-    g: DefiningGraph, enc: bytes, n: int, goodness: bool = False
+    g: DefiningGraph, enc: bytes, n: int, table: dict, goodness: bool = False
 ) -> tuple[bytes, bytes, tuple]:
     """Prepend repair multipliers to the reduced word ``enc``, least target
     first, until no target is left: the missing generators, or with
     ``goodness`` the bad ones (``enc`` must then have full support).  A
     support repair adds its target and removes nothing; a goodness repair
     keeps full support and strictly shrinks the bad set.  Returns the word,
-    the total multiplier (newest leftmost) and the encoded steps."""
+    the total multiplier (newest leftmost) and the encoded steps.
+
+    ``table`` maps a target index to its blocker choice and encoded
+    multiplier at exponent ``n``.  It is filled on first use, so one table
+    can serve every repair of a call (all at the same ``n``) while the
+    choice is still made, and may still raise, at the first step that
+    needs it."""
     comm = g.comm_masks
     full = (1 << g.n) - 1
 
@@ -164,6 +170,9 @@ def _repair(
         present, bad = _goodness_masks(w, comm)
         return bad if present == full else None
 
+    targets = targets_of(enc)
+    if not targets:
+        return enc, b"", ()
     if goodness:
         step_error = "did not strictly shrink the bad set"
         final_error = "bad set nonempty after one repair per generator"
@@ -171,13 +180,16 @@ def _repair(
         step_error = "removed a generator from the support"
         final_error = "generators still missing after one repair per generator"
     steps = []
-    targets = targets_of(enc)
     for _ in range(g.n):
         if not targets:
             break
         bit = targets & -targets
-        choice = choose_blockers(g, g.vertices[bit.bit_length() - 1])
-        mult = encode_word(g, multiplier_word(choice, n))
+        i = bit.bit_length() - 1
+        entry = table.get(i)
+        if entry is None:
+            choice = choose_blockers(g, g.vertices[i])
+            entry = table[i] = (choice, encode_word(g, multiplier_word(choice, n)))
+        choice, mult = entry
         nxt = kernels.reduce_word(mult + enc, comm)
         new = targets_of(nxt)  # None: a goodness repair lost a generator
         # a proper subset, and a support repair must also add its target
@@ -196,13 +208,14 @@ def _repair(
     return enc, b"".join(m for _, m, _ in reversed(steps)), tuple(steps)
 
 
-def _essentialize(g: DefiningGraph, enc: bytes, n: int):
-    """Support repairs, then goodness repairs, on a reduced encoded word.
+def _essentialize(g: DefiningGraph, enc: bytes, n: int, table: dict):
+    """Support repairs, then goodness repairs, on a reduced encoded word;
+    ``table`` is shared by both phases, as in ``_repair``.
 
     Returns the word after the support repairs, the final word, the total
     multiplier (newest leftmost) and the steps of each phase."""
-    w1, m1, steps1 = _repair(g, enc, n)
-    w2, m2, steps2 = _repair(g, w1, n, goodness=True)
+    w1, m1, steps1 = _repair(g, enc, n, table)
+    w2, m2, steps2 = _repair(g, w1, n, table, goodness=True)
     return w1, w2, m2 + m1, steps1, steps2
 
 
@@ -219,7 +232,7 @@ def fix_missing(g: DefiningGraph, word, n: int = 2) -> tuple[Word, MultiplierTra
     """Prepend repair multipliers until every generator appears in the
     reduced form; the least missing generator is targeted first.  Already
     present generators never disappear (asserted)."""
-    return _result(g, *_repair(g, _reduced(g, word), n), n)
+    return _result(g, *_repair(g, _reduced(g, word), n, {}), n)
 
 
 def make_good(g: DefiningGraph, word, n: int = 2) -> tuple[Word, MultiplierTrace]:
@@ -236,7 +249,7 @@ def make_good(g: DefiningGraph, word, n: int = 2) -> tuple[Word, MultiplierTrace
         raise MissingGeneratorsError(
             [v for i, v in enumerate(g.vertices) if not (supp >> i) & 1]
         )
-    return _result(g, *_repair(g, enc, n, goodness=True), n)
+    return _result(g, *_repair(g, enc, n, {}, goodness=True), n)
 
 
 def essentialize(
@@ -252,7 +265,7 @@ def essentialize(
     if spec is not None and not member(spec, word):
         raise NotInSubgroupError("word is not a member of the subgroup")
     n = 2 if spec is None else max(2, index_and_exponent(spec)[1])
-    _, w2, total, steps1, steps2 = _essentialize(g, _reduced(g, word), n)
+    _, w2, total, steps1, steps2 = _essentialize(g, _reduced(g, word), n, {})
     final, trace = _result(g, w2, total, steps1 + steps2, n)
     if not is_good_essential(g, final):
         raise ContractViolationError(

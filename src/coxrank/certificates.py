@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 from typing import NamedTuple
 
 from . import kernels
@@ -31,6 +30,7 @@ from .errors import (
 from .graphs import MAX_VERTICES, DefiningGraph
 from .words import (
     Word,
+    _commuters,
     ball_bytes,
     decode_word,
     encode_word,
@@ -255,12 +255,6 @@ def _conjugate_by_letter(r: bytes, x: int, mask: int) -> bytes:
             break
         i -= 1
     return r + _LETTERS[x]
-
-
-@lru_cache(maxsize=1024)
-def _commuters(mask: int) -> bytes:
-    """The letters set in ``mask``, as bytes for ``bytes.strip``."""
-    return bytes(t for t in range(MAX_VERTICES) if (mask >> t) & 1)
 
 
 def _falsify_enc(

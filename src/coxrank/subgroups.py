@@ -107,14 +107,26 @@ def member_mask(spec: SubgroupSpec, pmask: int) -> bool:
     return _reduce_vector(pmask, spec.basis) == 0
 
 
+def members(spec: SubgroupSpec, ball):
+    """The subgroup members among the encoded words of ``ball``, in order.
+
+    Membership depends only on the parity mask, so each word's mask is
+    taken once and ``member_mask`` runs once per distinct mask (32 times
+    on the pentagon's radius-10 ball of 54,726 elements)."""
+    verdicts: dict[int, bool] = {}
+    for w in ball:
+        pm = parity_bits(w)
+        ok = verdicts.get(pm)
+        if ok is None:
+            ok = verdicts[pm] = member_mask(spec, pm)
+        if ok:
+            yield w
+
+
 def enumerate_members(spec: SubgroupSpec, radius: int) -> list[Word]:
     """Ball elements that lie in the subgroup, shortlex order."""
     g = spec.graph
-    out = []
-    for enc in ball_bytes(g, radius):
-        if member_mask(spec, parity_bits(enc)):
-            out.append(decode_word(g, enc))
-    return out
+    return [decode_word(g, w) for w in members(spec, ball_bytes(g, radius))]
 
 
 def basis_strings(spec: SubgroupSpec) -> list[str]:

@@ -41,7 +41,7 @@ from .errors import (
     RadiusCapError,
 )
 from .graphs import DefiningGraph, dj_prime, is_join
-from .subgroups import SubgroupSpec, index_and_exponent, member_mask
+from .subgroups import SubgroupSpec, index_and_exponent, member_mask, members
 from .words import (
     ball_bytes,
     decode_word,
@@ -446,15 +446,16 @@ def verify_subgroup_covering(
     _require_irreducible_nonaffine(g)
     index, exponent = index_and_exponent(spec)
     nexp = max(2, exponent)
-    members = [w for w in ball_bytes(g, radius) if member_mask(spec, parity_bits(w))]
+    inside = list(members(spec, ball_bytes(g, radius)))
+    repairs: dict = {}
     failures = []
     multipliers: set[bytes] = set()
     max_steps = 0
-    for w in members:
+    for w in inside:
         # w is a ball element, already reduced: its letters are its support
         missing0 = g.n - bin(support_bits(w)).count("1")
         try:
-            w1, w2, total, steps1, steps2 = _essentialize(g, w, nexp)
+            w1, w2, total, steps1, steps2 = _essentialize(g, w, nexp, repairs)
         except CoxrankError as exc:
             failures.append({"word": _fmt(g, w), "reason": f"{exc.code}: {exc}"})
             continue
@@ -479,11 +480,11 @@ def verify_subgroup_covering(
         "subgroupIndex": index,
         "quotientExponent": exponent,
         "pipelineExponent": nexp,
-        "members": len(members),
+        "members": len(inside),
         "distinctTotalMultipliers": len(multipliers),
         "maxTraceSteps": max_steps,
     }
-    return _finish("subgroup-covering", params, failures, len(members), t0)
+    return _finish("subgroup-covering", params, failures, len(inside), t0)
 
 
 def _bad_set_classes(
@@ -492,11 +493,10 @@ def _bad_set_classes(
     """Full-support ball elements (subgroup members only, when a subgroup
     is given) grouped by bad-set mask, each class in ball order."""
     full = (1 << g.n) - 1
+    ball = ball_bytes(g, radius)
     groups: dict[int, list[bytes]] = {}
-    for w in ball_bytes(g, radius):
-        if support_bits(w) == full and (
-            spec is None or member_mask(spec, parity_bits(w))
-        ):
+    for w in ball if spec is None else members(spec, ball):
+        if support_bits(w) == full:
             groups.setdefault(bad_mask(g, w), []).append(w)
     return groups
 
@@ -517,6 +517,7 @@ def verify_cancellator_uniformity(
     nexp = 2 if spec is None else max(2, index_and_exponent(spec)[1])
     comm = g.comm_masks
     groups = _bad_set_classes(g, spec, radius)
+    repairs: dict = {}
     failures = []
     per_class = {}
     total = 0
@@ -526,7 +527,7 @@ def verify_cancellator_uniformity(
             " ".join(v for i, v in enumerate(g.vertices) if (bm >> i) & 1)
             or "(empty)"
         )
-        _, mult, _ = _repair(g, words_in_class[0], nexp, goodness=True)
+        _, mult, _ = _repair(g, words_in_class[0], nexp, repairs, goodness=True)
         bad_words = []
         for w in words_in_class[1:]:
             total += 1

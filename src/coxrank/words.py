@@ -9,9 +9,11 @@ All functions are pure; every returned word is a fresh tuple.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from . import kernels
 from .errors import ParameterRangeError, RadiusCapError, UnknownGeneratorError
-from .graphs import DefiningGraph
+from .graphs import MAX_VERTICES, DefiningGraph
 
 Word = tuple[str, ...]
 
@@ -74,6 +76,12 @@ def support_bits(enc) -> int:
     for ch in enc:
         mask |= 1 << ch
     return mask
+
+
+@lru_cache(maxsize=1024)
+def _commuters(mask: int) -> bytes:
+    """The letters set in ``mask``, as bytes for ``bytes.strip``."""
+    return bytes(t for t in range(MAX_VERTICES) if (mask >> t) & 1)
 
 
 def parity_mask(g: DefiningGraph, word) -> int:
@@ -157,9 +165,11 @@ def ball_bytes(g: DefiningGraph, radius: int) -> list[bytes]:
     with x, then nf(w x) = w[:k] + nf(w[k:] x).  The letter w[k-1]
     neither commutes with x nor equals it (x is not a descent), so x
     cannot pass it, and the greedy lex extraction emits w[:k] exactly as
-    it does for w.  Most suffixes are short: of the 75,625 calls in the
-    pentagon's radius-10 ball, 62,710 get one or two letters, which
-    ``normal_form`` answers in closed form.
+    it does for w.  The prefix w[:k] is found by one ``bytes.rstrip``
+    scan, ``w.rstrip`` of the letters that commute with x.  Most suffixes
+    are short: of the 75,625 calls in the pentagon's radius-10 ball,
+    62,710 get one or two letters, which ``normal_form`` answers in closed
+    form.
 
     Radii above MAX_BALL_RADIUS raise ``RadiusCapError``, and so does a
     ball that could outgrow MAX_BALL_ELEMENTS: each frontier element adds
@@ -171,7 +181,7 @@ def ball_bytes(g: DefiningGraph, radius: int) -> list[bytes]:
         raise RadiusCapError(f"radius {radius} exceeds cap {MAX_BALL_RADIUS}")
     comm = g.comm_masks
     nf = kernels.normal_form
-    gens = [(bytes([x]), 1 << x, comm[x]) for x in range(g.n)]
+    gens = [(bytes([x]), 1 << x, comm[x], _commuters(comm[x])) for x in range(g.n)]
     out = [b""]
     frontier = [b""]
     descs = [0]
@@ -184,12 +194,10 @@ def ball_bytes(g: DefiningGraph, radius: int) -> list[bytes]:
             )
         grown: dict[bytes, int] = {}
         for w, desc in zip(frontier, descs):
-            for s, bit, mask in gens:
+            for s, bit, mask, skip in gens:
                 if not desc & bit:
-                    k = len(w)
-                    while k and (mask >> w[k - 1]) & 1:
-                        k -= 1
-                    grown[w[:k] + nf(w[k:] + s, comm)] = bit | (desc & mask)
+                    head = w.rstrip(skip)
+                    grown[head + nf(w[len(head) :] + s, comm)] = bit | (desc & mask)
         frontier = sorted(grown)
         descs = list(map(grown.__getitem__, frontier))
         out.extend(frontier)

@@ -424,3 +424,86 @@ def test_support_repair_must_add_its_target(c5, monkeypatch):
         fix_missing(c5, ("a",))
     assert str(info.value) == "repair for 'b' removed a generator from the support"
     assert info.value.trace == ()
+
+
+# -- one repair table per call ------------------------------------------------
+
+
+class _Forgetful(dict):
+    """A repair table that keeps nothing: every step builds its multiplier."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+def _essentialize_outcome(g, enc, n, table):
+    try:
+        return ("ok", cancellator._essentialize(g, enc, n, table))
+    except CoxrankError as exc:
+        return ("error", exc.code, str(exc), getattr(exc, "trace", None))
+
+
+def _assert_shared_table_matches_per_step(g, encoded):
+    for n in (2, 4):
+        shared = {}
+        for enc in encoded:
+            assert _essentialize_outcome(g, enc, n, shared) == _essentialize_outcome(
+                g, enc, n, _Forgetful()
+            )
+        # filled on first use, one entry per target the words needed
+        assert set(shared) <= set(range(g.n))
+        for i, (choice, mult) in shared.items():
+            assert choice == choose_blockers(g, g.vertices[i])
+            assert mult == encode_word(g, multiplier_word(choice, n))
+
+
+def test_shared_repair_table_matches_per_step_multipliers_on_the_c5_ball(c5):
+    encoded = [encode_word(c5, w) for w in enumerate_ball(c5, 6)]
+    _assert_shared_table_matches_per_step(c5, encoded)
+
+
+def test_shared_repair_table_matches_per_step_multipliers_on_random_graphs():
+    for g, rng in _random_join_free_graphs(200, seed=2025):
+        encoded = [
+            kernels.reduce_word(
+                bytes(rng.randrange(g.n) for _ in range(rng.randint(0, 10))), g.comm_masks
+            )
+            for _ in range(6)
+        ]
+        _assert_shared_table_matches_per_step(g, encoded)
+
+
+def test_shared_repair_table_raises_no_blocker_at_the_same_step(c4):
+    # the square is a join: every target has no blocker, so each word that
+    # needs a repair raises, and a word that needs none does not
+    shared = {}
+    for w in [(), ("a",), tuple("abcd"), tuple("acbd")]:
+        enc = kernels.reduce_word(encode_word(c4, w), c4.comm_masks)
+        assert _essentialize_outcome(c4, enc, 2, shared) == _essentialize_outcome(
+            c4, enc, 2, _Forgetful()
+        )
+    assert shared == {}
+
+
+def test_no_repair_multiplier_outlives_its_call(c5, monkeypatch):
+    spec = commutator_subgroup(c5)
+    before = (
+        fix_missing(c5, ("a", "b")),
+        make_good(c5, tuple("abcdea")),
+        essentialize(c5, ("a", "a", "c", "c"), spec),
+        verify_subgroup_covering(c5, spec, radius=4).to_json_dict()["failures"],
+    )
+    monkeypatch.setattr(cancellator, "multiplier_word", lambda choice, n: ())
+    with pytest.raises(ContractViolationError):
+        fix_missing(c5, ("a", "b"))
+    assert verify_subgroup_covering(c5, spec, radius=4).verdict == "FAIL"
+    monkeypatch.undo()
+    after = (
+        fix_missing(c5, ("a", "b")),
+        make_good(c5, tuple("abcdea")),
+        essentialize(c5, ("a", "a", "c", "c"), spec),
+        verify_subgroup_covering(c5, spec, radius=4).to_json_dict()["failures"],
+    )
+    assert after == before
+    assert after[3] == []
+    assert after[0][1].steps  # the real multiplier repaired something

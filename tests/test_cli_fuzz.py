@@ -1,0 +1,183 @@
+"""Property test of the command line over random graphs, words, subgroup
+selectors and radii: ``main`` returns 0, 1 or 2, never raises, prints a
+coded ``error [CODE]:`` line for every exit 2, and finishes each call
+within a deadline (enforced by an interval timer, so a hang fails too)."""
+
+import contextlib
+import io
+import os
+import re
+import signal
+import tempfile
+
+import hypothesis.strategies as st
+import pytest
+from hypothesis import given, settings
+
+from coxrank.cli import main
+
+CALL_DEADLINE_S = 10.0
+LABELS = ("a", "b", "c", "d")
+CODED = re.compile(r"^error \[[A-Z0-9_]+\]: ", re.M)
+
+
+class _Overran(BaseException):
+    """Raised by the timer; a BaseException, so ``main`` cannot catch it."""
+
+
+def _overran(signum, frame):
+    raise _Overran
+
+
+def _graph_text(labels, edges):
+    return "".join(
+        [f"vertices: {' '.join(labels)}\n"] + [f"edge: {a} {b}\n" for a, b in edges]
+    )
+
+
+@st.composite
+def valid_graphs(draw):
+    k = draw(st.integers(1, 4))
+    labels = LABELS[:k]
+    pairs = [(labels[i], labels[j]) for i in range(k) for j in range(i + 1, k)]
+    edges = [p for p in pairs if draw(st.booleans())]
+    return _graph_text(labels, edges)
+
+
+# lines a graph file may hold, good and bad, drawn into texts in any order
+_LINES = st.one_of(
+    st.lists(st.sampled_from(LABELS + ("e", "a", "\u00e9", "x-1")), max_size=5).map(
+        lambda ls: "vertices: " + " ".join(ls)
+    ),
+    st.tuples(st.sampled_from(LABELS + ("z",)), st.sampled_from(LABELS + ("z",))).map(
+        lambda p: f"edge: {p[0]} {p[1]}"
+    ),
+    st.sampled_from(["", "# note", "edge: a", "edge: a b c", "vertices:", "bogus", "edge a b"]),
+)
+
+graph_files = st.one_of(
+    valid_graphs().map(str.encode),
+    valid_graphs().map(str.encode),
+    valid_graphs().map(str.encode),
+    st.lists(_LINES, max_size=6).map(lambda ls: "\n".join(ls).encode()),
+    st.sampled_from([b"", b"\xff\xfe vertices: a b\n", b"vertices: a\x00 b\n"]),
+)
+
+words = st.lists(st.sampled_from(LABELS + ("e", "z")), max_size=8).map(" ".join)
+radii = st.integers(-2, 12).map(str)
+
+# a subgroup selector: ("FILE", data) becomes a spec file holding data,
+# "MISSING" a path that does not exist and "DIR" a directory
+_SPEC_LINES = st.one_of(
+    st.text("01x", max_size=5).map(lambda row: f"basis: {row}"),
+    st.sampled_from(["# note", "graph: nowhere.txt", "basis:", "bogus"]),
+)
+subgroups = st.one_of(
+    st.sampled_from(["commutator", "whole", "MISSING", "DIR"]),
+    st.lists(_SPEC_LINES, max_size=3).map(lambda ls: ("FILE", "\n".join(ls).encode())),
+    st.just(("FILE", b"basis: \xff\n")),
+)
+
+# each command family: a strategy for its leading words, then (option,
+# strategy) pairs
+FAMILIES = {
+    "covering": (st.just("verify covering"), [("--radius", radii)]),
+    "subgroup-covering": (
+        st.just("verify subgroup-covering"),
+        [("--radius", radii), ("--subgroup", subgroups)],
+    ),
+    "uniformity": (st.just("verify uniformity"), [("--radius", radii)]),
+    "uniformity-subgroup": (
+        st.just("verify uniformity"),
+        [("--radius", radii), ("--subgroup", subgroups)],
+    ),
+    "certificates": (
+        st.just("verify certificates"),
+        [("--radius", radii), ("--conj-radius", radii)],
+    ),
+    "wordproblem": (st.just("verify wordproblem"), [("--max-len", radii)]),
+    "parity-check": (st.just("verify parity --trials 20"), [("--max-len", radii)]),
+    "joinlemma": (st.just("verify joinlemma"), [("--max-vertices", radii)]),
+    "essential": (st.just("essential"), [("--word", words), ("--conj-radius", radii)]),
+    "cancellator": (st.just("cancellator"), [("--word", words)]),
+    "cancellator-subgroup": (
+        st.just("cancellator"),
+        [("--word", words), ("--subgroup", subgroups)],
+    ),
+    "subgroup-member": (
+        st.just("subgroup member"),
+        [("--word", words), ("--subgroup", subgroups)],
+    ),
+    "subgroup-index": (st.just("subgroup index"), [("--subgroup", subgroups)]),
+    "word": (
+        st.sampled_from(["reduce", "nf", "parity", "completion"]),
+        [("--word", words)],
+    ),
+    "equal": (st.just("equal"), [("--left", words), ("--right", words)]),
+    "graph-only": (
+        st.sampled_from(
+            [
+                "classify --kind racg",
+                "classify --kind raag",
+                "dj --variant prime",
+                "dj --variant doubleprime",
+            ]
+        ),
+        [],
+    ),
+}
+
+
+def _selector(v, tmp):
+    if v == "MISSING":
+        return os.path.join(tmp, "no-such.sub")
+    if v == "DIR":
+        return tmp
+    if isinstance(v, tuple):
+        path = os.path.join(tmp, "spec.sub")
+        with open(path, "wb") as fh:
+            fh.write(v[1])
+        return path
+    return v
+
+
+def _argv(data, family, graph_path, tmp):
+    heads, options = FAMILIES[family]
+    argv = data.draw(heads).split()
+    for option, values in options:
+        value = data.draw(values)
+        argv += [option, _selector(value, tmp) if option == "--subgroup" else value]
+    if family != "joinlemma":
+        argv += ["--graph", graph_path]
+    return argv
+
+
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    previous = signal.signal(signal.SIGALRM, _overran)
+    signal.setitimer(signal.ITIMER_REAL, CALL_DEADLINE_S)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    except _Overran:
+        raise AssertionError(f"{argv} ran past {CALL_DEADLINE_S} s") from None
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+@settings(max_examples=6, deadline=None, derandomize=True)
+@given(data=st.data(), graph=graph_files, fmt=st.sampled_from(["text", "json"]))
+def test_cli_main_never_crashes_and_codes_every_usage_error(family, data, graph, fmt):
+    with tempfile.TemporaryDirectory() as tmp:
+        graph_path = os.path.join(tmp, "g.txt")
+        with open(graph_path, "wb") as fh:
+            fh.write(graph)
+        argv = _argv(data, family, graph_path, tmp) + ["--format", fmt]
+        code, out, err = _run(argv)
+    assert code in (0, 1, 2), argv
+    if code == 2:
+        assert CODED.search(err), (argv, err)
+        assert out == "", argv

@@ -1,8 +1,11 @@
 import random
+from pathlib import Path
 
 import pytest
 
+from coxrank import subgroups
 from coxrank.errors import RadiusCapError
+from coxrank.graphs import DefiningGraph
 from coxrank.subgroups import (
     basis_strings,
     commutator_subgroup,
@@ -10,11 +13,19 @@ from coxrank.subgroups import (
     index_and_exponent,
     make_subgroup,
     member,
+    member_mask,
+    members,
     parse_subgroup_file,
     resolve_subgroup,
     whole_group,
 )
-from coxrank.words import enumerate_ball, format_word, normal_form
+from coxrank.words import (
+    ball_bytes,
+    enumerate_ball,
+    format_word,
+    normal_form,
+    parity_bits,
+)
 
 
 def test_commutator_index_and_exponent(c5):
@@ -133,3 +144,49 @@ def test_member_ratio_sanity(c5):
     members = enumerate_members(spec, 4)
     assert 1 <= len(members) < len(ball)
     assert format_word(members[0]) == "e"
+
+
+def _filtered(spec, ball):
+    return [w for w in ball if member_mask(spec, parity_bits(w))]
+
+
+def test_members_matches_the_per_word_filter(c5):
+    ball = ball_bytes(c5, 6)
+    parity8 = parse_subgroup_file(
+        (Path(__file__).resolve().parent.parent / "graphs" / "parity8.sub").read_text(),
+        graph=c5,
+    )
+    for spec in (commutator_subgroup(c5), whole_group(c5), parity8):
+        assert list(members(spec, ball)) == _filtered(spec, ball)
+
+
+def test_members_matches_the_per_word_filter_on_random_subspaces():
+    rng = random.Random(17)
+    for _ in range(60):
+        k = rng.randint(1, 6)
+        labels = "abcdef"[:k]
+        edges = [
+            (labels[i], labels[j])
+            for i in range(k)
+            for j in range(i + 1, k)
+            if rng.random() < 0.5
+        ]
+        g = DefiningGraph(labels, edges)
+        rows = [rng.randrange(1 << k) for _ in range(rng.randint(0, k))]
+        spec = make_subgroup(g, rows)
+        ball = ball_bytes(g, rng.randint(0, 5))
+        assert list(members(spec, ball)) == _filtered(spec, ball)
+
+
+def test_members_decides_once_per_parity_class(c5, monkeypatch):
+    calls = []
+
+    def counting(spec, pmask):
+        calls.append(pmask)
+        return member_mask(spec, pmask)
+
+    monkeypatch.setattr(subgroups, "member_mask", counting)
+    ball = ball_bytes(c5, 6)
+    inside = list(members(commutator_subgroup(c5), ball))
+    assert len(calls) == len(set(calls)) == len({parity_bits(w) for w in ball})
+    assert inside == [w for w in ball if parity_bits(w) == 0]
