@@ -143,15 +143,8 @@ def _certified():
 
 
 def _falsify_all(certified, conj_ball):
-    # sources from before the conjugator table take the ball itself
-    build = getattr(certificates, "conjugator_table", lambda g, ball: ball)
-    table = build(C5, conj_ball)
+    table = certificates.conjugator_table(C5, conj_ball)
     return [certificates._falsify_enc(C5, w, table) for w in certified]
-
-
-def _closure_roots(partition):
-    parent, _, _, find = partition
-    return [find(x) for x in range(len(parent))]
 
 
 def _payload(report):
@@ -277,7 +270,7 @@ def main():
             "closure_partition",
             {"graph": "C5", "cap": CLOSURE_CAP},
             lambda: verify._closure_partition(C5.n, comm, CLOSURE_CAP),
-            _closure_roots,
+            lambda partition: partition[0],  # the class roots
         ),
         _row(
             "wordproblem",

@@ -34,7 +34,6 @@ from .certificates import (
 from .errors import CoxrankError
 from .graphs import (
     DefiningGraph,
-    FactorClassification,
     FactorKind,
     classify_factor,
     dj_double_prime,

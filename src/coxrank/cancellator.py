@@ -6,11 +6,10 @@ commuting with s (TYPE1) or, failing that, not commuting with s' (TYPE2);
 such choices exist exactly when the graph is join-free with at least
 three vertices (otherwise the group splits off the {s,s'} factor, or is
 infinite dihedral).  The repair multiplier is (s'' s s')^n, respectively
-(s' s'' s s' s'')^n, with n >= 2; left-multiplying it onto a word makes s
-appear (and later: makes s good) while never destroying generators that
-already appear, and never un-gooding other generators.  With n even, each
-multiplier has all-even parity and therefore lies in every parity-defined
-subgroup.
+(s' s'' s s' s'')^n, with n = EXPONENT; left-multiplying it onto a word
+makes s appear (and later: makes s good) while never destroying generators
+that already appear, and never un-gooding other generators.  With n fixed,
+a repair multiplier depends only on its target generator.
 
 Each synthesis step is asserted against the guarantee it relies on; a
 violation raises CONTRACT_VIOLATION with the full trace, never a silent
@@ -32,8 +31,14 @@ from .errors import (
     NotInSubgroupError,
 )
 from .graphs import DefiningGraph
-from .subgroups import SubgroupSpec, index_and_exponent, member
+from .subgroups import SubgroupSpec, member, require_graph
 from .words import Word, decode_word, encode_word, format_word, support_bits
+
+# The exponent of every repair multiplier.  Being even, it gives each
+# multiplier all-even parity, so the multiplier lies in every parity-defined
+# subgroup (each contains the kernel of the parity map) and a member stays a
+# member after any number of repairs.
+EXPONENT = 2
 
 
 class BlockerVariant(str, Enum):
@@ -147,7 +152,7 @@ def _trace_steps(g: DefiningGraph, steps) -> tuple[TraceStep, ...]:
 
 
 def _repair(
-    g: DefiningGraph, enc: bytes, n: int, table: dict, goodness: bool = False
+    g: DefiningGraph, enc: bytes, table: dict, goodness: bool = False
 ) -> tuple[bytes, bytes, tuple]:
     """Prepend repair multipliers to the reduced word ``enc``, least target
     first, until no target is left: the missing generators, or with
@@ -157,10 +162,9 @@ def _repair(
     the total multiplier (newest leftmost) and the encoded steps.
 
     ``table`` maps a target index to its blocker choice and encoded
-    multiplier at exponent ``n``.  It is filled on first use, so one table
-    can serve every repair of a call (all at the same ``n``) while the
-    choice is still made, and may still raise, at the first step that
-    needs it."""
+    multiplier.  It is filled on first use, so one table can serve every
+    repair of a call while the choice is still made, and may still raise,
+    at the first step that needs it."""
     comm = g.comm_masks
     full = (1 << g.n) - 1
 
@@ -188,7 +192,7 @@ def _repair(
         entry = table.get(i)
         if entry is None:
             choice = choose_blockers(g, g.vertices[i])
-            entry = table[i] = (choice, encode_word(g, multiplier_word(choice, n)))
+            entry = table[i] = (choice, encode_word(g, multiplier_word(choice, EXPONENT)))
         choice, mult = entry
         nxt = kernels.reduce_word(mult + enc, comm)
         new = targets_of(nxt)  # None: a goodness repair lost a generator
@@ -208,14 +212,14 @@ def _repair(
     return enc, b"".join(m for _, m, _ in reversed(steps)), tuple(steps)
 
 
-def _essentialize(g: DefiningGraph, enc: bytes, n: int, table: dict):
+def _essentialize(g: DefiningGraph, enc: bytes, table: dict):
     """Support repairs, then goodness repairs, on a reduced encoded word;
     ``table`` is shared by both phases, as in ``_repair``.
 
     Returns the word after the support repairs, the final word, the total
     multiplier (newest leftmost) and the steps of each phase."""
-    w1, m1, steps1 = _repair(g, enc, n, table)
-    w2, m2, steps2 = _repair(g, w1, n, table, goodness=True)
+    w1, m1, steps1 = _repair(g, enc, table)
+    w2, m2, steps2 = _repair(g, w1, table, goodness=True)
     return w1, w2, m2 + m1, steps1, steps2
 
 
@@ -223,19 +227,19 @@ def _reduced(g: DefiningGraph, word) -> bytes:
     return kernels.reduce_word(encode_word(g, word), g.comm_masks)
 
 
-def _result(g: DefiningGraph, enc: bytes, total: bytes, steps, n: int):
-    trace = MultiplierTrace(_trace_steps(g, steps), decode_word(g, total), n)
+def _result(g: DefiningGraph, enc: bytes, total: bytes, steps):
+    trace = MultiplierTrace(_trace_steps(g, steps), decode_word(g, total), EXPONENT)
     return decode_word(g, enc), trace
 
 
-def fix_missing(g: DefiningGraph, word, n: int = 2) -> tuple[Word, MultiplierTrace]:
+def fix_missing(g: DefiningGraph, word) -> tuple[Word, MultiplierTrace]:
     """Prepend repair multipliers until every generator appears in the
     reduced form; the least missing generator is targeted first.  Already
     present generators never disappear (asserted)."""
-    return _result(g, *_repair(g, _reduced(g, word), n, {}), n)
+    return _result(g, *_repair(g, _reduced(g, word), {}))
 
 
-def make_good(g: DefiningGraph, word, n: int = 2) -> tuple[Word, MultiplierTrace]:
+def make_good(g: DefiningGraph, word) -> tuple[Word, MultiplierTrace]:
     """Prepend repair multipliers until the bad set is empty.
 
     Requires full support after reduction.  Each step must strictly
@@ -249,7 +253,7 @@ def make_good(g: DefiningGraph, word, n: int = 2) -> tuple[Word, MultiplierTrace
         raise MissingGeneratorsError(
             [v for i, v in enumerate(g.vertices) if not (supp >> i) & 1]
         )
-    return _result(g, *_repair(g, enc, n, {}, goodness=True), n)
+    return _result(g, *_repair(g, enc, {}, goodness=True))
 
 
 def essentialize(
@@ -258,15 +262,16 @@ def essentialize(
     """Full pipeline: fix the support, then fix goodness.
 
     The result is certified s-good for all s (hence essential, hence rank
-    one).  With a subgroup spec the input must be a member; the exponent
-    becomes max(2, quotient exponent), so every multiplier has all-even
-    parity and the certified word is again a member.
+    one).  With a subgroup spec, built on ``g``, the input must be a
+    member; every multiplier has all-even parity (see EXPONENT), so the
+    certified word is again a member.
     """
-    if spec is not None and not member(spec, word):
-        raise NotInSubgroupError("word is not a member of the subgroup")
-    n = 2 if spec is None else max(2, index_and_exponent(spec)[1])
-    _, w2, total, steps1, steps2 = _essentialize(g, _reduced(g, word), n, {})
-    final, trace = _result(g, w2, total, steps1 + steps2, n)
+    if spec is not None:
+        require_graph(spec, g)
+        if not member(spec, word):
+            raise NotInSubgroupError("word is not a member of the subgroup")
+    _, w2, total, steps1, steps2 = _essentialize(g, _reduced(g, word), {})
+    final, trace = _result(g, w2, total, steps1 + steps2)
     if not is_good_essential(g, final):
         raise ContractViolationError(
             "pipeline output failed its own certificate", trace=trace.steps

@@ -20,8 +20,9 @@ class GraphParseError(CoxrankError):
     """Defining-graph input rejected.
 
     ``code`` is one of DUPLICATE_VERTEX, UNKNOWN_ENDPOINT, SELF_LOOP,
-    SYNTAX_ERROR; ``line`` is the 1-based offending line, or None when the
-    graph was built programmatically.
+    SYNTAX_ERROR, or DOUBLE_TOO_LARGE for a graph too large to double;
+    ``line`` is the 1-based offending line, or None when the graph was
+    built programmatically.
     """
 
     def __init__(self, code: str, line: int | None, message: str):

@@ -7,13 +7,12 @@ normal form and shortlex enumeration downstream uses.
 
 The stored adjacency is one commutation mask per vertex (bit j of
 ``comm_masks[i]`` is set when i and j commute); the edge set is derived
-from the masks on first use.
+from the masks.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
@@ -30,19 +29,13 @@ MAX_VERTICES = 64
 _LABEL_RE = re.compile(r"[A-Za-z0-9_]+\Z")
 
 
-def _check_size(n: int, line: int | None = None) -> None:
-    if n > MAX_VERTICES:
-        raise GraphParseError(
-            "SYNTAX_ERROR", line, f"more than {MAX_VERTICES} vertices"
-        )
-
-
 # The input checks, shared by the constructor and the parser; ``line`` is
 # the source line a parse error names, None for programmatic input.
 def _vertex_index(labels, line: int | None = None) -> dict[str, int]:
     """Index of each label; rejects too many vertices, bad labels and
     duplicates."""
-    _check_size(len(labels), line)
+    if len(labels) > MAX_VERTICES:
+        raise GraphParseError("SYNTAX_ERROR", line, f"more than {MAX_VERTICES} vertices")
     index: dict[str, int] = {}
     for v in labels:
         if not isinstance(v, str) or not _LABEL_RE.match(v):
@@ -74,7 +67,7 @@ class DefiningGraph:
     Immutable after construction; safe to share across threads.
     """
 
-    __slots__ = ("vertices", "comm_masks", "_index", "_edges")
+    __slots__ = ("vertices", "comm_masks", "_index")
 
     def __init__(self, vertices, edges=()):
         vertices = tuple(vertices)
@@ -101,7 +94,6 @@ class DefiningGraph:
         self._index = (
             index if index is not None else {v: i for i, v in enumerate(vertices)}
         )
-        self._edges = None
 
     # -- basic queries -------------------------------------------------
 
@@ -112,14 +104,12 @@ class DefiningGraph:
     @property
     def edges(self) -> frozenset[tuple[int, int]]:
         """Index pairs (i, j) with i < j that commute, derived from the masks."""
-        if self._edges is None:
-            self._edges = frozenset(
-                (i, j)
-                for i, m in enumerate(self.comm_masks)
-                for j in range(i + 1, m.bit_length())
-                if (m >> j) & 1
-            )
-        return self._edges
+        return frozenset(
+            (i, j)
+            for i, m in enumerate(self.comm_masks)
+            for j in range(i + 1, m.bit_length())
+            if (m >> j) & 1
+        )
 
     @property
     def edge_count(self) -> int:
@@ -280,13 +270,7 @@ class FactorKind(str, Enum):
     IRREDUCIBLE_NONAFFINE = "IRREDUCIBLE_NONAFFINE"
 
 
-@dataclass(frozen=True)
-class FactorClassification:
-    kind: FactorKind
-    vertex_set: tuple[str, ...]
-
-
-def classify_factor(g: DefiningGraph) -> FactorClassification:
+def classify_factor(g: DefiningGraph) -> FactorKind:
     """Trichotomy for a join-free defining graph.
 
     One vertex gives the order-2 (finite) group; two vertices without an
@@ -297,12 +281,10 @@ def classify_factor(g: DefiningGraph) -> FactorClassification:
     if is_join(g):
         raise NotAFactorError(f"graph on {g.vertices} is a join")
     if g.n == 1:
-        kind = FactorKind.SPHERICAL_POINT
-    elif g.n == 2:
-        kind = FactorKind.AFFINE_DIHEDRAL
-    else:
-        kind = FactorKind.IRREDUCIBLE_NONAFFINE
-    return FactorClassification(kind, g.vertices)
+        return FactorKind.SPHERICAL_POINT
+    if g.n == 2:
+        return FactorKind.AFFINE_DIHEDRAL
+    return FactorKind.IRREDUCIBLE_NONAFFINE
 
 
 # -- Davis-Januszkiewicz doubling constructions ------------------------
@@ -314,9 +296,16 @@ def _doubled(vertices: tuple, low: str, high: str) -> tuple[tuple, dict]:
     suffix ``low``, then every label with suffix ``high``.
 
     Cached, so every double built on the same vertices shares one labels
-    tuple and one index; graphs never mutate either.
+    tuple and one index; graphs never mutate either.  A graph of more than
+    MAX_VERTICES / 2 vertices parses but has no double (DOUBLE_TOO_LARGE).
     """
-    _check_size(2 * len(vertices))
+    if 2 * len(vertices) > MAX_VERTICES:
+        raise GraphParseError(
+            "DOUBLE_TOO_LARGE",
+            None,
+            f"doubling {len(vertices)} vertices gives {2 * len(vertices)}, "
+            f"more than {MAX_VERTICES}",
+        )
     labels = tuple([v + low for v in vertices] + [v + high for v in vertices])
     return labels, {v: i for i, v in enumerate(labels)}
 

@@ -18,18 +18,9 @@ def is_reduced(word: bytes, comm) -> bool:
 
     A pair of equal letters is deletable when the letter does not reoccur
     strictly between them and every letter in between commutes with it.
+    The reduction pass deletes a pair exactly when such a pair exists.
     """
-    n = len(word)
-    for i in range(n - 1):
-        s = word[i]
-        mask = comm[s]
-        for j in range(i + 1, n):
-            t = word[j]
-            if t == s:
-                return False
-            if not (mask >> t) & 1:
-                break
-    return True
+    return len(_reduce(word, comm)) == len(word)
 
 
 def _reduce(word: bytes, comm) -> bytearray:

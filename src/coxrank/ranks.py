@@ -91,14 +91,14 @@ def rank_racg(g: DefiningGraph) -> RankReport:
     """
     factors = []
     for factor in join_decompose(g):
-        cls = classify_factor(factor)
-        if cls.kind is FactorKind.SPHERICAL_POINT:
+        kind = classify_factor(factor)
+        if kind is FactorKind.SPHERICAL_POINT:
             rank, note = 0, "finite (spherical) factor: rank 0"
-        elif cls.kind is FactorKind.AFFINE_DIHEDRAL:
+        elif kind is FactorKind.AFFINE_DIHEDRAL:
             rank, note = 1, "infinite dihedral factor: affine, rank |S|-1 = 1"
         else:
             rank, note = 1, "infinite irreducible non-affine factor: rank 1"
-        factors.append(FactorReport(cls.vertex_set, cls.kind.value, rank, note))
+        factors.append(FactorReport(factor.vertices, kind.value, rank, note))
     return _assemble("RACG", factors)
 
 

@@ -88,6 +88,13 @@ def whole_group(g: DefiningGraph) -> SubgroupSpec:
     return make_subgroup(g, [1 << i for i in range(g.n)])
 
 
+def require_graph(spec: SubgroupSpec, g: DefiningGraph) -> None:
+    """Reject a spec built on a graph other than ``g``: its basis, index and
+    membership are those of the other graph's generators."""
+    if spec.graph != g:
+        raise SubgroupParseError("subgroup spec was built on a different graph")
+
+
 def member(spec: SubgroupSpec, word) -> bool:
     """True iff the word's parity vector lies in the basis span.
 

@@ -27,7 +27,7 @@ from itertools import combinations, product
 from operator import or_
 
 from . import kernels
-from .cancellator import _essentialize, _repair
+from .cancellator import EXPONENT, _essentialize, _repair
 from .certificates import (
     _falsify_enc,
     _good_essential_enc,
@@ -41,7 +41,7 @@ from .errors import (
     RadiusCapError,
 )
 from .graphs import DefiningGraph, dj_prime, is_join
-from .subgroups import SubgroupSpec, index_and_exponent, member_mask, members
+from .subgroups import SubgroupSpec, index_and_exponent, member_mask, members, require_graph
 from .words import (
     ball_bytes,
     decode_word,
@@ -57,6 +57,10 @@ WORD_PROBLEM_MAX_LEN = 6  # closure universe is n^(maxLen+2); keep desk scale
 WORD_PROBLEM_MAX_UNIVERSE = 4_000_000
 # a parity trial takes time quadratic in maxLen: about 0.1 s on C5 at this cap
 PARITY_MAX_LEN = 1000
+# trials times (maxLen + 1)^2 a parity run may take.  A unit costs most at
+# maxLen 1 (1.3-1.8 us on C5, against 0.1 us at maxLen 1000), so the slowest
+# run admitted, 500,000 trials at maxLen 1, takes about 3 s
+PARITY_MAX_WORK = 2_000_000
 # certified words times conjugators a certificates run may try: each ball
 # passes its own cap, but their product does not (C5 at radius 10 and
 # conj-radius 4 needs 3.95M, about 2.6 s; at conj-radius 6, 27.6M)
@@ -147,7 +151,8 @@ def verify_parity_invariance(
     cancel positions are running counts: an insertion updates them from
     the pairs it creates and splits, any other move recounts them, and a
     word is scanned for the chosen swap or cancel only when one is drawn.
-    ``maxLen`` is capped at PARITY_MAX_LEN."""
+    ``maxLen`` is capped at PARITY_MAX_LEN, and trials times
+    (maxLen + 1)^2 at PARITY_MAX_WORK."""
     t0 = time.perf_counter()
     if trials < 0:
         raise ParameterRangeError(f"trials must be at least 0, got {trials}")
@@ -155,6 +160,12 @@ def verify_parity_invariance(
         raise ParameterRangeError(f"maxLen must be at least 1, got {max_len}")
     if max_len > PARITY_MAX_LEN:
         raise RadiusCapError(f"maxLen {max_len} exceeds cap {PARITY_MAX_LEN}")
+    work = trials * (max_len + 1) ** 2
+    if work > PARITY_MAX_WORK:
+        raise RadiusCapError(
+            f"{trials} trials times (maxLen {max_len} + 1)^2 is {work}, over "
+            f"the parity work cap {PARITY_MAX_WORK}"
+        )
     rng = random.Random(seed)
     n = g.n
     comm = g.comm_masks
@@ -225,8 +236,8 @@ def _closure_partition(n: int, comm, cap: int):
     swap edges connect commuting transpositions, cancel edges connect a
     word with a doubled letter to the shorter word (which also realizes
     every doubled-letter insertion below the cap).  Returns (roots,
-    offsets, pows, find): ``roots[x]`` is the shortlex-least member of the
-    class of rank x, and ``find`` is ``roots.__getitem__``.
+    offsets): ``roots[x]`` is the shortlex-least member of the class of
+    rank x.
 
     Built by prefix recursion on the cap k: a move at position i >= 1 of
     ``c w`` is ``c`` times a move at position i - 1 of ``w``, so the
@@ -285,7 +296,7 @@ def _closure_partition(n: int, comm, cap: int):
         # leaves each rank on its class's least member
         for x in range(len(roots)):
             roots[x] = roots[roots[x]]
-    return roots, offsets, pows, roots.__getitem__
+    return roots, offsets
 
 
 def verify_word_problem(g: DefiningGraph, max_len: int = WORD_PROBLEM_MAX_LEN) -> VerificationReport:
@@ -311,7 +322,7 @@ def verify_word_problem(g: DefiningGraph, max_len: int = WORD_PROBLEM_MAX_LEN) -
             f"closure universe of {universe} words (length <= {cap} over "
             f"{n} generators) exceeds cap {WORD_PROBLEM_MAX_UNIVERSE}"
         )
-    roots, offsets, _, _ = _closure_partition(n, comm, cap)
+    roots, offsets = _closure_partition(n, comm, cap)
 
     failures = []
     by_root: dict[int, tuple[bytes, bytes]] = {}
@@ -444,8 +455,8 @@ def verify_subgroup_covering(
     t0 = time.perf_counter()
     _require_serial(jobs)
     _require_irreducible_nonaffine(g)
+    require_graph(spec, g)
     index, exponent = index_and_exponent(spec)
-    nexp = max(2, exponent)
     inside = list(members(spec, ball_bytes(g, radius)))
     repairs: dict = {}
     failures = []
@@ -455,7 +466,7 @@ def verify_subgroup_covering(
         # w is a ball element, already reduced: its letters are its support
         missing0 = g.n - bin(support_bits(w)).count("1")
         try:
-            w1, w2, total, steps1, steps2 = _essentialize(g, w, nexp, repairs)
+            w1, w2, total, steps1, steps2 = _essentialize(g, w, repairs)
         except CoxrankError as exc:
             failures.append({"word": _fmt(g, w), "reason": f"{exc.code}: {exc}"})
             continue
@@ -479,7 +490,7 @@ def verify_subgroup_covering(
         "radius": radius,
         "subgroupIndex": index,
         "quotientExponent": exponent,
-        "pipelineExponent": nexp,
+        "pipelineExponent": EXPONENT,
         "members": len(inside),
         "distinctTotalMultipliers": len(multipliers),
         "maxTraceSteps": max_steps,
@@ -509,12 +520,13 @@ def verify_cancellator_uniformity(
     """Group full-support ball elements by bad set; synthesize the repair
     multiplier for the first representative of each class and re-apply it
     verbatim to every other member.  With a subgroup, only its members are
-    grouped and the multiplier exponent is the subgroup's.  A FAIL records
-    that the single multiplier is not uniform over its bad-set class at
-    this radius — an empirical finding, not a build error."""
+    grouped.  A FAIL records that the single multiplier is not uniform over
+    its bad-set class at this radius — an empirical finding, not a build
+    error."""
     t0 = time.perf_counter()
     _require_irreducible_nonaffine(g)
-    nexp = 2 if spec is None else max(2, index_and_exponent(spec)[1])
+    if spec is not None:
+        require_graph(spec, g)
     comm = g.comm_masks
     groups = _bad_set_classes(g, spec, radius)
     repairs: dict = {}
@@ -527,7 +539,7 @@ def verify_cancellator_uniformity(
             " ".join(v for i, v in enumerate(g.vertices) if (bm >> i) & 1)
             or "(empty)"
         )
-        _, mult, _ = _repair(g, words_in_class[0], nexp, repairs, goodness=True)
+        _, mult, _ = _repair(g, words_in_class[0], repairs, goodness=True)
         bad_words = []
         for w in words_in_class[1:]:
             total += 1
@@ -541,7 +553,7 @@ def verify_cancellator_uniformity(
             "multiplier": _fmt(g, mult),
             "verdict": "FAIL" if bad_words else "PASS",
         }
-    params = {"radius": radius, "exponent": nexp, "perBadSet": per_class}
+    params = {"radius": radius, "exponent": EXPONENT, "perBadSet": per_class}
     return _finish("cancellator-uniformity", params, failures, total, t0)
 
 

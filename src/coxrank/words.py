@@ -55,11 +55,6 @@ def decode_word(g: DefiningGraph, data: bytes) -> Word:
     return tuple(map(g.vertices.__getitem__, data))
 
 
-def inverse(word) -> Word:
-    """Inverse word; generators are involutions, so just reverse."""
-    return tuple(reversed(word))
-
-
 def parity_bits(enc) -> int:
     """Letter counts mod 2 of an encoded word (any iterable of generator
     indices), packed as a bitmask: bit i is set iff i occurs an odd

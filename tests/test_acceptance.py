@@ -104,9 +104,9 @@ def test_criterion_4_subgroup_covering_commutator():
     bound_ok = True
     for word in enumerate_members(spec, 8):
         missing = len(C5.vertices) - len(support(C5, word))
-        w1, t1 = fix_missing(C5, word, 2)
+        w1, t1 = fix_missing(C5, word)
         bad1 = len(bad_set(C5, reduce_word(C5, w1)).bad_set)
-        _, t2 = make_good(C5, w1, 2)
+        _, t2 = make_good(C5, w1)
         if len(t1.steps) > min(missing, 5) or len(t2.steps) > bad1:
             bound_ok = False
             break

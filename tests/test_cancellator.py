@@ -23,6 +23,7 @@ from coxrank.errors import (
     MissingGeneratorsError,
     NoBlockerError,
     NotInSubgroupError,
+    SubgroupParseError,
 )
 from coxrank.graphs import DefiningGraph, is_join
 from coxrank.subgroups import (
@@ -135,14 +136,14 @@ def test_multiplier_parity_even_for_even_exponent(c5):
 
 
 def test_fix_missing_examples(c5):
-    result, trace = fix_missing(c5, ("a", "b"), 2)
+    result, trace = fix_missing(c5, ("a", "b"))
     assert support(c5, result) == frozenset(c5.vertices)
     assert 1 <= len(trace.steps) <= 3
-    result, trace = fix_missing(c5, tuple("abcde"), 2)
+    result, trace = fix_missing(c5, tuple("abcde"))
     assert result == tuple("abcde")
     assert trace.steps == ()
     assert trace.total_multiplier == ()
-    result, trace = fix_missing(c5, (), 2)
+    result, trace = fix_missing(c5, ())
     assert support(c5, result) == frozenset(c5.vertices)
     assert len(trace.steps) <= 5
 
@@ -150,7 +151,7 @@ def test_fix_missing_examples(c5):
 def test_fix_missing_never_drops_support(c5):
     for w in enumerate_ball(c5, 4):
         before = support(c5, w)
-        result, trace = fix_missing(c5, w, 2)
+        result, trace = fix_missing(c5, w)
         assert support(c5, result) >= before
         assert support(c5, result) == frozenset(c5.vertices)
         # one repair per targeted generator at most; repairs may add several
@@ -159,16 +160,16 @@ def test_fix_missing_never_drops_support(c5):
 
 def test_fix_missing_trace_reconstructs_word(c5):
     word = ("a", "b")
-    result, trace = fix_missing(c5, word, 2)
+    result, trace = fix_missing(c5, word)
     assert reduce_word(c5, trace.total_multiplier + word) == result
 
 
 def test_make_good_examples(c5):
-    result, trace = make_good(c5, tuple("abcde"), 2)
+    result, trace = make_good(c5, tuple("abcde"))
     assert result == tuple("abcde")
     assert trace.steps == ()
     with pytest.raises(MissingGeneratorsError):
-        make_good(c5, ("a", "b"), 2)
+        make_good(c5, ("a", "b"))
 
 
 def test_make_good_over_full_support_ball(c5):
@@ -176,7 +177,7 @@ def test_make_good_over_full_support_ball(c5):
         if support(c5, w) != frozenset(c5.vertices):
             continue
         initial_bad = bad_set(c5, w).bad_set
-        result, trace = make_good(c5, w, 2)
+        result, trace = make_good(c5, w)
         assert is_good_essential(c5, result)
         assert len(trace.steps) <= len(initial_bad)
 
@@ -201,6 +202,12 @@ def test_essentialize_rejects_non_members(c5):
     spec = commutator_subgroup(c5)
     with pytest.raises(NotInSubgroupError):
         essentialize(c5, ("a",), spec)
+
+
+def test_essentialize_rejects_a_spec_of_another_graph(c5):
+    c6 = DefiningGraph("abcdef", [(x, y) for x, y in zip("abcdef", "bcdefa")])
+    with pytest.raises(SubgroupParseError, match="different graph"):
+        essentialize(c5, ("a", "b"), make_subgroup(c6, ["110000"]))
 
 
 def test_essentialize_whole_group_uses_exponent_two(c5):
@@ -367,9 +374,8 @@ def _random_join_free_graphs(count, seed):
 
 def _assert_same_as_reference(g, words, specs):
     for w in words:
-        for n in (2, 4):
-            assert _outcome(fix_missing, g, w, n) == _outcome(_ref_fix_missing, g, w, n)
-            assert _outcome(make_good, g, w, n) == _outcome(_ref_make_good, g, w, n)
+        assert _outcome(fix_missing, g, w) == _outcome(_ref_fix_missing, g, w)
+        assert _outcome(make_good, g, w) == _outcome(_ref_make_good, g, w)
         for spec in specs:
             assert _outcome(essentialize, g, w, spec) == _outcome(
                 _ref_essentialize, g, w, spec
@@ -436,25 +442,24 @@ class _Forgetful(dict):
         pass
 
 
-def _essentialize_outcome(g, enc, n, table):
+def _essentialize_outcome(g, enc, table):
     try:
-        return ("ok", cancellator._essentialize(g, enc, n, table))
+        return ("ok", cancellator._essentialize(g, enc, table))
     except CoxrankError as exc:
         return ("error", exc.code, str(exc), getattr(exc, "trace", None))
 
 
 def _assert_shared_table_matches_per_step(g, encoded):
-    for n in (2, 4):
-        shared = {}
-        for enc in encoded:
-            assert _essentialize_outcome(g, enc, n, shared) == _essentialize_outcome(
-                g, enc, n, _Forgetful()
-            )
-        # filled on first use, one entry per target the words needed
-        assert set(shared) <= set(range(g.n))
-        for i, (choice, mult) in shared.items():
-            assert choice == choose_blockers(g, g.vertices[i])
-            assert mult == encode_word(g, multiplier_word(choice, n))
+    shared = {}
+    for enc in encoded:
+        assert _essentialize_outcome(g, enc, shared) == _essentialize_outcome(
+            g, enc, _Forgetful()
+        )
+    # filled on first use, one entry per target the words needed
+    assert set(shared) <= set(range(g.n))
+    for i, (choice, mult) in shared.items():
+        assert choice == choose_blockers(g, g.vertices[i])
+        assert mult == encode_word(g, multiplier_word(choice, 2))
 
 
 def test_shared_repair_table_matches_per_step_multipliers_on_the_c5_ball(c5):
@@ -479,8 +484,8 @@ def test_shared_repair_table_raises_no_blocker_at_the_same_step(c4):
     shared = {}
     for w in [(), ("a",), tuple("abcd"), tuple("acbd")]:
         enc = kernels.reduce_word(encode_word(c4, w), c4.comm_masks)
-        assert _essentialize_outcome(c4, enc, 2, shared) == _essentialize_outcome(
-            c4, enc, 2, _Forgetful()
+        assert _essentialize_outcome(c4, enc, shared) == _essentialize_outcome(
+            c4, enc, _Forgetful()
         )
     assert shared == {}
 

@@ -191,6 +191,27 @@ def test_parity_max_len_past_the_cap_exits_2(capsys, c5_file):
         assert err.startswith(f"error [RADIUS_EXCEEDS_CAP]: maxLen {max_len} exceeds cap 1000")
 
 
+def test_parity_past_the_work_cap_exits_2(capsys, c5_file):
+    for args, work in (
+        (("--trials", "1000000000"), 169_000_000_000),
+        (("--max-len", "1000"), 10_020_010_000),
+    ):
+        code, out, err = run_main(capsys, "verify", "parity", "--graph", c5_file, *args)
+        assert (code, out) == (2, "")
+        assert err.startswith("error [RADIUS_EXCEEDS_CAP]: ")
+        assert f" is {work}, over the parity work cap 2000000" in err
+
+
+def test_dj_of_a_graph_too_large_to_double_exits_2(capsys, tmp_path):
+    path = tmp_path / "free33.txt"
+    path.write_text("vertices: " + " ".join(f"v{i}" for i in range(33)) + "\n")
+    assert run_main(capsys, "classify", "--graph", str(path))[0] == 0
+    for variant in ("prime", "doubleprime"):
+        code, out, err = run_main(capsys, "dj", "--graph", str(path), "--variant", variant)
+        assert (code, out) == (2, "")
+        assert err == "error [DOUBLE_TOO_LARGE]: doubling 33 vertices gives 66, more than 64\n"
+
+
 def test_ball_commands_take_no_jobs_or_cap(c5_file):
     for flag in ("--jobs", "--cap"):
         with pytest.raises(SystemExit) as exc:

@@ -65,6 +65,11 @@ graph_files = st.one_of(
 
 words = st.lists(st.sampled_from(LABELS + ("e", "z")), max_size=8).map(" ".join)
 radii = st.integers(-2, 12).map(str)
+# verify parity's trial counts and lengths: the work cap (trials times
+# (maxLen + 1)^2) admits one trial at the length cap of 1000, not two
+trials = st.integers(-2, 40).map(str)
+past_cap_trials = st.sampled_from(["1000000", "50000000", "1000000000"])
+lengths = st.one_of(radii, st.sampled_from(["1000", "1001", "10000"]))
 
 # a subgroup selector: ("FILE", data) becomes a spec file holding data,
 # "MISSING" a path that does not exist and "DIR" a directory
@@ -96,7 +101,11 @@ FAMILIES = {
         [("--radius", radii), ("--conj-radius", radii)],
     ),
     "wordproblem": (st.just("verify wordproblem"), [("--max-len", radii)]),
-    "parity-check": (st.just("verify parity --trials 20"), [("--max-len", radii)]),
+    "parity-check": (st.just("verify parity"), [("--trials", trials), ("--max-len", lengths)]),
+    "parity-past-cap": (
+        st.just("verify parity"),
+        [("--trials", past_cap_trials), ("--max-len", lengths)],
+    ),
     "joinlemma": (st.just("verify joinlemma"), [("--max-vertices", radii)]),
     "essential": (st.just("essential"), [("--word", words), ("--conj-radius", radii)]),
     "cancellator": (st.just("cancellator"), [("--word", words)]),

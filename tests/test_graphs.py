@@ -164,9 +164,9 @@ def test_join_structure_matches_brute_force_bipartitions():
 
 
 def test_classify_factor(c5):
-    assert classify_factor(DefiningGraph("a")).kind is FactorKind.SPHERICAL_POINT
-    assert classify_factor(DefiningGraph("ab")).kind is FactorKind.AFFINE_DIHEDRAL
-    assert classify_factor(c5).kind is FactorKind.IRREDUCIBLE_NONAFFINE
+    assert classify_factor(DefiningGraph("a")) is FactorKind.SPHERICAL_POINT
+    assert classify_factor(DefiningGraph("ab")) is FactorKind.AFFINE_DIHEDRAL
+    assert classify_factor(c5) is FactorKind.IRREDUCIBLE_NONAFFINE
 
 
 def test_classify_factor_rejects_joins():
@@ -269,5 +269,8 @@ def test_mask_built_graphs_match_edge_built_on_every_5_vertex_graph():
 def test_doubles_keep_the_vertex_cap():
     g = DefiningGraph([f"v{i}" for i in range(33)])
     for build in (dj_prime, dj_double_prime):
-        with pytest.raises(GraphParseError, match="more than 64 vertices"):
+        with pytest.raises(GraphParseError) as exc:
             build(g)
+        assert exc.value.code == "DOUBLE_TOO_LARGE"
+        assert str(exc.value) == "doubling 33 vertices gives 66, more than 64"
+    assert dj_prime(DefiningGraph([f"v{i}" for i in range(32)])).n == 64

@@ -9,6 +9,7 @@ from coxrank.errors import (
     ParameterRangeError,
     PreconditionClassError,
     RadiusCapError,
+    SubgroupParseError,
     UnknownGeneratorError,
 )
 from coxrank.graphs import DefiningGraph, dj_prime, is_join
@@ -21,6 +22,7 @@ from coxrank.subgroups import (
 from coxrank.verify import (
     FALSIFIER_MAX_WORK,
     PARITY_MAX_LEN,
+    PARITY_MAX_WORK,
     WORD_PROBLEM_MAX_LEN,
     WORD_PROBLEM_MAX_UNIVERSE,
     _bad_set_classes,
@@ -152,6 +154,22 @@ def test_parity_max_len_cap(c5):
         with pytest.raises(RadiusCapError) as exc:
             verify_parity_invariance(c5, trials=1, max_len=max_len)
         assert exc.value.code == "RADIUS_EXCEEDS_CAP"
+
+
+def test_parity_work_cap(c5):
+    # the defaults, the acceptance run and one trial at the length cap fit
+    assert 10_000 * 13**2 <= PARITY_MAX_WORK
+    assert (PARITY_MAX_LEN + 1) ** 2 <= PARITY_MAX_WORK
+    for max_len in (1, 12, PARITY_MAX_LEN):
+        trials = PARITY_MAX_WORK // (max_len + 1) ** 2 + 1
+        with pytest.raises(RadiusCapError) as exc:
+            verify_parity_invariance(c5, trials=trials, max_len=max_len)
+        assert str(exc.value) == (
+            f"{trials} trials times (maxLen {max_len} + 1)^2 is "
+            f"{trials * (max_len + 1) ** 2}, over the parity work cap {PARITY_MAX_WORK}"
+        )
+    with pytest.raises(RadiusCapError):
+        verify_parity_invariance(c5, trials=10**9)
 
 
 def test_word_problem_pentagon(c5):
@@ -480,9 +498,8 @@ def _closure_roots_word_by_word(n, comm, cap):
 
 
 def _check_closure_partition(n, comm, cap):
-    roots, offsets, pows, find = _closure_partition(n, comm, cap)
-    assert len(roots) == offsets[cap + 1] == sum(pows)
-    assert [find(x) for x in range(len(roots))] == roots
+    roots, offsets = _closure_partition(n, comm, cap)
+    assert len(roots) == offsets[cap + 1] == sum(n**k for k in range(cap + 1))
     # every rank sits on a fixed point no larger than itself
     assert all(roots[x] <= x and roots[roots[x]] == roots[x] for x in range(len(roots)))
     assert roots == _closure_roots_word_by_word(n, comm, cap)
@@ -539,6 +556,32 @@ def test_word_problem_fails_on_a_normal_form_that_merges_two_elements(c5, monkey
         "kind": "normal-forms-equal-but-oracle-differs",
     }
     assert {f["kind"] for f in report.failures} == {"normal-forms-equal-but-oracle-differs"}
+
+
+def _hexagon():
+    return DefiningGraph("abcdef", [(x, y) for x, y in zip("abcdef", "bcdefa")])
+
+
+def _no_ball(g, radius):
+    raise AssertionError("enumerated a ball")
+
+
+def test_subgroup_covering_rejects_a_spec_of_another_graph(c5, monkeypatch):
+    monkeypatch.setattr(coxrank.verify, "ball_bytes", _no_ball)
+    for spec in (commutator_subgroup(_hexagon()), make_subgroup(_hexagon(), ["110000"])):
+        with pytest.raises(SubgroupParseError, match="different graph"):
+            verify_subgroup_covering(c5, spec, radius=4)
+    monkeypatch.undo()
+    # an equal graph built separately is the same graph
+    twin = DefiningGraph(c5.vertices, c5.edge_labels())
+    report = verify_subgroup_covering(c5, commutator_subgroup(twin), radius=4)
+    assert (report.verdict, report.params["subgroupIndex"]) == ("PASS", 32)
+
+
+def test_uniformity_rejects_a_spec_of_another_graph(c5, monkeypatch):
+    monkeypatch.setattr(coxrank.verify, "ball_bytes", _no_ball)
+    with pytest.raises(SubgroupParseError, match="different graph"):
+        verify_cancellator_uniformity(c5, commutator_subgroup(_hexagon()), radius=4)
 
 
 def test_out_of_range_parameters_raise_a_coded_error(c5):

@@ -13,7 +13,6 @@ from coxrank.words import (
     enumerate_ball,
     equal,
     format_word,
-    inverse,
     is_reduced,
     normal_form,
     parity_vector,
@@ -423,12 +422,6 @@ def test_parse_word_unknown_generator(dinf):
 def test_unknown_generator_in_ops(c5):
     with pytest.raises(UnknownGeneratorError):
         reduce_word(c5, ("a", "z"))
-
-
-def test_inverse_is_reversal(c5):
-    w = ("a", "c", "b")
-    assert inverse(w) == ("b", "c", "a")
-    assert reduce_word(c5, w + inverse(w)) == ()
 
 
 def test_reduce_idempotent_and_nf_fixpoint_exhaustive(c5):
