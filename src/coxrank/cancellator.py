@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from . import kernels
-from .certificates import _goodness_masks, is_good_essential
+from .certificates import _good_essential_enc, _goodness_masks
 from .errors import (
     ContractViolationError,
     ExponentTooSmallError,
@@ -31,8 +31,8 @@ from .errors import (
     NotInSubgroupError,
 )
 from .graphs import DefiningGraph
-from .subgroups import SubgroupSpec, member, require_graph
-from .words import Word, decode_word, encode_word, format_word, support_bits
+from .subgroups import SubgroupSpec, member, member_mask, require_graph
+from .words import Word, decode_word, encode_word, format_word, parity_bits, support_bits
 
 # The exponent of every repair multiplier.  Being even, it gives each
 # multiplier all-even parity, so the multiplier lies in every parity-defined
@@ -223,6 +223,22 @@ def _essentialize(g: DefiningGraph, enc: bytes, table: dict):
     return w1, w2, m2 + m1, steps1, steps2
 
 
+def _output_problems(g: DefiningGraph, spec, final: bytes, steps) -> list[str]:
+    """What is wrong with a pipeline output, the reduced encoded word
+    ``final`` reached through the encoded ``steps``: it must be s-good for
+    every s and, with a subgroup ``spec`` (or None), a member reached only
+    through member multipliers.  Empty when the output is correct."""
+    problems = []
+    if not _good_essential_enc(final, g.comm_masks):
+        problems.append("final word is not s-good for all s")
+    if spec is not None:
+        if not member_mask(spec, parity_bits(final)):
+            problems.append("final word left the subgroup")
+        if any(not member_mask(spec, parity_bits(m)) for _, m, _ in steps):
+            problems.append("a multiplier left the subgroup")
+    return problems
+
+
 def _reduced(g: DefiningGraph, word) -> bytes:
     return kernels.reduce_word(encode_word(g, word), g.comm_masks)
 
@@ -271,16 +287,9 @@ def essentialize(
         if not member(spec, word):
             raise NotInSubgroupError("word is not a member of the subgroup")
     _, w2, total, steps1, steps2 = _essentialize(g, _reduced(g, word), {})
-    final, trace = _result(g, w2, total, steps1 + steps2)
-    if not is_good_essential(g, final):
-        raise ContractViolationError(
-            "pipeline output failed its own certificate", trace=trace.steps
-        )
-    if spec is not None and (
-        any(not member(spec, st.multiplier) for st in trace.steps)
-        or not member(spec, final)
-    ):
-        raise ContractViolationError(
-            "pipeline left the designated subgroup", trace=trace.steps
-        )
+    steps = steps1 + steps2
+    final, trace = _result(g, w2, total, steps)
+    problems = _output_problems(g, spec, w2, steps)
+    if problems:
+        raise ContractViolationError("; ".join(problems), trace=trace.steps)
     return final, trace

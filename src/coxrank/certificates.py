@@ -192,8 +192,13 @@ def find_even_completion(g: DefiningGraph, word) -> Word:
     >>> find_even_completion(g, ("a", "b"))
     ('c', 'd', 'e')
     """
-    mask = parity_mask(g, word)
-    return tuple(v for i, v in enumerate(g.vertices) if not (mask >> i) & 1)
+    return decode_word(g, _even_completion(parity_mask(g, word), g.n))
+
+
+def _even_completion(pm: int, n: int) -> bytes:
+    """The generators of even parity under the parity mask ``pm``, in
+    vertex order, encoded."""
+    return bytes(i for i in range(n) if not (pm >> i) & 1)
 
 
 class ConjugatorTable(NamedTuple):
@@ -228,32 +233,24 @@ def conjugator_table(g: DefiningGraph, conj_ball: list[bytes]) -> ConjugatorTabl
 _LETTERS = [bytes((i,)) for i in range(MAX_VERTICES)]
 
 
-def _conjugate_by_letter(r: bytes, x: int, mask: int) -> bytes:
-    """The reduced word ``x r x`` for a reduced ``r``; ``mask`` is ``comm[x]``.
+def _conjugate_by_letter(r: bytes, x: int, skip: bytes) -> bytes:
+    """The reduced word ``x r x`` for a reduced ``r``; ``skip`` holds the
+    letters that commute with x (``_commuters(comm[x])``).
 
     From the left, x cancels the first x it reaches through letters that
     commute with it, and is prepended if a non-commuting letter comes
-    first; then the same from the right.  The bytes are those of
-    ``kernels.reduce_word(x + r + x)``."""
-    i = 0
-    for t in r:
-        if t == x:
-            r = r[:i] + r[i + 1 :]
-            break
-        if not (mask >> t) & 1:
-            r = _LETTERS[x] + r
-            break
-        i += 1
-    else:
+    first; then the same from the right.  Each side is one strip of
+    ``skip``.  The bytes are those of ``kernels.reduce_word(x + r + x)``."""
+    tail = r.lstrip(skip)
+    if not tail:
         return r  # x commutes with every letter of r and does not occur
-    i = len(r) - 1
-    while i >= 0:
-        t = r[i]
-        if t == x:
-            return r[:i] + r[i + 1 :]
-        if not (mask >> t) & 1:
-            break
-        i -= 1
+    if tail[0] == x:
+        r = r[: len(r) - len(tail)] + tail[1:]
+    else:
+        r = _LETTERS[x] + r
+    head = r.rstrip(skip)
+    if head and head[-1] == x:
+        return head[:-1] + r[len(head) :]
     return r + _LETTERS[x]
 
 
@@ -285,12 +282,12 @@ def _falsify_enc(
     conj = [r]
     supp = [support_bits(r)]
     parent, letter, inner = table.parent, table.letter, table.inner
+    strips = list(map(_commuters, comm))
     for p, x in zip(parent[1:inner], letter[1:inner]):
-        d = _conjugate_by_letter(conj[p], x, comm[x])
+        d = _conjugate_by_letter(conj[p], x, strips[x])
         conj.append(d)
         bit = 1 << x
         supp.append(supp[p] | bit if x in d else supp[p] & ~bit)
-    strips = list(map(_commuters, comm))
     for p, x in zip(parent[inner:], letter[inner:]):
         d = conj[p]
         s = supp[p]
@@ -324,12 +321,13 @@ def falsify_essential(g: DefiningGraph, word, conj_radius: int) -> Counterexampl
     The word is encoded before the conjugator ball is built, so an
     unknown label fails at once.  It is reduced once; each conjugate is
     then built from its prefix's conjugate by one letter (``x r x`` with
-    two short scans), not by reducing ``u w u^-1`` from scratch, and only
-    for conjugators that are some element's prefix.  For the others (the
-    last sphere, in an infinite group) only the support is taken, from
-    the number of x in the prefix's conjugate; that count decides exactly
-    whether x survives ``x r x``.  The evidence is the same: every
-    conjugator up to the radius, first hit in shortlex order.
+    two strips of the letters that commute with x), not by reducing
+    ``u w u^-1`` from scratch, and only for conjugators that are some
+    element's prefix.  For the others (the last sphere, in an infinite
+    group) only the support is taken, from the number of x in the
+    prefix's conjugate; that count decides exactly whether x survives
+    ``x r x``.  The evidence is the same: every conjugator up to the
+    radius, first hit in shortlex order.
     """
     enc = encode_word(g, word)
     hit = _falsify_enc(g, enc, conjugator_table(g, ball_bytes(g, conj_radius)))

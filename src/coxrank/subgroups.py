@@ -50,10 +50,10 @@ def _echelonize(vectors) -> tuple[int, ...]:
         if v:
             basis.append(v)
             basis.sort(key=int.bit_length, reverse=True)
-    # back-substitute so every leading bit occurs in exactly one row
+    # back-substitute so every leading bit occurs in exactly one row; a row
+    # is reduced only by rows with lower leading bits, so the order holds
     for i in range(len(basis)):
         basis[i] = _reduce_vector(basis[i], basis[i + 1 :])
-    basis.sort(key=int.bit_length, reverse=True)
     return tuple(basis)
 
 
@@ -151,7 +151,9 @@ def parse_subgroup_file(
     Lines: comments start with '#'; an optional ``graph: <path>`` line
     names the ambient graph file (resolved against ``base_dir``); each
     ``basis: <0/1 string>`` line contributes a parity vector.  A ``graph``
-    argument overrides the file's graph line.
+    argument stands in for a missing graph line.  Without ``base_dir`` it
+    overrides the file's graph line; with ``base_dir`` the named file is
+    loaded and must hold the same graph, else ``SubgroupParseError``.
     """
     rows: list[str] = []
     graph_path: str | None = None
@@ -165,17 +167,19 @@ def parse_subgroup_file(
             rows.append(line[len("basis:"):].strip())
         else:
             raise SubgroupParseError(f"line {lineno}: unrecognized line {line!r}")
+    if graph_path is not None and (graph is None or base_dir is not None):
+        named = load_graph(os.path.join(base_dir or "", graph_path))
+        if graph is not None and named != graph:
+            raise SubgroupParseError(f"graph {graph_path!r} is not the supplied graph")
+        graph = named
     if graph is None:
-        if graph_path is None:
-            raise SubgroupParseError("subgroup file names no graph and none was supplied")
-        if base_dir is not None:
-            graph_path = os.path.join(base_dir, graph_path)
-        graph = load_graph(graph_path)
+        raise SubgroupParseError("subgroup file names no graph and none was supplied")
     return make_subgroup(graph, rows)
 
 
 def resolve_subgroup(g: DefiningGraph, selector: str) -> SubgroupSpec:
-    """CLI shorthand: ``commutator``, ``whole``, or a spec-file path."""
+    """CLI shorthand: ``commutator``, ``whole``, or a spec-file path; a
+    graph line in the file is read next to it and must name ``g``."""
     if selector == "commutator":
         return commutator_subgroup(g)
     if selector == "whole":

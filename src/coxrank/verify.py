@@ -27,8 +27,9 @@ from itertools import combinations, product
 from operator import or_
 
 from . import kernels
-from .cancellator import EXPONENT, _essentialize, _repair
+from .cancellator import EXPONENT, _essentialize, _output_problems, _repair
 from .certificates import (
+    _even_completion,
     _falsify_enc,
     _good_essential_enc,
     bad_mask,
@@ -41,7 +42,7 @@ from .errors import (
     RadiusCapError,
 )
 from .graphs import DefiningGraph, dj_prime, is_join
-from .subgroups import SubgroupSpec, index_and_exponent, member_mask, members, require_graph
+from .subgroups import SubgroupSpec, index_and_exponent, members, require_graph
 from .words import (
     ball_bytes,
     decode_word,
@@ -409,9 +410,10 @@ def verify_covering(g: DefiningGraph, radius: int = 8, jobs: int = 1) -> Verific
     essential) after left-multiplying by its even-parity completion, and
     every multiplier used must be a product of distinct generators.
 
-    The multiplier alpha and its check depend only on the word's parity
-    mask, so both are worked out once per parity class; failing words are
-    then listed in ball order."""
+    The multiplier alpha is the one ``find_even_completion`` returns.  It
+    and its check depend only on the word's parity mask, so both are
+    worked out once per parity class; failing words are then listed in
+    ball order."""
     t0 = time.perf_counter()
     _require_serial(jobs)
     _require_irreducible_nonaffine(g)
@@ -422,7 +424,7 @@ def verify_covering(g: DefiningGraph, radius: int = 8, jobs: int = 1) -> Verific
     hist: Counter = Counter()
     failing = {}  # parity mask -> alpha, for the classes that fail
     for pm, count in Counter(parities).items():
-        alpha = bytes(i for i in range(n) if not (pm >> i) & 1)
+        alpha = _even_completion(pm, n)
         distinct = len(set(alpha)) == len(alpha)
         if parity_bits(alpha) ^ pm != full or not distinct:
             failing[pm] = alpha
@@ -470,13 +472,7 @@ def verify_subgroup_covering(
         except CoxrankError as exc:
             failures.append({"word": _fmt(g, w), "reason": f"{exc.code}: {exc}"})
             continue
-        problems = []
-        if not _good_essential_enc(w2, g.comm_masks):
-            problems.append("final word is not s-good for all s")
-        if not member_mask(spec, parity_bits(w2)):
-            problems.append("final word left the subgroup")
-        if any(not member_mask(spec, parity_bits(m)) for _, m, _ in steps1 + steps2):
-            problems.append("a multiplier left the subgroup")
+        problems = _output_problems(g, spec, w2, steps1 + steps2)
         if len(steps1) > missing0:
             problems.append("more support repairs than missing generators")
         # zero goodness repairs never exceed the bad set: skip its pass

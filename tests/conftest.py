@@ -1,8 +1,23 @@
+from itertools import combinations
+
 import pytest
 
 from coxrank.graphs import DefiningGraph
 
 C5_EDGES = [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e"), ("e", "a")]
+
+
+def every_graph(max_vertices, min_vertices=1):
+    """Every labelled graph on the first k of the labels ``abcdef``, for k
+    from ``min_vertices`` to ``max_vertices``, by ascending edge bits: bit
+    t selects the t-th vertex pair in ``itertools.combinations`` order.
+
+    Import it with ``from conftest import every_graph``."""
+    for k in range(min_vertices, max_vertices + 1):
+        verts = "abcdef"[:k]
+        pairs = list(combinations(verts, 2))
+        for bits in range(1 << len(pairs)):
+            yield DefiningGraph(verts, [p for t, p in enumerate(pairs) if (bits >> t) & 1])
 
 
 @pytest.fixture(scope="session")

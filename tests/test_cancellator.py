@@ -1,8 +1,8 @@
-import itertools
 import random
 
 import pytest
 
+from conftest import every_graph
 from coxrank import cancellator, kernels
 from coxrank.cancellator import (
     BlockerChoice,
@@ -103,15 +103,11 @@ def _choice_or_error(f, g, s):
 
 
 def test_choose_blockers_matches_the_index_scan_on_every_5_vertex_graph():
-    for k in range(1, 6):
-        labels = "abcde"[:k]
-        pairs = list(itertools.combinations(labels, 2))
-        for bits in range(1 << len(pairs)):
-            g = DefiningGraph(labels, [e for i, e in enumerate(pairs) if (bits >> i) & 1])
-            for s in labels:
-                assert _choice_or_error(choose_blockers, g, s) == _choice_or_error(
-                    _ref_choose_blockers, g, s
-                ), (g, s)
+    for g in every_graph(5):
+        for s in g.vertices:
+            assert _choice_or_error(choose_blockers, g, s) == _choice_or_error(
+                _ref_choose_blockers, g, s
+            ), (g, s)
 
 
 def test_multiplier_word_patterns():
@@ -329,17 +325,15 @@ def _ref_essentialize(g, word, spec=None):
     trace = MultiplierTrace(
         t1.steps + t2.steps, t2.total_multiplier + t1.total_multiplier, n
     )
+    problems = []
     if not is_good_essential(g, w2):
-        raise ContractViolationError(
-            "pipeline output failed its own certificate", trace=trace.steps
-        )
-    if spec is not None and (
-        any(not member(spec, st.multiplier) for st in trace.steps)
-        or not member(spec, w2)
-    ):
-        raise ContractViolationError(
-            "pipeline left the designated subgroup", trace=trace.steps
-        )
+        problems.append("final word is not s-good for all s")
+    if spec is not None and not member(spec, w2):
+        problems.append("final word left the subgroup")
+    if spec is not None and any(not member(spec, st.multiplier) for st in trace.steps):
+        problems.append("a multiplier left the subgroup")
+    if problems:
+        raise ContractViolationError("; ".join(problems), trace=trace.steps)
     return w2, trace
 
 
@@ -417,6 +411,48 @@ def test_repair_that_adds_nothing_is_a_contract_violation(c5, monkeypatch):
         "word": "e",
         "reason": "CONTRACT_VIOLATION: repair for 'a' removed a generator "
         "from the support",
+    }
+
+
+def test_pipeline_output_that_leaves_the_subgroup_is_a_contract_violation(
+    c5, monkeypatch
+):
+    # an odd exponent gives every multiplier odd parity in s, s' and s''
+    monkeypatch.setattr(
+        cancellator,
+        "multiplier_word",
+        lambda choice, n: (choice.s_double_prime, choice.s, choice.s_prime) * 3,
+    )
+    reason = "final word left the subgroup; a multiplier left the subgroup"
+    with pytest.raises(ContractViolationError) as info:
+        essentialize(c5, tuple("abab"), commutator_subgroup(c5))
+    assert str(info.value) == reason
+    assert [st.multiplier for st in info.value.trace] == [
+        tuple("dacdacdac"),
+        tuple("ebdebdebd"),
+    ]
+    report = verify_subgroup_covering(c5, commutator_subgroup(c5), radius=4)
+    assert report.verdict == "FAIL"
+    assert report.failures[:2] == [
+        {"word": "e", "reason": reason},
+        {"word": "a c a c", "reason": reason},
+    ]
+    assert len(report.failures) == report.total_cases
+
+
+def test_pipeline_output_that_fails_its_certificate_is_a_contract_violation(
+    c5, monkeypatch
+):
+    # the output check is the only caller of _good_essential_enc in the
+    # pipeline; the repair loop reads the goodness masks directly
+    monkeypatch.setattr(cancellator, "_good_essential_enc", lambda enc, comm: False)
+    with pytest.raises(ContractViolationError) as info:
+        essentialize(c5, tuple("ab"))
+    assert str(info.value) == "final word is not s-good for all s"
+    report = verify_subgroup_covering(c5, commutator_subgroup(c5), radius=2)
+    assert report.failures[0] == {
+        "word": "e",
+        "reason": "final word is not s-good for all s",
     }
 
 

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import every_graph
 from coxrank import certificates, kernels
 from coxrank.certificates import (
     ConjugatorTable,
@@ -31,6 +32,7 @@ from coxrank.errors import (
 )
 from coxrank.graphs import DefiningGraph, load_graph
 from coxrank.words import (
+    _commuters,
     ball_bytes,
     enumerate_ball,
     parity_vector,
@@ -180,12 +182,7 @@ def _masks_by_blocks(enc, comm):
 
 
 def test_goodness_masks_match_the_block_definition_on_every_4_vertex_graph():
-    verts = "abcd"
-    pairs = list(combinations(verts, 2))
-    graphs = [
-        DefiningGraph(verts, [p for k, p in enumerate(pairs) if (bits >> k) & 1])
-        for bits in range(1 << len(pairs))
-    ]
+    graphs = list(every_graph(4, 4))
     for length in range(7):
         for enc in map(bytes, product(range(4), repeat=length)):
             for g in graphs:
@@ -193,6 +190,7 @@ def test_goodness_masks_match_the_block_definition_on_every_4_vertex_graph():
                 if kernels.is_reduced(enc, comm):
                     assert _goodness_masks(enc, comm) == _masks_by_blocks(enc, comm)
     # the public readers of the masks, on the path a - b - c - d
+    verts = "abcd"
     path = DefiningGraph(verts, [("a", "b"), ("b", "c"), ("c", "d")])
     for length in range(7):
         for enc in map(bytes, product(range(4), repeat=length)):
@@ -210,20 +208,17 @@ def test_goodness_masks_match_the_block_definition_on_every_4_vertex_graph():
 
 
 def test_conjugate_by_letter_matches_reduce_word_on_every_4_vertex_graph():
-    verts = "abcd"
-    pairs = list(combinations(verts, 2))
     words = [
         bytes(w) for length in range(6) for w in product(range(4), repeat=length)
     ]
-    for bits in range(1 << len(pairs)):
-        edges = [p for k, p in enumerate(pairs) if (bits >> k) & 1]
-        comm = DefiningGraph(verts, edges).comm_masks
+    for g in every_graph(4, 4):
+        comm = g.comm_masks
         for r in words:
             if not kernels.is_reduced(r, comm):
                 continue
             for x in range(4):
                 expected = kernels.reduce_word(bytes([x]) + r + bytes([x]), comm)
-                assert _conjugate_by_letter(r, x, comm[x]) == expected
+                assert _conjugate_by_letter(r, x, _commuters(comm[x])) == expected
 
 
 def _falsify_by_reducing_every_conjugate(g, enc, conj_ball):
@@ -241,15 +236,12 @@ def test_leaf_supports_match_reduce_word_on_every_4_vertex_graph():
     # (inner = 1), so its support comes from the letter count rule.  Its
     # inverse index is swapped on purpose: the scan reads the leaf's
     # support first and returns it whenever it is not full.
-    verts = "abcd"
-    pairs = list(combinations(verts, 2))
     words = [
         bytes(w) for length in range(7) for w in product(range(4), repeat=length)
     ]
     full = 0b1111
     cases = 0
-    for bits in range(1 << len(pairs)):
-        g = DefiningGraph(verts, [p for k, p in enumerate(pairs) if (bits >> k) & 1])
+    for g in every_graph(4, 4):
         comm = g.comm_masks
         tables = [
             ConjugatorTable([b"", bytes([x])], [0, 0], [-1, x], [1, 0], 1)

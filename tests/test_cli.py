@@ -352,6 +352,34 @@ def test_malformed_subgroup_file_exit_code(capsys, c5_file, tmp_path):
     assert "[SUBGROUP_PARSE_ERROR]" in err
 
 
+def test_spec_file_naming_another_graph_exits_2(capsys, c5_file, tmp_path):
+    (tmp_path / "other.txt").write_text("vertices: e d c b a\nedge: a b\nedge: b c\n")
+    spec = tmp_path / "other.sub"
+    spec.write_text("graph: other.txt\nbasis: 11000\nbasis: 00110\n")
+    code, out, err = run_main(
+        capsys, "subgroup", "index", "--graph", c5_file, "--subgroup", str(spec)
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error [SUBGROUP_PARSE_ERROR]: graph 'other.txt' "), err
+    # the same graph, written next to the spec file, is accepted
+    (tmp_path / "other.txt").write_text(PENTAGON)
+    code, out, _ = run_main(
+        capsys, "subgroup", "index", "--graph", c5_file, "--subgroup", str(spec)
+    )
+    assert code == 0
+    assert "index: 8" in out
+
+
+def test_spec_file_naming_a_missing_graph_exits_2(capsys, c5_file, tmp_path):
+    spec = tmp_path / "missing.sub"
+    spec.write_text("graph: missing.txt\nbasis: 11111\n")
+    code, out, err = run_main(
+        capsys, "subgroup", "index", "--graph", c5_file, "--subgroup", str(spec)
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error [FILE_UNREADABLE]: "), err
+
+
 def test_out_of_range_verify_parameters_exit_code(capsys, c5_file):
     for args in (
         ("parity", "--graph", c5_file, "--trials", "-5"),

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from conftest import every_graph
 from coxrank.errors import (
     EmptyGraphError,
     GraphParseError,
@@ -113,22 +114,8 @@ def _join_of(factors):
     return DefiningGraph(sorted(verts), edges)
 
 
-def _all_graphs(max_vertices):
-    labels = "abcdef"
-    for k in range(1, max_vertices + 1):
-        verts = labels[:k]
-        pairs = list(itertools.combinations(range(k), 2))
-        for bits in range(1 << len(pairs)):
-            edges = [
-                (verts[i], verts[j])
-                for idx, (i, j) in enumerate(pairs)
-                if (bits >> idx) & 1
-            ]
-            yield DefiningGraph(verts, edges)
-
-
 def test_join_decompose_reconstructs_and_factors_are_join_free():
-    for g in _all_graphs(5):
+    for g in every_graph(5):
         factors = join_decompose(g)
         assert all(not is_join(f) for f in factors)
         assert _join_of(factors) == g
@@ -154,7 +141,7 @@ def _splits(g):
 def test_join_structure_matches_brute_force_bipartitions():
     # g is a join iff a proper subset splits off; the complement's
     # components are the minimal splitting subsets
-    for g in _all_graphs(5):
+    for g in every_graph(5):
         splits = _splits(g)
         assert is_join(g) == (len(splits) > 1)
         minimal = [a for a in splits if not any(b != a and b & a == b for b in splits)]
@@ -199,7 +186,7 @@ def test_dj_k2():
 
 
 def test_dj_double_prime_top_copy_is_base_graph():
-    for g in _all_graphs(4):
+    for g in every_graph(4):
         d = dj_double_prime(g)
         top = d.subgraph([f"{v}_1" for v in g.vertices])
         assert top.vertices == tuple(f"{v}_1" for v in g.vertices)
@@ -219,7 +206,7 @@ def test_doubles_on_the_same_vertices_share_labels_and_index(c5):
 
 
 def test_join_lemma_small():
-    for g in _all_graphs(4):
+    for g in every_graph(4):
         assert is_join(g) == is_join(dj_prime(g))
 
 
@@ -247,7 +234,7 @@ def _edge_built_dj_double_prime(g):
 
 
 def test_mask_built_graphs_match_edge_built_on_every_5_vertex_graph():
-    for g in _all_graphs(5):
+    for g in every_graph(5):
         m = DefiningGraph._from_masks(g.vertices, g.comm_masks)
         assert m == g and hash(m) == hash(g)
         assert (m.edges, m.edge_count, m.to_text()) == (

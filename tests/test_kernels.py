@@ -2,8 +2,9 @@
 ``reduce_word``'s byte contract, and ``normal_form`` against a brute-force
 closure."""
 
-from itertools import combinations, product
+from itertools import product
 
+from conftest import every_graph
 from coxrank import kernels
 from coxrank.graphs import DefiningGraph
 from coxrank.kernels import BACKEND
@@ -35,14 +36,11 @@ def _leftmost_pair_reduce(word: bytes, comm) -> bytes:
 
 
 def test_reduction_matches_leftmost_pair_on_every_4_vertex_graph():
-    verts = "abcd"
-    pairs = list(combinations(verts, 2))
     words = [
         bytes(w) for length in range(6) for w in product(range(4), repeat=length)
     ]
-    for bits in range(1 << len(pairs)):
-        edges = [p for k, p in enumerate(pairs) if (bits >> k) & 1]
-        comm = DefiningGraph(verts, edges).comm_masks
+    for g in every_graph(4, 4):
+        comm = g.comm_masks
         for w in words:
             expected = _leftmost_pair_reduce(w, comm)
             assert kernels.reduce_word(w, comm) == expected
@@ -74,17 +72,14 @@ def _closure_normal_form(word: bytes, comm) -> bytes:
 def test_normal_form_matches_closure_on_every_4_vertex_graph():
     # lengths 0-4 cover the two-letter closed form and the greedy
     # extraction on both sides of it
-    verts = "abcd"
-    pairs = list(combinations(verts, 2))
     words = [
         bytes(w) for length in range(5) for w in product(range(4), repeat=length)
     ]
-    for bits in range(1 << len(pairs)):
-        edges = [p for k, p in enumerate(pairs) if (bits >> k) & 1]
-        comm = DefiningGraph(verts, edges).comm_masks
+    for g in every_graph(4, 4):
+        comm = g.comm_masks
         for w in words:
             expected = _closure_normal_form(w, comm)
-            assert kernels.normal_form(w, comm) == expected, (edges, list(w))
+            assert kernels.normal_form(w, comm) == expected, (g, list(w))
             got = kernels.normal_form(bytearray(w), comm)
             assert type(got) is bytes and got == expected
 

@@ -1,5 +1,4 @@
-import itertools
-
+from conftest import every_graph
 from coxrank.graphs import DefiningGraph, join_decompose
 from coxrank.ranks import commensurability_flag, rank_raag, rank_racg
 
@@ -36,26 +35,12 @@ def test_factor_details(c4):
     assert d["groupKind"] == "RACG"
 
 
-def _all_graphs(max_vertices):
-    labels = "abcdef"
-    for k in range(1, max_vertices + 1):
-        verts = labels[:k]
-        pairs = list(itertools.combinations(range(k), 2))
-        for bits in range(1 << len(pairs)):
-            edges = [
-                (verts[i], verts[j])
-                for idx, (i, j) in enumerate(pairs)
-                if (bits >> idx) & 1
-            ]
-            yield DefiningGraph(verts, edges)
-
-
 def test_rank_racg_compositional_over_factors():
-    for g in _all_graphs(5):
+    for g in every_graph(5):
         total = rank_racg(g).total_rank
         assert total == sum(rank_racg(f).total_rank for f in join_decompose(g))
 
 
 def test_rank_raag_equals_complement_component_count():
-    for g in _all_graphs(5):
+    for g in every_graph(5):
         assert rank_raag(g).total_rank == len(g.complement_components())

@@ -3,6 +3,7 @@ from itertools import combinations
 
 import pytest
 
+from conftest import every_graph
 import coxrank.kernels
 import coxrank.verify
 from coxrank.errors import (
@@ -311,21 +312,6 @@ def test_join_lemma_counts():
         verify_join_lemma(7)
 
 
-def _join_lemma_graphs(max_vertices):
-    """Every labelled graph on 1..max_vertices vertices, by ascending edge
-    bits, its masks built edge by edge."""
-    for k in range(1, max_vertices + 1):
-        verts = tuple("abcdef"[:k])
-        pairs = list(combinations(range(k), 2))
-        for bits in range(1 << len(pairs)):
-            masks = [0] * k
-            for t, (i, j) in enumerate(pairs):
-                if bits >> t & 1:
-                    masks[i] |= 1 << j
-                    masks[j] |= 1 << i
-            yield DefiningGraph._from_masks(verts, tuple(masks))
-
-
 def test_join_lemma_visits_graphs_in_ascending_bits_order(monkeypatch):
     seen = []
 
@@ -335,7 +321,7 @@ def test_join_lemma_visits_graphs_in_ascending_bits_order(monkeypatch):
 
     monkeypatch.setattr(coxrank.verify, "dj_prime", recording_dj_prime)
     report = verify_join_lemma(5)
-    want = [(g.vertices, g.comm_masks) for g in _join_lemma_graphs(5)]
+    want = [(g.vertices, g.comm_masks) for g in every_graph(5)]
     assert seen == want
     assert report.total_cases == len(want) and report.verdict == "PASS"
 
@@ -348,7 +334,7 @@ def test_join_lemma_reports_failures_in_visit_order(monkeypatch):
 
     monkeypatch.setattr(coxrank.verify, "is_join", planted)
     report = verify_join_lemma(4)
-    want = [{"graph": g.to_text()} for g in _join_lemma_graphs(4) if g.edge_count == 1]
+    want = [{"graph": g.to_text()} for g in every_graph(4) if g.edge_count == 1]
     assert len(want) == 0 + 1 + 3 + 6
     assert report.failures == want
     assert report.verdict == "FAIL"
@@ -506,16 +492,9 @@ def _check_closure_partition(n, comm, cap):
 
 
 def test_closure_partition_matches_word_by_word_unions_on_every_4_vertex_graph():
-    for n in range(1, 5):
-        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        for bits in range(1 << len(pairs)):
-            comm = [0] * n
-            for idx, (i, j) in enumerate(pairs):
-                if (bits >> idx) & 1:
-                    comm[i] |= 1 << j
-                    comm[j] |= 1 << i
-            for cap in range(6):
-                _check_closure_partition(n, comm, cap)
+    for g in every_graph(4):
+        for cap in range(6):
+            _check_closure_partition(g.n, g.comm_masks, cap)
 
 
 def test_closure_partition_matches_word_by_word_unions_on_5_vertex_graphs(c5):

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from conftest import every_graph
 from coxrank import kernels
 from coxrank.errors import ParameterRangeError, RadiusCapError, UnknownGeneratorError
 from coxrank.graphs import DefiningGraph, load_graph
@@ -332,10 +333,7 @@ def _check_descent_pruned_ball(g, radius, monkeypatch):
 
 
 def test_descent_pruned_ball_matches_the_seen_set_ball(monkeypatch):
-    verts = "abcd"
-    pairs = list(itertools.combinations(verts, 2))
-    for bits in range(1 << len(pairs)):
-        g = DefiningGraph(verts, [p for k, p in enumerate(pairs) if (bits >> k) & 1])
+    for g in every_graph(4, 4):
         for radius in range(7):
             _check_descent_pruned_ball(g, radius, monkeypatch)
     rng = random.Random(1993)
@@ -383,13 +381,9 @@ def test_ball_sphere_sizes_match_the_growth_series():
     # positive length, (Z/2)^2 is 1 + 2t + t^2
     assert _growth_series(2, [], 4) == [1, 2, 2, 2, 2]
     assert _growth_series(2, [(0, 1)], 4) == [1, 2, 1, 0, 0]
-    for n in range(1, 5):
-        verts = "abcd"[:n]
-        pairs = list(itertools.combinations(range(n), 2))
-        for bits in range(1 << len(pairs)):
-            edges = [p for k, p in enumerate(pairs) if (bits >> k) & 1]
-            g = DefiningGraph(verts, [(verts[i], verts[j]) for i, j in edges])
-            assert _sphere_sizes(g, 6) == _growth_series(n, edges, 6), edges
+    for g in every_graph(4):
+        edges = sorted(g.edges)
+        assert _sphere_sizes(g, 6) == _growth_series(g.n, edges, 6), edges
     rng = random.Random(17)
     for _ in range(100):
         n = rng.randint(5, 8)
