@@ -18,8 +18,8 @@ retry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from . import kernels
 from .certificates import _good_essential_enc, _goodness_masks
@@ -46,16 +46,14 @@ class BlockerVariant(str, Enum):
     TYPE2 = "TYPE2"  # s'' does not commute with s'
 
 
-@dataclass(frozen=True)
-class BlockerChoice:
+class BlockerChoice(NamedTuple):
     s: str
     s_prime: str
     s_double_prime: str
     variant: BlockerVariant
 
 
-@dataclass(frozen=True)
-class TraceStep:
+class TraceStep(NamedTuple):
     target: str
     choice: BlockerChoice
     multiplier: Word
@@ -73,8 +71,7 @@ class TraceStep:
         }
 
 
-@dataclass(frozen=True)
-class MultiplierTrace:
+class MultiplierTrace(NamedTuple):
     steps: tuple[TraceStep, ...]
     total_multiplier: Word  # step multipliers concatenated, newest leftmost
     exponent: int

@@ -17,7 +17,6 @@ automatically s-minimal for each s in its support.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
@@ -45,8 +44,7 @@ class GoodnessStatus(str, Enum):
     ABSENT = "ABSENT"
 
 
-@dataclass(frozen=True)
-class GoodnessReport:
+class GoodnessReport(NamedTuple):
     per_generator: dict[str, GoodnessStatus]
     bad_set: frozenset[str]
     full_support: bool
@@ -60,8 +58,7 @@ class GoodnessReport:
         }
 
 
-@dataclass(frozen=True)
-class Counterexample:
+class Counterexample(NamedTuple):
     """Witness that a word is not essential: conjugating by ``conjugator``
     lands in the standard parabolic subgroup on ``parabolic``."""
 

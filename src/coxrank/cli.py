@@ -375,8 +375,8 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error [FILE_UNREADABLE]: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except ValueError as exc:  # e.g. a path holding a NUL byte
+        print(f"error [INVALID_ARGUMENT]: {exc}", file=sys.stderr)
         return 2
 
 

@@ -11,7 +11,7 @@ infinite cyclic group; a larger join-free factor has rank one).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graphs import DefiningGraph, FactorKind, classify_factor, join_decompose
 
@@ -22,8 +22,7 @@ RAAG_INFINITE_CYCLIC = "INFINITE_CYCLIC"
 RAAG_NON_JOIN = "NON_JOIN"
 
 
-@dataclass(frozen=True)
-class FactorReport:
+class FactorReport(NamedTuple):
     vertex_set: tuple[str, ...]
     kind: str
     rank: int
@@ -38,8 +37,7 @@ class FactorReport:
         }
 
 
-@dataclass(frozen=True)
-class RankReport:
+class RankReport(NamedTuple):
     group_kind: str  # "RACG" | "RAAG"
     factors: tuple[FactorReport, ...]
     total_rank: int

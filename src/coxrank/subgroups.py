@@ -10,7 +10,7 @@ The commutator subgroup is the dim-0 case.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import SubgroupParseError
 from .graphs import DefiningGraph, load_graph
@@ -23,8 +23,7 @@ from .words import (
 )
 
 
-@dataclass(frozen=True)
-class SubgroupSpec:
+class SubgroupSpec(NamedTuple):
     """Ambient graph plus an echelonized basis of parity vectors.
 
     ``basis`` masks use bit i for vertex i; they are kept reduced (distinct

@@ -22,9 +22,9 @@ import random
 import time
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass
 from itertools import combinations, product
 from operator import or_
+from typing import NamedTuple
 
 from . import kernels
 from .cancellator import EXPONENT, _essentialize, _output_problems, _repair
@@ -58,18 +58,22 @@ WORD_PROBLEM_MAX_LEN = 6  # closure universe is n^(maxLen+2); keep desk scale
 WORD_PROBLEM_MAX_UNIVERSE = 4_000_000
 # a parity trial takes time quadratic in maxLen: about 0.1 s on C5 at this cap
 PARITY_MAX_LEN = 1000
-# trials times (maxLen + 1)^2 a parity run may take.  A unit costs most at
-# maxLen 1 (1.3-1.8 us on C5, against 0.1 us at maxLen 1000), so the slowest
-# run admitted, 500,000 trials at maxLen 1, takes about 3 s
-PARITY_MAX_WORK = 2_000_000
+# a parity trial at maxLen L costs PARITY_TRIAL_UNITS + PARITY_MOVE_UNITS * L
+# + (L + 1)^2 units: a fixed part, a part per move (a trial makes up to 2L)
+# and the rescans of a word that grows with L.  Fitted to trials timed on C5
+# at maxLen 1 to 1000, where a unit costs 0.11-0.13 us
+PARITY_TRIAL_UNITS = 40
+PARITY_MOVE_UNITS = 20
+# units a parity run may take: the defaults (10,000 trials at maxLen 12) fit,
+# and the longest run admitted takes about 0.5 s at maxLen 1, 12, 100 or 1000
+PARITY_MAX_WORK = 5_000_000
 # certified words times conjugators a certificates run may try: each ball
 # passes its own cap, but their product does not (C5 at radius 10 and
 # conj-radius 4 needs 3.95M, about 2.6 s; at conj-radius 6, 27.6M)
 FALSIFIER_MAX_WORK = 5_000_000
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(NamedTuple):
     check: str
     params: dict
     total_cases: int
@@ -152,8 +156,8 @@ def verify_parity_invariance(
     cancel positions are running counts: an insertion updates them from
     the pairs it creates and splits, any other move recounts them, and a
     word is scanned for the chosen swap or cancel only when one is drawn.
-    ``maxLen`` is capped at PARITY_MAX_LEN, and trials times
-    (maxLen + 1)^2 at PARITY_MAX_WORK."""
+    ``maxLen`` is capped at PARITY_MAX_LEN, and trials times the units
+    of one trial at PARITY_MAX_WORK."""
     t0 = time.perf_counter()
     if trials < 0:
         raise ParameterRangeError(f"trials must be at least 0, got {trials}")
@@ -161,11 +165,12 @@ def verify_parity_invariance(
         raise ParameterRangeError(f"maxLen must be at least 1, got {max_len}")
     if max_len > PARITY_MAX_LEN:
         raise RadiusCapError(f"maxLen {max_len} exceeds cap {PARITY_MAX_LEN}")
-    work = trials * (max_len + 1) ** 2
+    units = PARITY_TRIAL_UNITS + PARITY_MOVE_UNITS * max_len + (max_len + 1) ** 2
+    work = trials * units
     if work > PARITY_MAX_WORK:
         raise RadiusCapError(
-            f"{trials} trials times (maxLen {max_len} + 1)^2 is {work}, over "
-            f"the parity work cap {PARITY_MAX_WORK}"
+            f"{trials} trials times {units} units per trial at maxLen {max_len} "
+            f"is {work}, over the parity work cap {PARITY_MAX_WORK}"
         )
     rng = random.Random(seed)
     n = g.n

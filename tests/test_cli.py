@@ -193,13 +193,13 @@ def test_parity_max_len_past_the_cap_exits_2(capsys, c5_file):
 
 def test_parity_past_the_work_cap_exits_2(capsys, c5_file):
     for args, work in (
-        (("--trials", "1000000000"), 169_000_000_000),
-        (("--max-len", "1000"), 10_020_010_000),
+        (("--trials", "1000000000"), 449_000_000_000),
+        (("--max-len", "1000"), 10_220_410_000),
     ):
         code, out, err = run_main(capsys, "verify", "parity", "--graph", c5_file, *args)
         assert (code, out) == (2, "")
         assert err.startswith("error [RADIUS_EXCEEDS_CAP]: ")
-        assert f" is {work}, over the parity work cap 2000000" in err
+        assert f" is {work}, over the parity work cap 5000000" in err
 
 
 def test_dj_of_a_graph_too_large_to_double_exits_2(capsys, tmp_path):
@@ -417,6 +417,16 @@ def test_unreadable_files_exit_2_with_a_code(capsys, c5_file, tmp_path):
         code, out, err = run_main(capsys, *args)
         assert (code, out) == (2, ""), args
         assert err.startswith(f"error [{code_name}]: "), err
+
+
+def test_paths_holding_a_nul_byte_exit_2_with_a_code(capsys, c5_file):
+    for args in (
+        ("nf", "--graph", "x\0y", "--word", "a"),
+        ("subgroup", "index", "--graph", c5_file, "--subgroup", "sp\0ec"),
+    ):
+        code, out, err = run_main(capsys, *args)
+        assert (code, out) == (2, ""), args
+        assert err == "error [INVALID_ARGUMENT]: embedded null byte\n", err
 
 
 def test_unknown_generator_exit_code(capsys, c5_file):

@@ -65,20 +65,22 @@ graph_files = st.one_of(
 
 words = st.lists(st.sampled_from(LABELS + ("e", "z")), max_size=8).map(" ".join)
 radii = st.integers(-2, 12).map(str)
-# verify parity's trial counts and lengths: the work cap (trials times
-# (maxLen + 1)^2) admits one trial at the length cap of 1000, not two
+# verify parity's trial counts and lengths: the work cap admits four trials
+# at the length cap of 1000, not five
 trials = st.integers(-2, 40).map(str)
 past_cap_trials = st.sampled_from(["1000000", "50000000", "1000000000"])
 lengths = st.one_of(radii, st.sampled_from(["1000", "1001", "10000"]))
 
 # a subgroup selector: ("FILE", data) becomes a spec file holding data,
-# "MISSING" a path that does not exist and "DIR" a directory
+# "MISSING" a path that does not exist, "DIR" a directory and "NUL" a path
+# holding a NUL byte (a branch of its own, so that six examples draw it)
 _SPEC_LINES = st.one_of(
     st.text("01x", max_size=5).map(lambda row: f"basis: {row}"),
     st.sampled_from(["# note", "graph: nowhere.txt", "basis:", "bogus"]),
 )
 subgroups = st.one_of(
     st.sampled_from(["commutator", "whole", "MISSING", "DIR"]),
+    st.just("NUL"),
     st.lists(_SPEC_LINES, max_size=3).map(lambda ls: ("FILE", "\n".join(ls).encode())),
     st.just(("FILE", b"basis: \xff\n")),
 )
@@ -142,6 +144,8 @@ def _selector(v, tmp):
         return os.path.join(tmp, "no-such.sub")
     if v == "DIR":
         return tmp
+    if v == "NUL":
+        return os.path.join(tmp, "sp\0ec.sub")
     if isinstance(v, tuple):
         path = os.path.join(tmp, "spec.sub")
         with open(path, "wb") as fh:

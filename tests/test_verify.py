@@ -158,16 +158,20 @@ def test_parity_max_len_cap(c5):
 
 
 def test_parity_work_cap(c5):
-    # the defaults, the acceptance run and one trial at the length cap fit
-    assert 10_000 * 13**2 <= PARITY_MAX_WORK
-    assert (PARITY_MAX_LEN + 1) ** 2 <= PARITY_MAX_WORK
-    for max_len in (1, 12, PARITY_MAX_LEN):
-        trials = PARITY_MAX_WORK // (max_len + 1) ** 2 + 1
+    # (maxLen, units per trial, most trials admitted): the defaults, the
+    # acceptance run (10,000 at maxLen 12) and one trial at the length cap fit
+    for max_len, units, most in (
+        (1, 64, 78_125),
+        (12, 449, 11_135),
+        (100, 12_241, 408),
+        (PARITY_MAX_LEN, 1_022_041, 4),
+    ):
+        assert most * units <= PARITY_MAX_WORK < (most + 1) * units
         with pytest.raises(RadiusCapError) as exc:
-            verify_parity_invariance(c5, trials=trials, max_len=max_len)
+            verify_parity_invariance(c5, trials=most + 1, max_len=max_len)
         assert str(exc.value) == (
-            f"{trials} trials times (maxLen {max_len} + 1)^2 is "
-            f"{trials * (max_len + 1) ** 2}, over the parity work cap {PARITY_MAX_WORK}"
+            f"{most + 1} trials times {units} units per trial at maxLen {max_len} is "
+            f"{(most + 1) * units}, over the parity work cap {PARITY_MAX_WORK}"
         )
     with pytest.raises(RadiusCapError):
         verify_parity_invariance(c5, trials=10**9)
