@@ -18,6 +18,7 @@ automatically s-minimal for each s in its support.
 from __future__ import annotations
 
 from enum import Enum
+from types import MappingProxyType
 from typing import NamedTuple
 
 from . import kernels
@@ -45,9 +46,13 @@ class GoodnessStatus(str, Enum):
 
 
 class GoodnessReport(NamedTuple):
-    per_generator: dict[str, GoodnessStatus]
+    per_generator: MappingProxyType[str, GoodnessStatus]
     bad_set: frozenset[str]
     full_support: bool
+
+    def __reduce__(self):
+        # a read-only mapping cannot be pickled or deep-copied: pass a dict
+        return _frozen_goodness, (dict(self.per_generator), *self[1:])
 
     def to_json_dict(self) -> dict:
         order = list(self.per_generator)
@@ -56,6 +61,10 @@ class GoodnessReport(NamedTuple):
             "badSet": [s for s in order if s in self.bad_set],
             "fullSupport": self.full_support,
         }
+
+
+def _frozen_goodness(per_generator, *rest) -> GoodnessReport:
+    return GoodnessReport(MappingProxyType(per_generator), *rest)
 
 
 class Counterexample(NamedTuple):
@@ -131,7 +140,7 @@ def goodness_report(g: DefiningGraph, word) -> GoodnessReport:
         else:
             statuses[label] = GoodnessStatus.GOOD
     return GoodnessReport(
-        per_generator=statuses,
+        per_generator=MappingProxyType(statuses),
         bad_set=frozenset(bad_labels),
         full_support=present == (1 << g.n) - 1,
     )

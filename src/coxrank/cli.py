@@ -5,6 +5,10 @@ essential, completion, cancellator, dj, subgroup, verify.  Results go to
 stdout as JSON (``--format json``, stable key order, schemaVersion 1) or
 as plain text; diagnostics go to stderr.  Exit codes: 0 success (verify:
 PASS), 1 verify FAIL, 2 usage or precondition errors.
+
+Every handler ``run(g, args)`` is a plain computation: it returns its JSON
+payload and its text lines, and a verify handler also its exit code (1 on
+FAIL).  ``main`` alone writes to stdout and picks the exit code 0, 1 or 2.
 """
 
 from __future__ import annotations
@@ -35,14 +39,6 @@ from .words import (
     parse_word,
     reduce_word,
 )
-
-
-def _emit(payload: dict, fmt: str, lines) -> None:
-    if fmt == "json":
-        print(json.dumps({"schemaVersion": 1, **payload}, indent=2, sort_keys=True))
-    else:
-        for line in lines:
-            print(line)
 
 
 def _add_common(sub, run, graph=True, word=False):
@@ -172,105 +168,78 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_classify(g, args) -> int:
+def _cmd_classify(g, args):
     report = rank_racg(g) if args.kind == "racg" else rank_raag(g)
-    _emit(
-        report.to_json_dict(),
-        args.format,
-        [
-            f"group: {report.group_kind} on {len(g.vertices)} generators",
-            *(
-                f"factor {{{' '.join(f.vertex_set)}}}: {f.kind} rank {f.rank} ({f.note})"
-                for f in report.factors
-            ),
-            f"total rank: {report.total_rank}",
-            f"higher-rank lattice commensurable: {report.higher_rank_lattice_commensurable}",
-        ],
-    )
-    return 0
+    return report.to_json_dict(), [
+        f"group: {report.group_kind} on {len(g.vertices)} generators",
+        *(
+            f"factor {{{' '.join(f.vertex_set)}}}: {f.kind} rank {f.rank} ({f.note})"
+            for f in report.factors
+        ),
+        f"total rank: {report.total_rank}",
+        f"higher-rank lattice commensurable: {report.higher_rank_lattice_commensurable}",
+    ]
 
 
 def _word_unary(op):
-    """Handler printing ``op(g, word)`` for the word given by --word."""
+    """Handler of ``op(g, word)`` for the word given by --word."""
 
-    def run(g, args) -> int:
+    def run(g, args):
         word = parse_word(g, args.word)
-        result = op(g, word)
-        _emit(
-            {"word": format_word(word), "result": format_word(result)},
-            args.format,
-            [format_word(result)],
-        )
-        return 0
+        result = format_word(op(g, word))
+        return {"word": format_word(word), "result": result}, [result]
 
     return run
 
 
-def _cmd_equal(g, args) -> int:
+def _cmd_equal(g, args):
     result = equal(g, parse_word(g, args.left), parse_word(g, args.right))
-    _emit(
-        {"left": args.left, "right": args.right, "equal": result},
-        args.format,
-        ["true" if result else "false"],
-    )
-    return 0
+    payload = {"left": args.left, "right": args.right, "equal": result}
+    return payload, ["true" if result else "false"]
 
 
-def _cmd_parity(g, args) -> int:
+def _cmd_parity(g, args):
     word = parse_word(g, args.word)
     vec = parity_vector(g, word)
-    _emit(
-        {"word": format_word(word), "parity": vec},
-        args.format,
-        [" ".join(f"{k}:{v}" for k, v in vec.items())],
-    )
-    return 0
+    return {"word": format_word(word), "parity": vec}, [
+        " ".join(f"{k}:{v}" for k, v in vec.items())
+    ]
 
 
-def _cmd_essential(g, args) -> int:
+def _cmd_essential(g, args):
     word = parse_word(g, args.word)
     reduced = reduce_word(g, word)
     all_odd = is_all_odd_essential(g, word)
     report = goodness_report(g, reduced)
     good = report.full_support and not report.bad_set
+    hit = falsify_essential(g, word, args.conj_radius)
+    found = None if hit is None else {
+        "conjugator": format_word(hit.conjugator),
+        "parabolic": sorted(hit.parabolic),
+    }
     payload = {
         "word": format_word(word),
         "reduced": format_word(reduced),
         "allOddEssential": all_odd,
         "goodForAllEssential": good,
         "goodness": report.to_json_dict(),
-        "falsifier": {"conjRadius": args.conj_radius},
+        "falsifier": {"conjRadius": args.conj_radius, "counterexample": found},
     }
-    hit = falsify_essential(g, word, args.conj_radius)
-    payload["falsifier"]["counterexample"] = (
-        None
-        if hit is None
-        else {
-            "conjugator": format_word(hit.conjugator),
-            "parabolic": sorted(hit.parabolic),
-        }
+    outcome = "NO_COUNTEREXAMPLE" if found is None else (
+        f"COUNTEREXAMPLE u={found['conjugator']} J={{{' '.join(found['parabolic'])}}}"
     )
-    lines = [
+    return payload, [
         f"all-odd certificate: {all_odd}",
         f"good-for-all-s certificate: {good}",
-        "falsifier (radius %d): %s"
-        % (
-            args.conj_radius,
-            "NO_COUNTEREXAMPLE"
-            if hit is None
-            else f"COUNTEREXAMPLE u={format_word(hit.conjugator)} "
-            f"J={{{' '.join(sorted(hit.parabolic))}}}",
-        ),
+        f"falsifier (radius {args.conj_radius}): {outcome}",
     ]
-    _emit(payload, args.format, lines)
-    return 0
 
 
 def _optional_subgroup(g, args):
-    return resolve_subgroup(g, args.subgroup) if args.subgroup else None
+    return None if args.subgroup is None else resolve_subgroup(g, args.subgroup)
 
 
-def _cmd_cancellator(g, args) -> int:
+def _cmd_cancellator(g, args):
     word = parse_word(g, args.word)
     final, trace = essentialize(g, word, _optional_subgroup(g, args))
     payload = {
@@ -278,85 +247,64 @@ def _cmd_cancellator(g, args) -> int:
         "final": format_word(final),
         "trace": trace.to_json_dict(),
     }
-    _emit(
-        payload,
-        args.format,
-        [
-            f"final: {format_word(final)}",
-            f"total multiplier: {format_word(trace.total_multiplier)}",
-            f"steps: {len(trace.steps)} (exponent {trace.exponent})",
-        ],
-    )
-    return 0
+    return payload, [
+        f"final: {format_word(final)}",
+        f"total multiplier: {format_word(trace.total_multiplier)}",
+        f"steps: {len(trace.steps)} (exponent {trace.exponent})",
+    ]
 
 
-def _cmd_dj(g, args) -> int:
+def _cmd_dj(g, args):
     doubled = dj_prime(g) if args.variant == "prime" else dj_double_prime(g)
     note = (
         "the Artin group of the base graph and the Coxeter group of the 'prime' "
         "double embed in the Coxeter group of the 'doubleprime' double with index "
         "2^|vertices| (recorded as metadata, not verified here)"
     )
-    _emit(
-        {
-            "variant": args.variant,
-            "vertices": list(doubled.vertices),
-            "edges": [[a, b] for a, b in doubled.edge_labels()],
-            "note": note,
-        },
-        args.format,
-        doubled.to_text().splitlines(),
-    )
-    return 0
+    payload = {
+        "variant": args.variant,
+        "vertices": list(doubled.vertices),
+        "edges": [[a, b] for a, b in doubled.edge_labels()],
+        "note": note,
+    }
+    return payload, doubled.to_text().splitlines()
 
 
-def _cmd_subgroup_member(g, args) -> int:
+def _cmd_subgroup_member(g, args):
     spec = resolve_subgroup(g, args.subgroup)
     index, _ = index_and_exponent(spec)
     word = parse_word(g, args.word)
     ok = member(spec, word)
-    _emit(
-        {"word": format_word(word), "member": ok, "index": index},
-        args.format,
-        ["true" if ok else "false"],
-    )
-    return 0
+    payload = {"word": format_word(word), "member": ok, "index": index}
+    return payload, ["true" if ok else "false"]
 
 
-def _cmd_subgroup_index(g, args) -> int:
+def _cmd_subgroup_index(g, args):
     spec = resolve_subgroup(g, args.subgroup)
     index, exponent = index_and_exponent(spec)
-    _emit(
-        {
-            "index": index,
-            "exponent": exponent,
-            "dimension": len(spec.basis),
-            "basis": basis_strings(spec),
-        },
-        args.format,
-        [f"index: {index}", f"exponent: {exponent}"],
-    )
-    return 0
+    payload = {
+        "index": index,
+        "exponent": exponent,
+        "dimension": len(spec.basis),
+        "basis": basis_strings(spec),
+    }
+    return payload, [f"index: {index}", f"exponent: {exponent}"]
 
 
 def _verify(check):
-    """Handler for a verify run: ``check(g, args)`` builds the report; exit
-    0 on PASS, 1 on FAIL."""
+    """Handler for a verify run: ``check(g, args)`` builds the report; the
+    exit code is 0 on PASS, 1 on FAIL."""
 
-    def run(g, args) -> int:
+    def run(g, args):
         report = check(g, args)
-        _emit(
-            report.to_json_dict(),
-            args.format,
-            [
-                f"check: {report.check}",
-                f"total cases: {report.total_cases}",
-                f"failures: {len(report.failures)}",
-                f"elapsed: {report.elapsed_ms} ms",
-                f"verdict: {report.verdict}",
-            ],
-        )
-        return 0 if report.verdict == "PASS" else 1
+        lines = [
+            f"check: {report.check}",
+            f"total cases: {report.total_cases}",
+            f"failures: {len(report.failures)}",
+            f"elapsed: {report.elapsed_ms} ms",
+            f"verdict: {report.verdict}",
+        ]
+        return report.to_json_dict(), lines, 0 if report.verdict == "PASS" else 1
 
     return run
 
@@ -365,18 +313,20 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         g = load_graph(args.graph) if "graph" in args else None
-        return args.run(g, args)
-    except CoxrankError as exc:
-        print(f"error [{exc.code}]: {exc}", file=sys.stderr)
-        return 2
-    except UnicodeDecodeError as exc:
-        print(f"error [NOT_UTF8]: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error [FILE_UNREADABLE]: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:  # e.g. a path holding a NUL byte
-        print(f"error [INVALID_ARGUMENT]: {exc}", file=sys.stderr)
+        payload, lines, *status = args.run(g, args)
+        if args.format == "json":
+            lines = [json.dumps({"schemaVersion": 1, **payload}, indent=2, sort_keys=True)]
+        for line in lines:
+            print(line)
+        return status[0] if status else 0
+    except (CoxrankError, OSError, ValueError) as exc:
+        code = (
+            exc.code if isinstance(exc, CoxrankError)
+            else "NOT_UTF8" if isinstance(exc, UnicodeDecodeError)
+            else "FILE_UNREADABLE" if isinstance(exc, OSError)
+            else "INVALID_ARGUMENT"  # e.g. a path holding a NUL byte
+        )
+        print(f"error [{code}]: {exc}", file=sys.stderr)
         return 2
 
 

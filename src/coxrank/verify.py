@@ -24,6 +24,7 @@ from bisect import bisect_right
 from collections import Counter
 from itertools import combinations, product
 from operator import or_
+from types import MappingProxyType
 from typing import NamedTuple
 
 from . import kernels
@@ -74,20 +75,27 @@ FALSIFIER_MAX_WORK = 5_000_000
 
 
 class VerificationReport(NamedTuple):
+    """A verify run's result; ``params`` is a read-only mapping and
+    ``failures`` a tuple, so the report cannot disagree with its verdict."""
+
     check: str
-    params: dict
+    params: MappingProxyType
     total_cases: int
-    failures: list
+    failures: tuple
     elapsed_ms: int
     verdict: str
     seed: int | None = None
 
+    def __reduce__(self):
+        # a read-only mapping cannot be pickled or deep-copied: pass a dict
+        return _frozen_report, (self.check, dict(self.params), *self[2:])
+
     def to_json_dict(self) -> dict:
         d = {
             "check": self.check,
-            "params": self.params,
+            "params": dict(self.params),
             "totalCases": self.total_cases,
-            "failures": self.failures,
+            "failures": list(self.failures),
             "elapsedMs": self.elapsed_ms,
             "verdict": self.verdict,
         }
@@ -96,14 +104,18 @@ class VerificationReport(NamedTuple):
         return d
 
 
+def _frozen_report(check, params, *rest) -> VerificationReport:
+    return VerificationReport(check, MappingProxyType(params), *rest)
+
+
 def _finish(check, params, failures, total, t0, seed=None) -> VerificationReport:
     if total == 0 and not failures:
         failures = [{"reason": "EMPTY_DOMAIN"}]
     return VerificationReport(
         check=check,
-        params=params,
+        params=MappingProxyType(params),
         total_cases=total,
-        failures=failures,
+        failures=tuple(failures),
         elapsed_ms=int((time.perf_counter() - t0) * 1000),
         verdict="PASS" if not failures else "FAIL",
         seed=seed,

@@ -433,10 +433,10 @@ def test_pipeline_output_that_leaves_the_subgroup_is_a_contract_violation(
     ]
     report = verify_subgroup_covering(c5, commutator_subgroup(c5), radius=4)
     assert report.verdict == "FAIL"
-    assert report.failures[:2] == [
+    assert report.failures[:2] == (
         {"word": "e", "reason": reason},
         {"word": "a c a c", "reason": reason},
-    ]
+    )
     assert len(report.failures) == report.total_cases
 
 

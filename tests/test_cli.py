@@ -229,9 +229,10 @@ J = ("--format", "json")
 T = ("--format", "text")
 
 # SHA-256 of each command's output: stdout without the elapsedMs or
-# "elapsed: N ms" line when it succeeds, "exit 2" and stderr when it is
-# refused.  Reports are byte-reproducible for fixed arguments, so a changed
-# digest is a changed report
+# "elapsed: N ms" line when it succeeds (after an "exit 1" line for a verify
+# FAIL), "exit 2" and stderr when it is refused.  Reports are
+# byte-reproducible for fixed arguments, so a changed digest is a changed
+# report
 JSON_DIGESTS = [
     (("verify", "covering", "--graph", C5, "--radius", "8", *J),
      "7889b907921e58eab73475c31899bea4dcf804e791555de8e24d447a5ec576a9"),
@@ -326,6 +327,29 @@ JSON_DIGESTS = [
      "f4d2ce5a95e6662ff64660b4416110e31273a0b1259c8191958e23f13f464ce9"),
     (("verify", "covering", "--graph", C5, "--radius", "11", *J),
      "b4d53b1928478c8e6007ba2202d42efad9ae110184a5143c643a786257c95d84"),
+    # no counterexample: the falsifier's counterexample is null
+    (("essential", "--graph", C5, "--word", "a b c d e", *J),
+     "c7748a23833d94398e7048dd27d960033530451b8955aba2e54cbba0972e73df"),
+    (("essential", "--graph", C5, "--word", "a b c d e", *T),
+     "9205c2d4b554336b60ce878a755b9f352274159403343fede8ef7bfdca711aab"),
+    # no --subgroup: an odd word, outside the commutator subgroup
+    (("cancellator", "--graph", C5, "--word", "a b c", *J),
+     "21cb5acd43753c5ba5229b49f1c15facb7eb47e97e1ac3099c3b007f8665c84b"),
+    (("cancellator", "--graph", C5, "--word", "a b c", *T),
+     "d65461861db153cbdc7f084675453022ed0de14e55f329e3f2949c49490d5955"),
+    (("dj", "--graph", K3, "--variant", "doubleprime", *T),
+     "877f0ecfeb822800ec40d2a9d00dedf5457828dc2f2af7dbe3813bbf2c96d499"),
+    (("classify", "--graph", C4, "--kind", "raag", *T),
+     "8048edb968cc1f2073a486dde808afd55a23bc3872e28dbe0358484f017c374e"),
+    (("subgroup", "index", "--graph", C5, "--subgroup", "commutator", *T),
+     "44ca9d9428a6f259675d554ba99d05b9694bdfeb87cb916fdd42241fc0270810"),
+    (("verify", "uniformity", "--graph", C5, "--radius", "6", *T),
+     "b77d277b6ec2cdbccdcd6502ecec195a77fbaea50a08a35f938af3aadad3d8d5"),
+    # FAIL on an empty domain: exit 1
+    (("verify", "uniformity", "--graph", C5, "--radius", "0", *J),
+     "d24f52d7ce9fa9412f01c0f721dcecdc5420bfb5aa9c49a0e7fec55af86a87f7"),
+    (("verify", "uniformity", "--graph", C5, "--radius", "0", *T),
+     "dd37dc8a01812288c8c69137750fd74f83bc97bdaffdaf146f0b7c602b2ee33d"),
 ]
 
 
@@ -336,9 +360,11 @@ def test_json_reports_keep_their_bytes(capsys):
             assert out == ""
             got = f"exit {code}\n{err}"
         else:
-            assert (code, err) == (0, "")
+            assert code in (0, 1) and err == "", argv
             got = re.sub(r'\n *"elapsedMs": \d+,', "", out)
             got = re.sub(r"^elapsed: \d+ ms\n", "", got, flags=re.M)
+            if code == 1:
+                got = f"exit 1\n{got}"
         assert hashlib.sha256(got.encode()).hexdigest() == digest, argv
 
 
@@ -427,6 +453,52 @@ def test_paths_holding_a_nul_byte_exit_2_with_a_code(capsys, c5_file):
         code, out, err = run_main(capsys, *args)
         assert (code, out) == (2, ""), args
         assert err == "error [INVALID_ARGUMENT]: embedded null byte\n", err
+
+
+# each family that takes --subgroup, run on C5 with the selector appended
+SUBGROUP_FAMILIES = {
+    "cancellator": ("cancellator", "--word", "a b a b"),
+    "subgroup-covering": ("verify", "subgroup-covering", "--radius", "2"),
+    "uniformity": ("verify", "uniformity", "--radius", "5"),
+    "member": ("subgroup", "member", "--word", "a b a b"),
+    "index": ("subgroup", "index"),
+}
+
+
+def _spec_file(tmp, data):
+    path = tmp / "spec.sub"
+    path.write_bytes(data)
+    return str(path)
+
+
+# each selector: how to make it in a temporary directory, and the error code
+# it exits 2 with (None: it names a subgroup)
+SUBGROUP_SELECTORS = {
+    "commutator": (lambda tmp: "commutator", None),
+    "whole": (lambda tmp: "whole", None),
+    "missing": (lambda tmp: str(tmp / "missing.sub"), "FILE_UNREADABLE"),
+    "directory": (lambda tmp: str(tmp), "FILE_UNREADABLE"),
+    "nul-byte": (lambda tmp: str(tmp / "sp\0ec.sub"), "INVALID_ARGUMENT"),
+    "malformed-row": (lambda tmp: _spec_file(tmp, b"basis: 10x00\n"), "SUBGROUP_PARSE_ERROR"),
+    "not-utf8": (lambda tmp: _spec_file(tmp, b"basis: \xff\n"), "NOT_UTF8"),
+    "empty": (lambda tmp: "", "FILE_UNREADABLE"),
+}
+
+
+@pytest.mark.parametrize("selector", sorted(SUBGROUP_SELECTORS))
+@pytest.mark.parametrize("family", sorted(SUBGROUP_FAMILIES))
+def test_every_subgroup_selector_in_every_family(capsys, tmp_path, family, selector):
+    make, error = SUBGROUP_SELECTORS[selector]
+    argv = (*SUBGROUP_FAMILIES[family], "--graph", C5, "--subgroup", make(tmp_path))
+    code, out, err = run_main(capsys, *argv)
+    if error is None:
+        # no element of the commutator subgroup within radius 5 has full
+        # support, so uniformity finds an empty domain and FAILs
+        empty = (family, selector) == ("uniformity", "commutator")
+        assert (code, err) == (1 if empty else 0, ""), argv
+    else:
+        assert (code, out) == (2, ""), argv
+        assert err.startswith(f"error [{error}]: "), err
 
 
 def test_unknown_generator_exit_code(capsys, c5_file):

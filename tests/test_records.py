@@ -1,7 +1,10 @@
 """The library's result records are immutable NamedTuples, and importing
 coxrank generates no code for them."""
 
+import copy
+import json
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -16,8 +19,15 @@ from coxrank import (
     falsify_essential,
     goodness_report,
     rank_racg,
+    verify_cancellator_uniformity,
     verify_covering,
+    verify_essential_certificates,
+    verify_join_lemma,
+    verify_parity_invariance,
+    verify_subgroup_covering,
+    verify_word_problem,
 )
+from coxrank.certificates import GoodnessStatus
 
 SRC = Path(coxrank.__file__).resolve().parent.parent
 # e b d c . a . c d b e: a conjugate of a with full support
@@ -79,3 +89,46 @@ def test_every_result_record_is_an_immutable_named_tuple(c5):
         for f in fields:
             with pytest.raises(AttributeError):
                 setattr(x, f, getattr(x, f))
+
+
+# one small run of each verify function
+VERIFY_RUNS = {
+    "parity": lambda g: verify_parity_invariance(g, trials=20, max_len=4, seed=1),
+    "wordproblem": lambda g: verify_word_problem(g, max_len=2),
+    "covering": lambda g: verify_covering(g, 2),
+    "subgroup-covering": lambda g: verify_subgroup_covering(g, commutator_subgroup(g), 2),
+    "uniformity": lambda g: verify_cancellator_uniformity(g, radius=0),
+    "joinlemma": lambda g: verify_join_lemma(3),
+    "certificates": lambda g: verify_essential_certificates(g, radius=2, conj_radius=1),
+}
+
+
+@pytest.mark.parametrize("check", sorted(VERIFY_RUNS))
+def test_reports_cannot_be_changed_in_place(c5, check):
+    report = VERIFY_RUNS[check](c5)
+    before = json.dumps(report.to_json_dict())
+    with pytest.raises(AttributeError):
+        report.failures.append({"reason": "X"})
+    with pytest.raises(TypeError):
+        report.params["radius"] = -1
+    # the JSON view is a fresh copy: changing it leaves the report alone
+    view = report.to_json_dict()
+    view["failures"].append({"reason": "X"})
+    view["params"]["radius"] = -1
+    assert json.dumps(report.to_json_dict()) == before
+    # pickling and deep copies keep the report equal and read-only
+    for twin in (pickle.loads(pickle.dumps(report)), copy.deepcopy(report)):
+        assert twin == report
+        with pytest.raises(TypeError):
+            twin.params["radius"] = -1
+
+
+def test_goodness_report_cannot_be_changed_in_place(c5):
+    report = goodness_report(c5, ("a", "b", "c"))
+    with pytest.raises(TypeError):
+        report.per_generator["a"] = GoodnessStatus.NOT_GOOD
+    assert report.per_generator["a"] is GoodnessStatus.GOOD
+    for twin in (pickle.loads(pickle.dumps(report)), copy.deepcopy(report)):
+        assert twin == report
+        with pytest.raises(TypeError):
+            twin.per_generator["a"] = GoodnessStatus.NOT_GOOD

@@ -253,7 +253,7 @@ def test_covering_histogram_per_class_matches_word_by_word(c5):
     failures, hist = _covering_word_by_word(c5, ball)
     report = verify_covering(c5, radius=8)
     assert report.params["alphaHistogram"] == {k: hist[k] for k in sorted(hist)}
-    assert (report.failures, report.total_cases) == (failures, len(ball))
+    assert (report.failures, report.total_cases) == (tuple(failures), len(ball))
 
 
 def test_covering_precondition(c4):
@@ -298,14 +298,14 @@ def test_uniformity_with_a_subgroup_groups_only_members(c5):
     assert sum(sizes) == len(grouped)
     # a full-support commutator member has every letter twice: length >= 10
     report = verify_cancellator_uniformity(c5, commutator_subgroup(c5), radius=6)
-    assert report.failures == [{"reason": "EMPTY_DOMAIN"}]
+    assert report.failures == ({"reason": "EMPTY_DOMAIN"},)
     assert report.params["perBadSet"] == {}
 
 
 def test_uniformity_empty_domain(c5):
     report = verify_cancellator_uniformity(c5, radius=0)
     assert report.verdict == "FAIL"
-    assert report.failures == [{"reason": "EMPTY_DOMAIN"}]
+    assert report.failures == ({"reason": "EMPTY_DOMAIN"},)
 
 
 def test_join_lemma_counts():
@@ -340,7 +340,7 @@ def test_join_lemma_reports_failures_in_visit_order(monkeypatch):
     report = verify_join_lemma(4)
     want = [{"graph": g.to_text()} for g in every_graph(4) if g.edge_count == 1]
     assert len(want) == 0 + 1 + 3 + 6
-    assert report.failures == want
+    assert report.failures == tuple(want)
     assert report.verdict == "FAIL"
 
 
@@ -354,7 +354,7 @@ def test_certificates_empty_ball_is_empty_domain(c5):
     # no ball(4) element on the pentagon is certified by either criterion
     report = verify_essential_certificates(c5, radius=4, conj_radius=2)
     assert report.verdict == "FAIL"
-    assert report.failures == [{"reason": "EMPTY_DOMAIN"}]
+    assert report.failures == ({"reason": "EMPTY_DOMAIN"},)
 
 
 def test_certificates_selftest_flags_uncertified_word(c5):
@@ -581,6 +581,6 @@ def test_out_of_range_parameters_raise_a_coded_error(c5):
         assert isinstance(exc.value, ValueError)
         assert exc.value.code == "PARAMETER_OUT_OF_RANGE"
     # the smallest accepted values still never pass an empty domain
-    assert verify_parity_invariance(c5, trials=0).failures == [{"reason": "EMPTY_DOMAIN"}]
+    assert verify_parity_invariance(c5, trials=0).failures == ({"reason": "EMPTY_DOMAIN"},)
     assert verify_parity_invariance(c5, trials=20, max_len=1).verdict == "PASS"
-    assert verify_word_problem(c5, max_len=0).failures == [{"reason": "EMPTY_DOMAIN"}]
+    assert verify_word_problem(c5, max_len=0).failures == ({"reason": "EMPTY_DOMAIN"},)
