@@ -2,10 +2,11 @@
 """Time the word kernels, the ball, the falsifier, goodness and the verify
 loops, and record them in BENCH_kernels.json.
 
-Usage: python3 benchmarks/bench_kernels.py [--words N] [--max-len L] [--label NAME]
+Usage: python3 benchmarks/bench_kernels.py [--label NAME]
 
 Times is_reduced, reduce_word and normal_form over a seeded corpus of
-random words on the pentagon graph, normal_form again over the words
+CORPUS_WORDS random words of at most CORPUS_MAX_LEN letters on the
+pentagon graph, normal_form again over the words
 one radius-10 ball passes to it (recorded untimed, in call order),
 ``words.equal`` on seeded pairs of long words (half of them equal by
 random legal moves, half one letter off),
@@ -64,9 +65,12 @@ from coxrank import certificates, kernels, verify, words  # noqa: E402
 from coxrank.graphs import DefiningGraph  # noqa: E402
 from coxrank.subgroups import parse_subgroup_file  # noqa: E402
 from perfbench.clock import SpeedClock  # noqa: E402
+from perfbench.workloads import report_payload  # noqa: E402
 
 C5 = DefiningGraph("abcde", [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e"), ("e", "a")])
 CORPUS_SEED = 12345
+CORPUS_WORDS = 20_000
+CORPUS_MAX_LEN = 40
 BALL_RADII = (8, 10)
 REPEATS = 5
 IMPORT_REPEATS = 15
@@ -88,11 +92,11 @@ EQUAL_LENGTHS = (50, 300)
 OUT = ROOT / "BENCH_kernels.json"
 
 
-def _corpus(n_words, max_len):
+def _corpus():
     rng = random.Random(CORPUS_SEED)
     return [
-        bytes(rng.randrange(C5.n) for _ in range(rng.randint(0, max_len)))
-        for _ in range(n_words)
+        bytes(rng.randrange(C5.n) for _ in range(rng.randint(0, CORPUS_MAX_LEN)))
+        for _ in range(CORPUS_WORDS)
     ]
 
 
@@ -156,12 +160,6 @@ def _falsify_all(certified, conj_ball):
     return [certificates._falsify_enc(C5, w, table) for w in certified]
 
 
-def _payload(report):
-    d = report.to_json_dict()
-    del d["elapsedMs"]
-    return d
-
-
 def _coxrank_modules():
     return sorted(k for k in sys.modules if k == "coxrank" or k.startswith("coxrank."))
 
@@ -202,17 +200,15 @@ def _row(op, params, run, view=lambda result: result, repeats=REPEATS):
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--words", type=int, default=20_000)
-    parser.add_argument("--max-len", type=int, default=40)
     parser.add_argument("--label", default="current", help="key of this run in the file")
     args = parser.parse_args()
 
-    corpus = _corpus(args.words, args.max_len)
+    corpus = _corpus()
     comm = C5.comm_masks
     corpus_params = {
         "graph": "C5",
-        "words": args.words,
-        "maxLen": args.max_len,
+        "words": CORPUS_WORDS,
+        "maxLen": CORPUS_MAX_LEN,
         "seed": CORPUS_SEED,
     }
     rows = [
@@ -279,7 +275,7 @@ def main():
             "subgroup_covering",
             {"graph": "C5", "subgroup": SUBGROUP_FILE, "radius": r},
             lambda r=r: verify.verify_subgroup_covering(C5, spec, r),
-            _payload,
+            report_payload,
         )
         for r in SUBGROUP_RADII
     ]
@@ -288,7 +284,7 @@ def main():
             "uniformity",
             {"graph": "C5", "radius": UNIFORMITY_RADIUS},
             lambda: verify.verify_cancellator_uniformity(C5, None, UNIFORMITY_RADIUS),
-            _payload,
+            report_payload,
         )
     )
     rows += [
@@ -302,19 +298,19 @@ def main():
             "wordproblem",
             {"graph": "C5", "maxLen": WORD_PROBLEM_MAX_LEN},
             lambda: verify.verify_word_problem(C5, WORD_PROBLEM_MAX_LEN),
-            _payload,
+            report_payload,
         ),
         _row(
             "join_lemma",
             {"maxVertices": JOIN_MAX_VERTICES},
             lambda: verify.verify_join_lemma(JOIN_MAX_VERTICES),
-            _payload,
+            report_payload,
         ),
         _row(
             "parity",
             {"graph": "C5", "trials": PARITY_TRIALS, "seed": PARITY_SEED},
             lambda: verify.verify_parity_invariance(C5, PARITY_TRIALS, seed=PARITY_SEED),
-            _payload,
+            report_payload,
         ),
     ]
     rows.append(

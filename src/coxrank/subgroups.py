@@ -147,7 +147,7 @@ def parse_subgroup_file(
 ) -> SubgroupSpec:
     """Parse a subgroup spec file.
 
-    Lines: comments start with '#'; an optional ``graph: <path>`` line
+    Lines: comments start with '#'; at most one ``graph: <path>`` line
     names the ambient graph file (resolved against ``base_dir``); each
     ``basis: <0/1 string>`` line contributes a parity vector.  A ``graph``
     argument stands in for a missing graph line.  Without ``base_dir`` it
@@ -161,6 +161,8 @@ def parse_subgroup_file(
         if not line or line.startswith("#"):
             continue
         if line.startswith("graph:"):
+            if graph_path is not None:
+                raise SubgroupParseError(f"line {lineno}: repeated 'graph:' line")
             graph_path = line[len("graph:"):].strip()
         elif line.startswith("basis:"):
             rows.append(line[len("basis:"):].strip())

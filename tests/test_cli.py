@@ -350,6 +350,15 @@ JSON_DIGESTS = [
      "d24f52d7ce9fa9412f01c0f721dcecdc5420bfb5aa9c49a0e7fec55af86a87f7"),
     (("verify", "uniformity", "--graph", C5, "--radius", "0", *T),
      "dd37dc8a01812288c8c69137750fd74f83bc97bdaffdaf146f0b7c602b2ee33d"),
+    # the word problem at its largest lengths on each shipped graph
+    (("verify", "wordproblem", "--graph", C5, "--max-len", "6", *J),
+     "6decdb485bf1e4287b586d4375b7f642c9c49b58ed927299dfabbf0aacbe6813"),
+    (("verify", "wordproblem", "--graph", C4, "--max-len", "5", *J),
+     "f85948b991acc33fc24937eb21b02fcabb95d3a8e4a7642770369ccab5c0fcfe"),
+    (("verify", "wordproblem", "--graph", K3, "--max-len", "6", *J),
+     "e584ef366763f931f1dd90e65ccf5e1b8f856362b4d6adca15cc63f5594249e8"),
+    (("verify", "wordproblem", "--graph", DINF, "--max-len", "6", *T),
+     "b2c16abca21b5c88843d42d6ad09177b365c32dee5bc854b9f383f72e8f424d9"),
 ]
 
 
@@ -376,6 +385,17 @@ def test_malformed_subgroup_file_exit_code(capsys, c5_file, tmp_path):
     )
     assert code == 2
     assert "[SUBGROUP_PARSE_ERROR]" in err
+
+
+def test_spec_file_with_two_graph_lines_exits_2(capsys, c5_file, c4_file, tmp_path):
+    spec = tmp_path / "two.sub"
+    for first, second in ((c4_file, c5_file), (c5_file, c4_file)):
+        spec.write_text(f"graph: {first}\n# comment\ngraph: {second}\nbasis: 11000\n")
+        code, out, err = run_main(
+            capsys, "subgroup", "index", "--graph", c5_file, "--subgroup", str(spec)
+        )
+        assert (code, out) == (2, "")
+        assert err == "error [SUBGROUP_PARSE_ERROR]: line 3: repeated 'graph:' line\n"
 
 
 def test_spec_file_naming_another_graph_exits_2(capsys, c5_file, tmp_path):

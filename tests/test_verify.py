@@ -1,5 +1,5 @@
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -516,11 +516,7 @@ def test_word_problem_fails_on_a_normal_form_that_is_not_canonical(c5, monkeypat
     monkeypatch.setattr(coxrank.kernels, "normal_form", coxrank.kernels.reduce_word)
     report = verify_word_problem(c5, max_len=3)
     assert report.verdict == "FAIL"
-    assert report.failures[0] == {
-        "left": "a b",
-        "right": "b a",
-        "kind": "oracle-equal-but-normal-forms-differ",
-    }
+    assert report.failures[0] == {"word": "b a", "normalForm": "b a", "classLeast": "a b"}
 
 
 def test_word_problem_fails_on_a_normal_form_that_merges_two_elements(c5, monkeypatch):
@@ -533,12 +529,31 @@ def test_word_problem_fails_on_a_normal_form_that_merges_two_elements(c5, monkey
     monkeypatch.setattr(coxrank.kernels, "normal_form", merged)
     report = verify_word_problem(c5, max_len=3)
     assert report.verdict == "FAIL"
-    assert report.failures[0] == {
-        "left": "a",
-        "right": "b",
-        "kind": "normal-forms-equal-but-oracle-differs",
-    }
-    assert {f["kind"] for f in report.failures} == {"normal-forms-equal-but-oracle-differs"}
+    assert report.failures[0] == {"word": "b", "normalForm": "a", "classLeast": "b"}
+    assert {f["normalForm"] for f in report.failures} == {"a"}
+
+
+def test_word_problem_fails_on_a_canonical_normal_form_that_is_not_least(c5, monkeypatch):
+    # the least normal form under the reversed letter order: the lex-greatest
+    real = coxrank.kernels.normal_form
+    n = c5.n
+    flipped = [0] * n
+    for a, b in product(range(n), repeat=2):
+        if (c5.comm_masks[a] >> b) & 1:
+            flipped[n - 1 - a] |= 1 << (n - 1 - b)
+
+    def greatest(w, comm):
+        return bytes(n - 1 - x for x in real(bytes(n - 1 - x for x in w), flipped))
+
+    # it is canonical: normal forms and closure classes correspond one to one
+    roots, _ = _closure_partition(n, c5.comm_masks, 5)
+    words = [bytes(d) for k in range(4) for d in product(range(n), repeat=k)]
+    pairs = {(roots[x], greatest(w, c5.comm_masks)) for x, w in enumerate(words)}
+    assert len(pairs) == len({r for r, _ in pairs}) == len({nf for _, nf in pairs})
+    monkeypatch.setattr(coxrank.kernels, "normal_form", greatest)
+    report = verify_word_problem(c5, max_len=3)
+    assert report.verdict == "FAIL"
+    assert report.failures[0] == {"word": "a b", "normalForm": "b a", "classLeast": "a b"}
 
 
 def _hexagon():
