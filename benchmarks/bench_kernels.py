@@ -13,7 +13,9 @@ random legal moves, half one letter off),
 ``words.ball_bytes`` at radii 8 and 10, and the falsifier core on the
 certified words of the radius-8 ball plus one planted non-essential
 word, at conjugation radius 4 (the conjugator table build and the
-falsifier calls, timed together).  Then
+falsifier calls, timed together, one call per word), and
+``verify_essential_certificates`` on the same radii, which falsifies one
+word of each inverse pair.  Then
 the enumerate paths: ``certificates.bad_mask`` on the full-support
 elements of the radius-10 ball, ``verify_subgroup_covering`` with the
 index-8 parity subgroup of ``graphs/parity8.sub`` at radii 8 and 10, and
@@ -257,6 +259,14 @@ def main():
         "words": len(certified),
     }
     rows.append(_row("falsify", falsify_params, lambda: _falsify_all(certified, conj_ball)))
+    rows.append(
+        _row(
+            "certificates",
+            {"graph": "C5", "radius": FALSIFY_RADIUS, "conjRadius": CONJ_RADIUS},
+            lambda: verify.verify_essential_certificates(C5, FALSIFY_RADIUS, CONJ_RADIUS),
+            report_payload,
+        )
+    )
     full = (1 << C5.n) - 1
     full_support = [
         w for w in words.ball_bytes(C5, GOODNESS_RADIUS) if words.support_bits(w) == full

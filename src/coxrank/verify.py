@@ -50,6 +50,7 @@ from .words import (
     encode_word,
     format_word,
     parity_bits,
+    require_radius,
     support_bits,
 )
 
@@ -70,7 +71,7 @@ PARITY_MOVE_UNITS = 20
 PARITY_MAX_WORK = 5_000_000
 # certified words times conjugators a certificates run may try: each ball
 # passes its own cap, but their product does not (C5 at radius 10 and
-# conj-radius 4 needs 3.95M, about 2.6 s; at conj-radius 6, 27.6M)
+# conj-radius 4 needs 3.95M, about 1.4 s; at conj-radius 6, 27.6M)
 FALSIFIER_MAX_WORK = 5_000_000
 
 
@@ -628,16 +629,28 @@ def verify_essential_certificates(
     element's prefix is built from its prefix's conjugate by one letter.
     Leaf conjugators (the last sphere, in an infinite group) get only a
     support, from the count of their last letter in the prefix's
-    conjugate, which decides exactly whether that letter survives.  The
-    evidence is unchanged: every conjugator up to ``conj_radius``, first
-    hit in shortlex order.
+    conjugate, which decides exactly whether that letter survives.
 
-    A run whose certified words times conjugators exceed
-    FALSIFIER_MAX_WORK raises ``RadiusCapError`` before any falsifying."""
+    Each inverse pair of certified elements is falsified once.  The
+    conjugate ``u w^-1 u^-1`` is the inverse of ``u w u^-1``, and an
+    element and its inverse have the same support (a reduced word read
+    backwards is reduced and has the same letters), so ``w`` and ``w^-1``
+    get the same first hit: the same conjugator and the same parabolic.
+    Results are kept by normal form; ball words are normal forms
+    already, and an extra word is looked up by its normal form.  The
+    evidence is unchanged: every conjugator up to ``conj_radius``, first
+    hit in shortlex order, for every certified word.
+
+    Unknown extra labels raise first, then an out-of-range ``radius`` or
+    ``conj_radius``, before any ball is built.  A run whose certified
+    words times conjugators exceed FALSIFIER_MAX_WORK raises
+    ``RadiusCapError`` before any falsifying."""
     t0 = time.perf_counter()
     _require_serial(jobs)
     # encoded first, so an unknown label raises before any enumeration
     extra = [(encode_word(g, word), "assumed") for word in extra_certified]
+    require_radius(radius)
+    require_radius(conj_radius)
     full = (1 << g.n) - 1
     certified: list[tuple[bytes, str]] = []
     for w in ball_bytes(g, radius):
@@ -654,9 +667,14 @@ def verify_essential_certificates(
             f"is {work}, over the falsifier's work cap {FALSIFIER_MAX_WORK}"
         )
     table = conjugator_table(g, conj_ball)
+    comm = g.comm_masks
+    hits: dict[bytes, tuple[bytes, int] | None] = {}  # normal form -> first hit
     failures = []
     for w, why in certified:
-        hit = _falsify_enc(g, w, table)
+        key = kernels.normal_form(w, comm) if why == "assumed" else w
+        if key not in hits:
+            hits[key] = hits[kernels.normal_form(key[::-1], comm)] = _falsify_enc(g, w, table)
+        hit = hits[key]
         if hit is not None:
             u, supp = hit
             failures.append(

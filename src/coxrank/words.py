@@ -146,6 +146,15 @@ def support(g: DefiningGraph, word) -> frozenset[str]:
     return frozenset(decode_word(g, kernels.reduce_word(encode_word(g, word), g.comm_masks)))
 
 
+def require_radius(radius: int) -> None:
+    """Refuse a ball radius below 0 (``ParameterRangeError``) or above
+    MAX_BALL_RADIUS (``RadiusCapError``), before any ball is built."""
+    if radius < 0:
+        raise ParameterRangeError(f"radius must be at least 0, got {radius}")
+    if radius > MAX_BALL_RADIUS:
+        raise RadiusCapError(f"radius {radius} exceeds cap {MAX_BALL_RADIUS}")
+
+
 def ball_bytes(g: DefiningGraph, radius: int) -> list[bytes]:
     """All elements of reduced length <= radius as encoded normal forms,
     shortlex sorted (byte order = vertex order).
@@ -166,14 +175,11 @@ def ball_bytes(g: DefiningGraph, radius: int) -> list[bytes]:
     62,710 get one or two letters, which ``normal_form`` answers in closed
     form.
 
-    Radii above MAX_BALL_RADIUS raise ``RadiusCapError``, and so does a
-    ball that could outgrow MAX_BALL_ELEMENTS: each frontier element adds
+    The radius passes ``require_radius``.  A ball that could outgrow
+    MAX_BALL_ELEMENTS raises ``RadiusCapError``: each frontier element adds
     at most n to the next sphere, so the bound is checked before each
     sphere is built and nothing is allocated past it."""
-    if radius < 0:
-        raise ParameterRangeError(f"radius must be at least 0, got {radius}")
-    if radius > MAX_BALL_RADIUS:
-        raise RadiusCapError(f"radius {radius} exceeds cap {MAX_BALL_RADIUS}")
+    require_radius(radius)
     comm = g.comm_masks
     nf = kernels.normal_form
     gens = [(bytes([x]), 1 << x, comm[x], _commuters(comm[x])) for x in range(g.n)]

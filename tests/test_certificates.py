@@ -307,6 +307,39 @@ def test_incremental_falsifier_matches_reducing_every_conjugate():
     assert hits > 50 and misses > 50 and last_sphere > 20
 
 
+def test_a_word_and_its_inverse_get_the_same_first_hit():
+    # u w^-1 u^-1 is the inverse of u w u^-1, which has the same support,
+    # so the certificates driver falsifies one word of each inverse pair
+    rng = random.Random(23)
+    hits = misses = pairs = 0
+    for _ in range(120):
+        n = rng.randint(3, 6)
+        verts = "abcdef"[:n]
+        g = DefiningGraph(verts, [p for p in combinations(verts, 2) if rng.random() < 0.4])
+        comm = g.comm_masks
+        conj_ball = ball_bytes(g, rng.randint(0, 4))
+        table = conjugator_table(g, conj_ball)
+        for k in range(6):
+            enc = kernels.reduce_word(
+                bytes(rng.randrange(n) for _ in range(rng.randint(0, 14))), comm
+            )
+            if k % 2:  # a conjugate of a word that misses a generator
+                v = kernels.reduce_word(bytes(rng.randrange(n) for _ in range(3)), comm)
+                missing = enc.replace(bytes([rng.randrange(n)]), b"")
+                enc = kernels.reduce_word(v + missing + v[::-1], comm)
+            partner = kernels.normal_form(enc[::-1], comm)
+            expected = _falsify_by_reducing_every_conjugate(g, enc, conj_ball)
+            assert _falsify_enc(g, enc, table) == expected
+            assert _falsify_enc(g, partner, table) == expected
+            assert _falsify_by_reducing_every_conjugate(g, partner, conj_ball) == expected
+            hits += expected is not None and expected[0] != b""
+            misses += expected is None
+            pairs += partner != kernels.normal_form(enc, comm)
+    # hits at a nontrivial conjugator, no hit at all, and words that are
+    # not their own inverse are each common
+    assert hits > 30 and misses > 30 and pairs > 300
+
+
 def test_falsifier_past_the_diameter_of_a_finite_group():
     # K3 gives (Z/2)^3, of diameter 3: at conjugation radius 5 the
     # requested last sphere is empty, and the leaves start inside the

@@ -359,6 +359,16 @@ JSON_DIGESTS = [
      "e584ef366763f931f1dd90e65ccf5e1b8f856362b4d6adca15cc63f5594249e8"),
     (("verify", "wordproblem", "--graph", DINF, "--max-len", "6", *T),
      "b2c16abca21b5c88843d42d6ad09177b365c32dee5bc854b9f383f72e8f424d9"),
+    # certificates: the benchmark's radii, and a self-inverse certified word
+    (("verify", "certificates", "--graph", C5, "--radius", "8", "--conj-radius", "4",
+      *J),
+     "2452be8856a692697d976aafa8f13a096a17c8fd8963c6448572f769fcd036ce"),
+    (("verify", "certificates", "--graph", K3, "--radius", "6", "--conj-radius", "3",
+      *J),
+     "e3c1871a337a26dec365834f539641b11e355a35a58a1b15722006ef387af7ef"),
+    (("verify", "certificates", "--graph", C4, "--radius", "6", "--conj-radius", "3",
+      *T),
+     "3b449a6bec44d4acce1e78ab4a055d46b2ebabd64f5ef617016912acf5496809"),
 ]
 
 

@@ -6,6 +6,7 @@ import pytest
 from conftest import every_graph
 import coxrank.kernels
 import coxrank.verify
+from coxrank.certificates import falsify_essential
 from coxrank.errors import (
     ParameterRangeError,
     PreconditionClassError,
@@ -424,6 +425,74 @@ def test_certificates_refuse_work_past_the_cap(c5, monkeypatch):
     with pytest.raises(RadiusCapError):
         verify_essential_certificates(c5, radius=8, conj_radius=4)
     assert tables == [166]
+
+
+def test_certificates_refuse_a_conj_radius_out_of_range_before_any_ball(c5, monkeypatch):
+    balls = []
+    real_ball = coxrank.verify.ball_bytes
+
+    def ball_recorder(g, radius):
+        balls.append(radius)
+        return real_ball(g, radius)
+
+    monkeypatch.setattr(coxrank.verify, "ball_bytes", ball_recorder)
+    with pytest.raises(RadiusCapError, match="^radius 11 exceeds cap 10$"):
+        verify_essential_certificates(c5, 10, 11)
+    with pytest.raises(ParameterRangeError, match="^radius must be at least 0, got -1$"):
+        verify_essential_certificates(c5, 10, -1)
+    # an out-of-range radius is still refused before the conjugation radius
+    with pytest.raises(RadiusCapError, match="^radius 12 exceeds cap 10$"):
+        verify_essential_certificates(c5, 12, -1)
+    # and an unknown label before either
+    with pytest.raises(UnknownGeneratorError):
+        verify_essential_certificates(c5, 12, -1, extra_certified=[("z",)])
+    assert balls == []
+
+
+@pytest.fixture()
+def falsified(monkeypatch):
+    """The words ``verify_essential_certificates`` passes to the falsifier."""
+    checked = []
+    real_falsify = coxrank.verify._falsify_enc
+
+    def falsify_recorder(g, w, table):
+        checked.append(w)
+        return real_falsify(g, w, table)
+
+    monkeypatch.setattr(coxrank.verify, "_falsify_enc", falsify_recorder)
+    return checked
+
+
+def test_certificates_falsify_each_inverse_pair_once(c5, falsified):
+    report = verify_essential_certificates(c5, radius=8, conj_radius=4)
+    assert report.params["certified"] == 2520 and report.verdict == "PASS"
+    # no essential element is its own inverse: 1,260 pairs, one run each
+    assert len(falsified) == len(set(falsified)) == 1260
+    comm = c5.comm_masks
+    partners = {coxrank.kernels.normal_form(w[::-1], comm) for w in falsified}
+    assert not partners & set(falsified)
+
+
+def test_certificates_extra_inverse_pair_fails_like_the_falsifier(c5, falsified):
+    planted = tuple("ebdcacdbe")
+    extra = [("a", "b"), ("b", "a"), ("c", "a", "b"), ("b", "a", "c"), planted, ("a", "a")]
+    report = verify_essential_certificates(c5, 3, 3, extra_certified=extra)
+    # a b = b a; c a b and b a c are inverses; the planted word and the
+    # identity a a are each their own inverse
+    assert falsified == [b"\x00\x01", b"\x02\x00\x01", bytes([4, 1, 3, 2, 0, 2, 3, 1, 4]),
+                         b"\x00\x00"]
+    want = []
+    for word in extra:
+        hit = falsify_essential(c5, word, 3)
+        want.append(
+            {
+                "word": format_word(word),
+                "certificate": "assumed",
+                "conjugator": format_word(hit.conjugator),
+                "parabolic": sorted(hit.parabolic),
+            }
+        )
+    assert report.failures == tuple(want)
 
 
 def test_ball_drivers_run_serially(c5):
