@@ -158,7 +158,7 @@ def _certified():
 
 
 def _falsify_all(certified, conj_ball):
-    table = certificates.conjugator_table(C5, conj_ball)
+    table = certificates.conjugator_table(conj_ball)
     return [certificates._falsify_enc(C5, w, table) for w in certified]
 
 

@@ -32,7 +32,16 @@ from .errors import (
 )
 from .graphs import DefiningGraph
 from .subgroups import SubgroupSpec, member, member_mask, require_graph
-from .words import Word, decode_word, encode_word, format_word, parity_bits, support_bits
+from .words import (
+    Word,
+    _reduced,
+    decode_word,
+    encode_word,
+    format_word,
+    mask_labels,
+    parity_bits,
+    support_bits,
+)
 
 # The exponent of every repair multiplier.  Being even, it gives each
 # multiplier all-even parity, so the multiplier lies in every parity-defined
@@ -236,10 +245,6 @@ def _output_problems(g: DefiningGraph, spec, final: bytes, steps) -> list[str]:
     return problems
 
 
-def _reduced(g: DefiningGraph, word) -> bytes:
-    return kernels.reduce_word(encode_word(g, word), g.comm_masks)
-
-
 def _result(g: DefiningGraph, enc: bytes, total: bytes, steps):
     trace = MultiplierTrace(_trace_steps(g, steps), decode_word(g, total), EXPONENT)
     return decode_word(g, enc), trace
@@ -263,9 +268,7 @@ def make_good(g: DefiningGraph, word) -> tuple[Word, MultiplierTrace]:
     enc = _reduced(g, word)
     supp = support_bits(enc)
     if supp != (1 << g.n) - 1:
-        raise MissingGeneratorsError(
-            [v for i, v in enumerate(g.vertices) if not (supp >> i) & 1]
-        )
+        raise MissingGeneratorsError(mask_labels(g, ~supp))
     return _result(g, *_repair(g, enc, {}, goodness=True))
 
 

@@ -31,9 +31,11 @@ from .graphs import MAX_VERTICES, DefiningGraph
 from .words import (
     Word,
     _commuters,
+    _reduced,
     ball_bytes,
     decode_word,
     encode_word,
+    mask_labels,
     parity_mask,
     support_bits,
 )
@@ -179,8 +181,7 @@ def is_all_odd_essential(g: DefiningGraph, word) -> bool:
 def is_good_essential(g: DefiningGraph, word) -> bool:
     """The reduced form has full support and is s-good for every s.
     Sufficient for essentiality; independent of the all-odd criterion."""
-    comm = g.comm_masks
-    return _good_essential_enc(kernels.reduce_word(encode_word(g, word), comm), comm)
+    return _good_essential_enc(_reduced(g, word), g.comm_masks)
 
 
 def _good_essential_enc(enc: bytes, comm) -> bool:
@@ -208,32 +209,30 @@ def _even_completion(pm: int, n: int) -> bytes:
 
 
 class ConjugatorTable(NamedTuple):
-    """A conjugator ball with, per element, the index of its prefix
-    ``u[:-1]``, its last letter and the index of its inverse (entry 0 is
-    the empty word: its own prefix, letter -1).
+    """A conjugator ball with, per element ``u = x u'``, the index of its
+    suffix ``u' = u[1:]`` and its first letter x (entry 0 is the empty
+    word: its own suffix, letter -1).
 
     ``inner`` is ``max(parent) + 1``: every element that is another's
-    prefix has an index below it, so the elements from ``inner`` on are
+    suffix has an index below it, so the elements from ``inner`` on are
     leaves, whose conjugates the falsifier never builds."""
 
     ball: list[bytes]
     parent: list[int]
     letter: list[int]
-    inverse: list[int]
     inner: int
 
 
-def conjugator_table(g: DefiningGraph, conj_ball: list[bytes]) -> ConjugatorTable:
-    """Index a ball from ``ball_bytes`` by prefix, last letter and inverse.
+def conjugator_table(conj_ball: list[bytes]) -> ConjugatorTable:
+    """Index a ball from ``ball_bytes`` by suffix and first letter.
 
-    Normal forms are shortlex least, so every prefix of a ball element is
-    in the ball, and so is the normal form of its inverse."""
-    comm = g.comm_masks
+    Normal forms are shortlex least, and so is the suffix of one (a
+    lesser word for the suffix would give a lesser word for the whole),
+    so every suffix of a ball element is in the ball, at a lower index."""
     index = {u: i for i, u in enumerate(conj_ball)}
-    parent = [index[u[:-1]] for u in conj_ball]
-    letter = [u[-1] if u else -1 for u in conj_ball]
-    inverse = [index[kernels.normal_form(u[::-1], comm)] for u in conj_ball]
-    return ConjugatorTable(conj_ball, parent, letter, inverse, max(parent) + 1)
+    parent = [index[u[1:]] for u in conj_ball]
+    letter = [u[0] if u else -1 for u in conj_ball]
+    return ConjugatorTable(conj_ball, parent, letter, max(parent) + 1)
 
 
 _LETTERS = [bytes((i,)) for i in range(MAX_VERTICES)]
@@ -264,53 +263,45 @@ def _falsify_enc(
     g: DefiningGraph, enc: bytes, table: ConjugatorTable
 ) -> tuple[bytes, int] | None:
     """Hot-loop core of the falsifier: returns (conjugator, support mask)
-    for the first conjugator in ball order whose conjugate misses a
-    generator.
+    for the first hit in ball order, the first conjugator whose conjugate
+    misses a generator.
 
-    ``conj[i]`` is ``v^-1 w v`` for the i-th ball element ``v = v' x``,
-    built as ``x conj[v'] x``; the conjugate ``u w u^-1`` is then
-    ``conj[inverse of u]``.  Supports are kept alongside: conjugating by x
-    changes at most whether x occurs.
+    ``conj[i]`` is ``u w u^-1`` for the i-th ball element ``u = x u'``,
+    built from its suffix's conjugate as ``x conj[u'] x``.  Conjugates
+    come out in ball order and the suffix comes first, so when u is
+    reached every earlier conjugate, the suffix's included, has full
+    support.  Conjugating by x changes at most whether x occurs, so u is
+    a hit exactly when x drops out, and its support is all but x.
 
     Conjugates are built only below ``table.inner``, where every element
-    that is some element's prefix lies.  For a leaf ``v' x`` only the
-    support is needed, and the x bit follows from the number c of x in
-    ``r = conj[v']`` by the same one-letter fact ``_conjugate_by_letter``
-    computes: with c = 0, x stays out exactly when it commutes with every
-    letter of r (it then passes through and cancels itself); with c >= 3,
-    each outer x cancels at most one x of r, so one is left; with c = 1,
-    if the left x cancels it, the right x finds none and stays; with
-    c = 2, both cancel exactly when the first x is reached from the front
-    and the last x from the back through letters that commute with x."""
+    that is some element's suffix lies.  For a leaf ``x u'`` only whether
+    x survives is needed, and that follows from the number c of x in
+    ``r = conj[u']`` by the same one-letter fact ``_conjugate_by_letter``
+    computes.  r has full support, so c >= 1: with c >= 3, each outer x
+    cancels at most one x of r, so one is left; with c = 1, if the left x
+    cancels it, the right x finds none and stays; with c = 2, both cancel
+    exactly when the first x is reached from the front and the last x
+    from the back through letters that commute with x."""
     comm = g.comm_masks
     full = (1 << g.n) - 1
     r = kernels.reduce_word(enc, comm)
+    supp = support_bits(r)
+    if supp != full:
+        return b"", supp
     conj = [r]
-    supp = [support_bits(r)]
-    parent, letter, inner = table.parent, table.letter, table.inner
+    ball, parent, letter, inner = table
     strips = list(map(_commuters, comm))
-    for p, x in zip(parent[1:inner], letter[1:inner]):
+    for u, p, x in zip(ball[1:inner], parent[1:inner], letter[1:inner]):
         d = _conjugate_by_letter(conj[p], x, strips[x])
+        if x not in d:
+            return u, full & ~(1 << x)
         conj.append(d)
-        bit = 1 << x
-        supp.append(supp[p] | bit if x in d else supp[p] & ~bit)
-    for p, x in zip(parent[inner:], letter[inner:]):
+    for u, p, x in zip(ball[inner:], parent[inner:], letter[inner:]):
         d = conj[p]
-        s = supp[p]
-        c = d.count(x)
-        if c == 0:
-            if s & ~comm[x]:
-                s |= 1 << x
-        elif c == 2:
+        if d.count(x) == 2:
             skip = strips[x]
             if d.lstrip(skip)[0] == x == d.rstrip(skip)[-1]:
-                s &= ~(1 << x)
-        supp.append(s)
-    if supp.count(full) == len(supp):
-        return None  # ``inverse`` is a permutation, so no conjugate misses
-    for u, j in zip(table.ball, table.inverse):
-        if supp[j] != full:
-            return u, supp[j]
+                return u, full & ~(1 << x)
     return None
 
 
@@ -325,22 +316,19 @@ def falsify_essential(g: DefiningGraph, word, conj_radius: int) -> Counterexampl
     evidence, not proof.
 
     The word is encoded before the conjugator ball is built, so an
-    unknown label fails at once.  It is reduced once; each conjugate is
-    then built from its prefix's conjugate by one letter (``x r x`` with
-    two strips of the letters that commute with x), not by reducing
-    ``u w u^-1`` from scratch, and only for conjugators that are some
-    element's prefix.  For the others (the last sphere, in an infinite
-    group) only the support is taken, from the number of x in the
-    prefix's conjugate; that count decides exactly whether x survives
-    ``x r x``.  The evidence is the same: every conjugator up to the
-    radius, first hit in shortlex order.
+    unknown label fails at once.  It is reduced once; the conjugate by
+    ``u = x u'`` is then built from the conjugate by its suffix u' and
+    its first letter x (``x r x`` with two strips of the letters that
+    commute with x), not by reducing ``u w u^-1`` from scratch, and only
+    for conjugators that are some element's suffix.  For the others (the
+    last sphere, in an infinite group) the number of x in the suffix's
+    conjugate decides exactly whether x survives ``x r x``.  The evidence
+    is the same: every conjugator up to the radius, first hit in ball
+    order.
     """
     enc = encode_word(g, word)
-    hit = _falsify_enc(g, enc, conjugator_table(g, ball_bytes(g, conj_radius)))
+    hit = _falsify_enc(g, enc, conjugator_table(ball_bytes(g, conj_radius)))
     if hit is None:
         return None
     u, supp = hit
-    return Counterexample(
-        conjugator=decode_word(g, u),
-        parabolic=frozenset(g.vertices[i] for i in range(g.n) if (supp >> i) & 1),
-    )
+    return Counterexample(decode_word(g, u), frozenset(mask_labels(g, supp)))

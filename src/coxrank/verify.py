@@ -49,6 +49,7 @@ from .words import (
     decode_word,
     encode_word,
     format_word,
+    mask_labels,
     parity_bits,
     require_radius,
     support_bits,
@@ -542,10 +543,7 @@ def verify_cancellator_uniformity(
     total = 0
     for bm in sorted(groups):
         words_in_class = groups[bm]
-        label = (
-            " ".join(v for i, v in enumerate(g.vertices) if (bm >> i) & 1)
-            or "(empty)"
-        )
+        label = " ".join(mask_labels(g, bm)) or "(empty)"
         _, mult, _ = _repair(g, words_in_class[0], repairs, goodness=True)
         bad_words = []
         for w in words_in_class[1:]:
@@ -624,12 +622,13 @@ def verify_essential_certificates(
     certified regardless — the self-test hook for the harness (an
     uncertified word there must produce a recorded FAIL).
 
-    The conjugator ball is indexed once (prefix, last letter, inverse);
-    for each certified word the conjugate by every conjugator that is some
-    element's prefix is built from its prefix's conjugate by one letter.
-    Leaf conjugators (the last sphere, in an infinite group) get only a
-    support, from the count of their last letter in the prefix's
-    conjugate, which decides exactly whether that letter survives.
+    The conjugator ball is indexed once, by suffix and first letter; for
+    each certified word the conjugate by every conjugator that is some
+    element's suffix is built from its suffix's conjugate by one letter,
+    in ball order, up to the first hit in ball order.  Leaf conjugators
+    (the last sphere, in an infinite group) are decided by the count of
+    their first letter in the suffix's conjugate, which says exactly
+    whether that letter survives.
 
     Each inverse pair of certified elements is falsified once.  The
     conjugate ``u w^-1 u^-1`` is the inverse of ``u w u^-1``, and an
@@ -666,7 +665,7 @@ def verify_essential_certificates(
             f"{len(certified)} certified words times {len(conj_ball)} conjugators "
             f"is {work}, over the falsifier's work cap {FALSIFIER_MAX_WORK}"
         )
-    table = conjugator_table(g, conj_ball)
+    table = conjugator_table(conj_ball)
     comm = g.comm_masks
     hits: dict[bytes, tuple[bytes, int] | None] = {}  # normal form -> first hit
     failures = []
@@ -682,9 +681,7 @@ def verify_essential_certificates(
                     "word": _fmt(g, w),
                     "certificate": why,
                     "conjugator": _fmt(g, u),
-                    "parabolic": sorted(
-                        g.vertices[i] for i in range(g.n) if (supp >> i) & 1
-                    ),
+                    "parabolic": sorted(mask_labels(g, supp)),
                 }
             )
     params = {

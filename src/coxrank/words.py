@@ -55,6 +55,16 @@ def decode_word(g: DefiningGraph, data: bytes) -> Word:
     return tuple(map(g.vertices.__getitem__, data))
 
 
+def mask_labels(g: DefiningGraph, mask: int) -> list[str]:
+    """The labels of the vertices set in ``mask``, in vertex order."""
+    return [v for i, v in enumerate(g.vertices) if (mask >> i) & 1]
+
+
+def _reduced(g: DefiningGraph, word) -> bytes:
+    """A word encoded, then reduced."""
+    return kernels.reduce_word(encode_word(g, word), g.comm_masks)
+
+
 def parity_bits(enc) -> int:
     """Letter counts mod 2 of an encoded word (any iterable of generator
     indices), packed as a bitmask: bit i is set iff i occurs an odd
@@ -94,7 +104,7 @@ def reduce_word(g: DefiningGraph, word) -> Word:
     >>> reduce_word(g, ("a", "b", "a"))
     ('b',)
     """
-    return decode_word(g, kernels.reduce_word(encode_word(g, word), g.comm_masks))
+    return decode_word(g, _reduced(g, word))
 
 
 def normal_form(g: DefiningGraph, word) -> Word:
@@ -143,7 +153,7 @@ def parity_vector(g: DefiningGraph, word) -> dict[str, int]:
 def support(g: DefiningGraph, word) -> frozenset[str]:
     """Generators appearing in the reduced form (well defined: the same
     for every reduced expression of the element)."""
-    return frozenset(decode_word(g, kernels.reduce_word(encode_word(g, word), g.comm_masks)))
+    return frozenset(decode_word(g, _reduced(g, word)))
 
 
 def require_radius(radius: int) -> None:

@@ -232,31 +232,30 @@ def _falsify_by_reducing_every_conjugate(g, enc, conj_ball):
 
 
 def test_leaf_supports_match_reduce_word_on_every_4_vertex_graph():
-    # A two-element table whose second entry, the conjugator x, is a leaf
-    # (inner = 1), so its support comes from the letter count rule.  Its
-    # inverse index is swapped on purpose: the scan reads the leaf's
-    # support first and returns it whenever it is not full.
+    # A two-element table whose second entry is the conjugator x: with
+    # inner = 1 it is a leaf, decided by the letter count rule, and with
+    # inner = 2 its conjugate x r x is built.  Both must give the first
+    # hit of reducing every conjugate.
     words = [
         bytes(w) for length in range(7) for w in product(range(4), repeat=length)
     ]
     full = 0b1111
-    cases = 0
+    cases = full_support = hits_at_x = 0
     for g in every_graph(4, 4):
         comm = g.comm_masks
-        tables = [
-            ConjugatorTable([b"", bytes([x])], [0, 0], [-1, x], [1, 0], 1)
-            for x in range(4)
-        ]
         for r in words:
             if not kernels.is_reduced(r, comm):
                 continue
-            for x, table in enumerate(tables):
-                hit = _falsify_enc(g, r, table)
-                leaf = hit[1] if hit is not None and hit[0] == b"" else full
-                expected = kernels.reduce_word(bytes([x]) + r + bytes([x]), comm)
-                assert leaf == support_bits(expected)
+            for x in range(4):
+                ball = [b"", bytes([x])]
+                expected = _falsify_by_reducing_every_conjugate(g, r, ball)
+                for inner in (1, 2):
+                    table = ConjugatorTable(ball, [0, 0], [-1, x], inner)
+                    assert _falsify_enc(g, r, table) == expected
                 cases += 1
-    assert cases == 189_056
+                full_support += support_bits(r) == full
+                hits_at_x += expected is not None and expected[0] == ball[1]
+    assert (cases, full_support, hits_at_x) == (189_056, 105_600, 9_408)
 
 
 def test_falsify_encodes_the_word_before_building_the_ball(c5, monkeypatch):
@@ -284,7 +283,7 @@ def test_incremental_falsifier_matches_reducing_every_conjugate():
         g = DefiningGraph(verts, edges)
         conj_radius = rng.randint(0, 4)
         conj_ball = ball_bytes(g, conj_radius)
-        table = conjugator_table(g, conj_ball)
+        table = conjugator_table(conj_ball)
         sphere = [u for u in conj_ball if len(u) == conj_radius]
         for k in range(6):
             # raw random words, unreduced ones included; every other one is
@@ -318,7 +317,7 @@ def test_a_word_and_its_inverse_get_the_same_first_hit():
         g = DefiningGraph(verts, [p for p in combinations(verts, 2) if rng.random() < 0.4])
         comm = g.comm_masks
         conj_ball = ball_bytes(g, rng.randint(0, 4))
-        table = conjugator_table(g, conj_ball)
+        table = conjugator_table(conj_ball)
         for k in range(6):
             enc = kernels.reduce_word(
                 bytes(rng.randrange(n) for _ in range(rng.randint(0, 14))), comm
@@ -342,13 +341,12 @@ def test_a_word_and_its_inverse_get_the_same_first_hit():
 
 def test_falsifier_past_the_diameter_of_a_finite_group():
     # K3 gives (Z/2)^3, of diameter 3: at conjugation radius 5 the
-    # requested last sphere is empty, and the leaves start inside the
-    # ball, at ac (index 5), not where any sphere starts.
+    # requested last sphere is empty, and the leaves start at abc
+    # (index 7), the start of the last nonempty sphere.
     k3 = load_graph(GRAPHS / "k3.txt")
     conj_ball = ball_bytes(k3, 5)
-    table = conjugator_table(k3, conj_ball)
-    assert len(conj_ball) == 8 and table.inner == 5
-    assert [len(u) for u in conj_ball[table.inner - 1 : table.inner + 1]] == [2, 2]
+    table = conjugator_table(conj_ball)
+    assert len(conj_ball) == 8 and table.inner == 7
     rng = random.Random(3)
     hits = 0
     for length in range(5):

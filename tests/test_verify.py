@@ -405,9 +405,9 @@ def test_certificates_refuse_work_past_the_cap(c5, monkeypatch):
     tables = []
     real_table = coxrank.verify.conjugator_table
 
-    def table_recorder(g, ball):
+    def table_recorder(ball):
         tables.append(len(ball))
-        return real_table(g, ball)
+        return real_table(ball)
 
     monkeypatch.setattr(coxrank.verify, "conjugator_table", table_recorder)
     with pytest.raises(RadiusCapError, match="2520 certified words times 7981 conjugators"):
