@@ -157,6 +157,15 @@ def _trace_steps(g: DefiningGraph, steps) -> tuple[TraceStep, ...]:
     )
 
 
+# (step error, final error) of a support repair, then of a goodness repair
+_REPAIR_ERRORS = (
+    ("removed a generator from the support",
+     "generators still missing after one repair per generator"),
+    ("did not strictly shrink the bad set",
+     "bad set nonempty after one repair per generator"),
+)
+
+
 def _repair(
     g: DefiningGraph, enc: bytes, table: dict, goodness: bool = False
 ) -> tuple[bytes, bytes, tuple]:
@@ -181,18 +190,9 @@ def _repair(
         return bad if present == full else None
 
     targets = targets_of(enc)
-    if not targets:
-        return enc, b"", ()
-    if goodness:
-        step_error = "did not strictly shrink the bad set"
-        final_error = "bad set nonempty after one repair per generator"
-    else:
-        step_error = "removed a generator from the support"
-        final_error = "generators still missing after one repair per generator"
+    total = b""
     steps = []
-    for _ in range(g.n):
-        if not targets:
-            break
+    while targets and len(steps) < g.n:
         bit = targets & -targets
         i = bit.bit_length() - 1
         entry = table.get(i)
@@ -206,16 +206,16 @@ def _repair(
         allowed = targets if goodness else targets & ~bit
         if new is None or new & ~allowed or new == targets:
             raise ContractViolationError(
-                f"repair for {choice.s!r} {step_error}",
+                f"repair for {choice.s!r} {_REPAIR_ERRORS[goodness][0]}",
                 trace=_trace_steps(g, steps),
             )
         steps.append((choice, mult, nxt))
-        enc = nxt
-        targets = new
-    else:
-        if targets:
-            raise ContractViolationError(final_error, trace=_trace_steps(g, steps))
-    return enc, b"".join(m for _, m, _ in reversed(steps)), tuple(steps)
+        enc, targets, total = nxt, new, mult + total
+    if targets:
+        raise ContractViolationError(
+            _REPAIR_ERRORS[goodness][1], trace=_trace_steps(g, steps)
+        )
+    return enc, total, tuple(steps)
 
 
 def _essentialize(g: DefiningGraph, enc: bytes, table: dict):

@@ -131,19 +131,17 @@ def goodness_report(g: DefiningGraph, word) -> GoodnessReport:
     _require_reduced(g, enc)
     present, bad = _goodness_masks(enc, g.comm_masks)
     statuses: dict[str, GoodnessStatus] = {}
-    bad_labels = []
     for si, label in enumerate(g.vertices):
         bit = 1 << si
         if not present & bit:
             statuses[label] = GoodnessStatus.ABSENT
         elif bad & bit:
             statuses[label] = GoodnessStatus.NOT_GOOD
-            bad_labels.append(label)
         else:
             statuses[label] = GoodnessStatus.GOOD
     return GoodnessReport(
         per_generator=MappingProxyType(statuses),
-        bad_set=frozenset(bad_labels),
+        bad_set=frozenset(mask_labels(g, bad)),
         full_support=present == (1 << g.n) - 1,
     )
 

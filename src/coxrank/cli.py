@@ -9,6 +9,11 @@ PASS), 1 verify FAIL, 2 usage or precondition errors.
 Every handler ``run(g, args)`` is a plain computation: it returns its JSON
 payload and its text lines, and a verify handler also its exit code (1 on
 FAIL).  ``main`` alone writes to stdout and picks the exit code 0, 1 or 2.
+
+Each verify verb is one row of ``_VERIFY_VERBS``: its name, help, driver
+and options.  A verify option left out is not passed to the driver, so
+the defaults live in ``verify.py`` alone, and a new verify verb is one
+more row.
 """
 
 from __future__ import annotations
@@ -52,6 +57,34 @@ def _add_common(sub, run, graph=True, word=False):
     sub.add_argument(
         "--format", choices=("json", "text"), default="text", help="output format"
     )
+
+
+# An integer verify option has no default of its own: left out, it is not
+# passed, and the driver's default applies.
+_INT = {"type": int, "default": argparse.SUPPRESS}
+
+# One row per verify verb: name, help, driver, and its options in help order.
+_VERIFY_VERBS = (
+    ("parity", "parity invariance under random legal moves",
+     verify_mod.verify_parity_invariance,
+     {"--trials": _INT, "--max-len": _INT, "--seed": _INT}),
+    ("wordproblem", "normal forms vs rewriting closure",
+     verify_mod.verify_word_problem, {"--max-len": _INT}),
+    ("covering", "even-completion covering of the ball",
+     verify_mod.verify_covering, {"--radius": _INT}),
+    ("subgroup-covering", "covering inside a subgroup",
+     verify_mod.verify_subgroup_covering,
+     {"--subgroup": {"default": "commutator"}, "--radius": _INT}),
+    ("uniformity", "is one multiplier uniform per bad set?",
+     verify_mod.verify_cancellator_uniformity,
+     {"--subgroup": {"help": "group only the members of this subgroup",
+                     "default": argparse.SUPPRESS},
+      "--radius": _INT}),
+    ("joinlemma", "join(g) <=> join(doubled g), exhaustively",
+     verify_mod.verify_join_lemma, {"--max-vertices": _INT}),
+    ("certificates", "certified elements survive the falsifier",
+     verify_mod.verify_essential_certificates, {"--radius": _INT, "--conj-radius": _INT}),
+)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -119,51 +152,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="exhaustive/randomized verification runs")
     vsub = p.add_subparsers(dest="subcommand", required=True)
-
-    q = vsub.add_parser("parity", help="parity invariance under random legal moves")
-    _add_common(q, _verify(lambda g, a: verify_mod.verify_parity_invariance(
-        g, trials=a.trials, max_len=a.max_len, seed=a.seed
-    )))
-    q.add_argument("--trials", type=int, default=10_000)
-    q.add_argument("--max-len", type=int, default=12)
-    q.add_argument("--seed", type=int, default=0)
-
-    q = vsub.add_parser("wordproblem", help="normal forms vs rewriting closure")
-    _add_common(q, _verify(
-        lambda g, a: verify_mod.verify_word_problem(g, max_len=a.max_len)
-    ))
-    q.add_argument("--max-len", type=int, default=verify_mod.WORD_PROBLEM_MAX_LEN)
-
-    q = vsub.add_parser("covering", help="even-completion covering of the ball")
-    _add_common(q, _verify(lambda g, a: verify_mod.verify_covering(g, radius=a.radius)))
-    q.add_argument("--radius", type=int, default=8)
-
-    q = vsub.add_parser("subgroup-covering", help="covering inside a subgroup")
-    _add_common(q, _verify(lambda g, a: verify_mod.verify_subgroup_covering(
-        g, resolve_subgroup(g, a.subgroup), radius=a.radius
-    )))
-    q.add_argument("--subgroup", default="commutator")
-    q.add_argument("--radius", type=int, default=8)
-
-    q = vsub.add_parser("uniformity", help="is one multiplier uniform per bad set?")
-    _add_common(q, _verify(lambda g, a: verify_mod.verify_cancellator_uniformity(
-        g, _optional_subgroup(g, a), radius=a.radius
-    )))
-    q.add_argument("--subgroup", help="group only the members of this subgroup")
-    q.add_argument("--radius", type=int, default=6)
-
-    q = vsub.add_parser("joinlemma", help="join(g) <=> join(doubled g), exhaustively")
-    _add_common(
-        q, _verify(lambda g, a: verify_mod.verify_join_lemma(a.max_vertices)), graph=False
-    )
-    q.add_argument("--max-vertices", type=int, default=5)
-
-    q = vsub.add_parser("certificates", help="certified elements survive the falsifier")
-    _add_common(q, _verify(lambda g, a: verify_mod.verify_essential_certificates(
-        g, radius=a.radius, conj_radius=a.conj_radius
-    )))
-    q.add_argument("--radius", type=int, default=6)
-    q.add_argument("--conj-radius", type=int, default=3)
+    for name, help_, driver, flags in _VERIFY_VERBS:
+        q = vsub.add_parser(name, help=help_)
+        dests = [flag[2:].replace("-", "_") for flag in flags]
+        # joinlemma enumerates its graphs and reads none
+        _add_common(q, _verify(driver, dests), graph=name != "joinlemma")
+        for flag, options in flags.items():
+            q.add_argument(flag, **options)
 
     return parser
 
@@ -235,13 +230,10 @@ def _cmd_essential(g, args):
     ]
 
 
-def _optional_subgroup(g, args):
-    return None if args.subgroup is None else resolve_subgroup(g, args.subgroup)
-
-
 def _cmd_cancellator(g, args):
     word = parse_word(g, args.word)
-    final, trace = essentialize(g, word, _optional_subgroup(g, args))
+    spec = None if args.subgroup is None else resolve_subgroup(g, args.subgroup)
+    final, trace = essentialize(g, word, spec)
     payload = {
         "word": format_word(word),
         "final": format_word(final),
@@ -291,12 +283,17 @@ def _cmd_subgroup_index(g, args):
     return payload, [f"index: {index}", f"exponent: {exponent}"]
 
 
-def _verify(check):
-    """Handler for a verify run: ``check(g, args)`` builds the report; the
-    exit code is 0 on PASS, 1 on FAIL."""
+def _verify(driver, dests):
+    """Handler for a verify run: calls ``driver`` with the graph (when the
+    verb reads one) and with each of the options ``dests`` that was given;
+    ``subgroup`` is passed resolved, as ``spec``.  The exit code is 0 on
+    PASS, 1 on FAIL."""
 
     def run(g, args):
-        report = check(g, args)
+        options = {d: getattr(args, d) for d in dests if hasattr(args, d)}
+        if "subgroup" in options:
+            options["spec"] = resolve_subgroup(g, options.pop("subgroup"))
+        report = driver(**options) if g is None else driver(g, **options)
         lines = [
             f"check: {report.check}",
             f"total cases: {report.total_cases}",

@@ -153,6 +153,12 @@ def _move_counts(word, comm) -> tuple[int, int]:
     return sum([(comm[x] >> y) & 1 for x, y in pairs]), sum([x == y for x, y in pairs])
 
 
+def parity_trial_units(max_len: int) -> int:
+    """The work units of one parity trial at ``max_len`` (see
+    PARITY_TRIAL_UNITS); a run may take PARITY_MAX_WORK of them."""
+    return PARITY_TRIAL_UNITS + PARITY_MOVE_UNITS * max_len + (max_len + 1) ** 2
+
+
 def verify_parity_invariance(
     g: DefiningGraph,
     trials: int = 10_000,
@@ -179,7 +185,7 @@ def verify_parity_invariance(
         raise ParameterRangeError(f"maxLen must be at least 1, got {max_len}")
     if max_len > PARITY_MAX_LEN:
         raise RadiusCapError(f"maxLen {max_len} exceeds cap {PARITY_MAX_LEN}")
-    units = PARITY_TRIAL_UNITS + PARITY_MOVE_UNITS * max_len + (max_len + 1) ** 2
+    units = parity_trial_units(max_len)
     work = trials * units
     if work > PARITY_MAX_WORK:
         raise RadiusCapError(
@@ -319,6 +325,12 @@ def _closure_partition(n: int, comm, cap: int):
     return roots, offsets
 
 
+def closure_universe(n: int, cap: int) -> int:
+    """The number of words of length <= ``cap`` over ``n`` generators: the
+    size of the closure table ``verify_word_problem`` builds."""
+    return sum(n**k for k in range(cap + 1))
+
+
 def verify_word_problem(g: DefiningGraph, max_len: int = WORD_PROBLEM_MAX_LEN) -> VerificationReport:
     """Every word of length <= max_len must have as normal form the
     shortlex-least word of its rewriting-closure class (closure cap
@@ -342,7 +354,7 @@ def verify_word_problem(g: DefiningGraph, max_len: int = WORD_PROBLEM_MAX_LEN) -
     n = g.n
     comm = g.comm_masks
     cap = max_len + 2
-    universe = sum(n**k for k in range(cap + 1))
+    universe = closure_universe(n, cap)
     if universe > WORD_PROBLEM_MAX_UNIVERSE:
         raise RadiusCapError(
             f"closure universe of {universe} words (length <= {cap} over "

@@ -10,7 +10,10 @@ import pytest
 
 import coxrank
 from coxrank.cli import main
+from coxrank import verify
 from coxrank.graphs import parse_graph
+from coxrank.subgroups import commutator_subgroup
+from coxrank.verify import parity_trial_units
 
 PENTAGON = """\
 vertices: a b c d e
@@ -192,6 +195,11 @@ def test_parity_max_len_past_the_cap_exits_2(capsys, c5_file):
 
 
 def test_parity_past_the_work_cap_exits_2(capsys, c5_file):
+    # the price first: with a broken price the runs below would not be
+    # refused, and 10^9 trials would not end
+    assert [parity_trial_units(n) for n in (1, 12, 100, 1000)] == [
+        64, 449, 12_241, 1_022_041
+    ]
     for args, work in (
         (("--trials", "1000000000"), 449_000_000_000),
         (("--max-len", "1000"), 10_220_410_000),
@@ -387,6 +395,28 @@ def test_json_reports_keep_their_bytes(capsys):
         assert hashlib.sha256(got.encode()).hexdigest() == digest, argv
 
 
+def test_verify_defaults_are_the_drivers_defaults(capsys):
+    g = parse_graph(Path(C5).read_text())
+    for verb, run in (
+        ("parity", lambda: verify.verify_parity_invariance(g)),
+        ("wordproblem", lambda: verify.verify_word_problem(g)),
+        ("covering", lambda: verify.verify_covering(g)),
+        ("subgroup-covering",
+         lambda: verify.verify_subgroup_covering(g, commutator_subgroup(g))),
+        ("uniformity", lambda: verify.verify_cancellator_uniformity(g)),
+        ("joinlemma", verify.verify_join_lemma),
+        ("certificates", lambda: verify.verify_essential_certificates(g)),
+    ):
+        graph = () if verb == "joinlemma" else ("--graph", C5)
+        code, out, err = run_main(capsys, "verify", verb, *graph, *J)
+        assert (code, err) == (0, ""), verb
+        got = json.loads(out)
+        del got["schemaVersion"], got["elapsedMs"]
+        want = json.loads(json.dumps(run().to_json_dict()))
+        del want["elapsedMs"]
+        assert got == want, verb
+
+
 def test_malformed_subgroup_file_exit_code(capsys, c5_file, tmp_path):
     spec = tmp_path / "bad.sub"
     spec.write_text("basis: 10x00\n")
@@ -442,6 +472,7 @@ def test_out_of_range_verify_parameters_exit_code(capsys, c5_file):
         ("parity", "--graph", c5_file, "--max-len", "0"),
         ("wordproblem", "--graph", c5_file, "--max-len", "-3"),
         ("joinlemma", "--max-vertices", "7"),
+        ("joinlemma", "--max-vertices", "0"),
     ):
         code, out, err = run_main(capsys, "verify", *args, "--format", "json")
         assert (code, out) == (2, "")

@@ -29,6 +29,8 @@ from coxrank.verify import (
     WORD_PROBLEM_MAX_UNIVERSE,
     _bad_set_classes,
     _closure_partition,
+    closure_universe,
+    parity_trial_units,
     rewriting_closure_equal,
     verify_cancellator_uniformity,
     verify_covering,
@@ -161,12 +163,17 @@ def test_parity_max_len_cap(c5):
 def test_parity_work_cap(c5):
     # (maxLen, units per trial, most trials admitted): the defaults, the
     # acceptance run (10,000 at maxLen 12) and one trial at the length cap fit
-    for max_len, units, most in (
+    cases = (
         (1, 64, 78_125),
         (12, 449, 11_135),
         (100, 12_241, 408),
         (PARITY_MAX_LEN, 1_022_041, 4),
-    ):
+    )
+    # the price first, so that a broken price fails here and runs nothing
+    assert [parity_trial_units(max_len) for max_len, _, _ in cases] == [
+        units for _, units, _ in cases
+    ]
+    for max_len, units, most in cases:
         assert most * units <= PARITY_MAX_WORK < (most + 1) * units
         with pytest.raises(RadiusCapError) as exc:
             verify_parity_invariance(c5, trials=most + 1, max_len=max_len)
@@ -208,6 +215,7 @@ def test_word_problem_refuses_a_large_closure_table():
     # 20 generators at max-len 6 would need a table of ~2.7e10 words; the
     # size is checked before anything is allocated
     g = DefiningGraph([f"v{i}" for i in range(20)])
+    assert closure_universe(20, 8) == 26_947_368_421 > WORD_PROBLEM_MAX_UNIVERSE
     with pytest.raises(RadiusCapError, match="closure universe"):
         verify_word_problem(g, max_len=6)
     # C5 at the largest max-len still fits
@@ -313,6 +321,9 @@ def test_join_lemma_counts():
     report = verify_join_lemma(4)
     assert report.verdict == "PASS"
     assert report.total_cases == 75  # 1 + 2 + 8 + 64
+    # the least size is a single vertex
+    report = verify_join_lemma(1)
+    assert (report.verdict, report.total_cases) == ("PASS", 1)
     with pytest.raises(ParameterRangeError):
         verify_join_lemma(7)
 
