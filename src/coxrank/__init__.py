@@ -3,9 +3,11 @@ Coxeter and Artin groups.
 
 The library classifies the algebraic rank of a group from its defining
 graph, solves the word problem by rewriting, certifies elements as
-essential (rank one), synthesizes the repair multipliers that turn
-arbitrary elements into certified ones, and verifies the covering
-properties behind the classification by bounded brute force.
+essential (rank one when the group is infinite, irreducible and
+non-affine: a join-free graph with at least three vertices), synthesizes
+the repair multipliers that turn arbitrary elements into certified ones,
+and verifies the covering properties behind the classification by
+bounded brute force.
 """
 
 from .cancellator import (

@@ -171,10 +171,13 @@ def _repair(
 ) -> tuple[bytes, bytes, tuple]:
     """Prepend repair multipliers to the reduced word ``enc``, least target
     first, until no target is left: the missing generators, or with
-    ``goodness`` the bad ones (``enc`` must then have full support).  A
-    support repair adds its target and removes nothing; a goodness repair
-    keeps full support and strictly shrinks the bad set.  Returns the word,
-    the total multiplier (newest leftmost) and the encoded steps.
+    ``goodness`` the bad ones (``enc`` must then have full support, else
+    MISSING_GENERATORS names the absent ones).  A support repair adds its
+    target and removes nothing; a goodness repair keeps full support and
+    strictly shrinks the bad set.  The loop may take one step per target
+    it starts with, so every caller gets at most one support repair per
+    missing generator and one goodness repair per bad generator.  Returns
+    the word, the total multiplier (newest leftmost) and the encoded steps.
 
     ``table`` maps a target index to its blocker choice and encoded
     multiplier.  It is filled on first use, so one table can serve every
@@ -190,9 +193,12 @@ def _repair(
         return bad if present == full else None
 
     targets = targets_of(enc)
+    if targets is None:
+        raise MissingGeneratorsError(mask_labels(g, ~support_bits(enc)))
+    budget = targets.bit_count()
     total = b""
     steps = []
-    while targets and len(steps) < g.n:
+    while targets and len(steps) < budget:
         bit = targets & -targets
         i = bit.bit_length() - 1
         entry = table.get(i)
@@ -218,22 +224,19 @@ def _repair(
     return enc, total, tuple(steps)
 
 
-def _essentialize(g: DefiningGraph, enc: bytes, table: dict):
+def _essentialize(g: DefiningGraph, spec, enc: bytes, table: dict):
     """Support repairs, then goodness repairs, on a reduced encoded word;
-    ``table`` is shared by both phases, as in ``_repair``.
+    ``table`` is shared by both phases, as in ``_repair``, whose budget
+    bounds the repairs of each phase.
 
-    Returns the word after the support repairs, the final word, the total
-    multiplier (newest leftmost) and the steps of each phase."""
+    Returns the final word, the total multiplier (newest leftmost), the
+    steps of both phases and what is wrong with the output, empty when it
+    is correct: the final word must be s-good for every s and, with a
+    subgroup ``spec`` (or None), a member reached only through member
+    multipliers."""
     w1, m1, steps1 = _repair(g, enc, table)
-    w2, m2, steps2 = _repair(g, w1, table, goodness=True)
-    return w1, w2, m2 + m1, steps1, steps2
-
-
-def _output_problems(g: DefiningGraph, spec, final: bytes, steps) -> list[str]:
-    """What is wrong with a pipeline output, the reduced encoded word
-    ``final`` reached through the encoded ``steps``: it must be s-good for
-    every s and, with a subgroup ``spec`` (or None), a member reached only
-    through member multipliers.  Empty when the output is correct."""
+    final, m2, steps2 = _repair(g, w1, table, goodness=True)
+    steps = steps1 + steps2
     problems = []
     if not _good_essential_enc(final, g.comm_masks):
         problems.append("final word is not s-good for all s")
@@ -242,7 +245,7 @@ def _output_problems(g: DefiningGraph, spec, final: bytes, steps) -> list[str]:
             problems.append("final word left the subgroup")
         if any(not member_mask(spec, parity_bits(m)) for _, m, _ in steps):
             problems.append("a multiplier left the subgroup")
-    return problems
+    return final, m2 + m1, steps, problems
 
 
 def _result(g: DefiningGraph, enc: bytes, total: bytes, steps):
@@ -265,11 +268,7 @@ def make_good(g: DefiningGraph, word) -> tuple[Word, MultiplierTrace]:
     become good, other good generators stay good); a non-shrinking step
     raises CONTRACT_VIOLATION with the trace as evidence.
     """
-    enc = _reduced(g, word)
-    supp = support_bits(enc)
-    if supp != (1 << g.n) - 1:
-        raise MissingGeneratorsError(mask_labels(g, ~supp))
-    return _result(g, *_repair(g, enc, {}, goodness=True))
+    return _result(g, *_repair(g, _reduced(g, word), {}, goodness=True))
 
 
 def essentialize(
@@ -277,19 +276,20 @@ def essentialize(
 ) -> tuple[Word, MultiplierTrace]:
     """Full pipeline: fix the support, then fix goodness.
 
-    The result is certified s-good for all s (hence essential, hence rank
-    one).  With a subgroup spec, built on ``g``, the input must be a
-    member; every multiplier has all-even parity (see EXPONENT), so the
-    certified word is again a member.
+    The result is certified s-good for all s, hence essential.  An
+    essential element has rank one only when W is infinite, irreducible
+    and non-affine, that is, when the graph is join-free with at least
+    three vertices (the class the verify drivers require); on other
+    graphs the certificate still holds but says nothing about rank.  With
+    a subgroup spec, built on ``g``, the input must be a member; every
+    multiplier has all-even parity (see EXPONENT), so the certified word
+    is again a member.
     """
     if spec is not None:
         require_graph(spec, g)
         if not member(spec, word):
             raise NotInSubgroupError("word is not a member of the subgroup")
-    _, w2, total, steps1, steps2 = _essentialize(g, _reduced(g, word), {})
-    steps = steps1 + steps2
-    final, trace = _result(g, w2, total, steps)
-    problems = _output_problems(g, spec, w2, steps)
+    final, total, steps, problems = _essentialize(g, spec, _reduced(g, word), {})
     if problems:
-        raise ContractViolationError("; ".join(problems), trace=trace.steps)
-    return final, trace
+        raise ContractViolationError("; ".join(problems), trace=_trace_steps(g, steps))
+    return _result(g, final, total, steps)

@@ -1,8 +1,10 @@
 """Essentiality certificates and the bounded brute-force falsifier.
 
 Two sufficient criteria certify that a word represents an essential
-element (one whose parabolic closure is the whole group, hence a rank-one
-element):
+element (one whose parabolic closure is the whole group).  An essential
+element has rank one when the group is infinite, irreducible and
+non-affine, that is, when the graph is join-free with at least three
+vertices; in other groups a certificate says nothing about rank.
 
 * all generators appear and each an odd number of times;
 * the reduced word is s-good for every generator s.

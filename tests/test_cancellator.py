@@ -168,6 +168,14 @@ def test_make_good_examples(c5):
         make_good(c5, ("a", "b"))
 
 
+def test_goodness_repair_without_full_support_names_the_missing_generators(c5):
+    # the repair loop itself refuses, rather than return the word unrepaired
+    with pytest.raises(MissingGeneratorsError) as info:
+        cancellator._repair(c5, encode_word(c5, ("a", "b")), {}, goodness=True)
+    assert info.value.missing == ("c", "d", "e")
+    assert str(info.value) == "missing generators: c d e"
+
+
 def test_make_good_over_full_support_ball(c5):
     for w in enumerate_ball(c5, 6):
         if support(c5, w) != frozenset(c5.vertices):
@@ -229,6 +237,39 @@ def test_distinct_total_multipliers_bounded_on_ball8(c5):
         _, trace = essentialize(c5, w)
         multipliers.add(trace.total_multiplier)
     assert 1 <= len(multipliers) <= 200
+
+
+def _assert_driver_matches_essentialize(g, spec, radius):
+    """``verify_subgroup_covering`` against ``essentialize`` run on each
+    member of the ball, one by one."""
+    totals, longest, failed, count = set(), 0, False, 0
+    for w in enumerate_ball(g, radius):
+        if not member(spec, w):
+            continue
+        count += 1
+        try:
+            _, trace = essentialize(g, w, spec)
+        except CoxrankError:
+            failed = True
+            continue
+        totals.add(trace.total_multiplier)
+        longest = max(longest, len(trace.steps))
+    report = verify_subgroup_covering(g, spec, radius=radius)
+    assert report.total_cases == count
+    assert report.params["distinctTotalMultipliers"] == len(totals)
+    assert report.params["maxTraceSteps"] == longest
+    assert report.verdict == ("FAIL" if failed else "PASS")
+
+
+def test_subgroup_covering_driver_matches_essentialize_on_c5(c5):
+    for spec in (commutator_subgroup(c5), make_subgroup(c5, ["11000", "00110"])):
+        _assert_driver_matches_essentialize(c5, spec, 6)
+
+
+def test_subgroup_covering_driver_matches_essentialize_on_random_graphs():
+    for g, rng in _random_join_free_graphs(30, seed=2027):
+        rows = [rng.randrange(1 << g.n) for _ in range(rng.randint(0, g.n))]
+        _assert_driver_matches_essentialize(g, make_subgroup(g, rows), 5)
 
 
 # -- the two repair loops as they were written before they shared one body,
@@ -480,7 +521,7 @@ class _Forgetful(dict):
 
 def _essentialize_outcome(g, enc, table):
     try:
-        return ("ok", cancellator._essentialize(g, enc, table))
+        return ("ok", cancellator._essentialize(g, None, enc, table))
     except CoxrankError as exc:
         return ("error", exc.code, str(exc), getattr(exc, "trace", None))
 

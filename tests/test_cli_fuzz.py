@@ -14,6 +14,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+from coxrank import verify
 from coxrank.cli import main
 
 CALL_DEADLINE_S = 10.0
@@ -165,6 +166,15 @@ def _argv(data, family, graph_path, tmp):
     return argv
 
 
+def _assert_priced_past_cap(argv):
+    """A past-cap parity run at an admitted length must be refused by its
+    price, checked before ``main`` can start the run."""
+    trials = int(argv[argv.index("--trials") + 1])
+    max_len = int(argv[argv.index("--max-len") + 1])
+    if 1 <= max_len <= verify.PARITY_MAX_LEN:
+        assert trials * verify.parity_trial_units(max_len) > verify.PARITY_MAX_WORK, argv
+
+
 def _run(argv):
     out, err = io.StringIO(), io.StringIO()
     previous = signal.signal(signal.SIGALRM, _overran)
@@ -189,6 +199,8 @@ def test_cli_main_never_crashes_and_codes_every_usage_error(family, data, graph,
         with open(graph_path, "wb") as fh:
             fh.write(graph)
         argv = _argv(data, family, graph_path, tmp) + ["--format", fmt]
+        if family == "parity-past-cap":
+            _assert_priced_past_cap(argv)
         code, out, err = _run(argv)
     assert code in (0, 1, 2), argv
     if code == 2:
