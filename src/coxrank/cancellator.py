@@ -229,11 +229,11 @@ def _essentialize(g: DefiningGraph, spec, enc: bytes, table: dict):
     ``table`` is shared by both phases, as in ``_repair``, whose budget
     bounds the repairs of each phase.
 
-    Returns the final word, the total multiplier (newest leftmost), the
-    steps of both phases and what is wrong with the output, empty when it
-    is correct: the final word must be s-good for every s and, with a
-    subgroup ``spec`` (or None), a member reached only through member
-    multipliers."""
+    Returns the final word, the total multiplier (newest leftmost) and the
+    steps of both phases.  The output is checked: the final word must be
+    s-good for every s and, with a subgroup ``spec`` (or None), a member
+    reached only through member multipliers; whatever fails is raised as
+    CONTRACT_VIOLATION with the trace."""
     w1, m1, steps1 = _repair(g, enc, table)
     final, m2, steps2 = _repair(g, w1, table, goodness=True)
     steps = steps1 + steps2
@@ -245,7 +245,9 @@ def _essentialize(g: DefiningGraph, spec, enc: bytes, table: dict):
             problems.append("final word left the subgroup")
         if any(not member_mask(spec, parity_bits(m)) for _, m, _ in steps):
             problems.append("a multiplier left the subgroup")
-    return final, m2 + m1, steps, problems
+    if problems:
+        raise ContractViolationError("; ".join(problems), trace=_trace_steps(g, steps))
+    return final, m2 + m1, steps
 
 
 def _result(g: DefiningGraph, enc: bytes, total: bytes, steps):
@@ -289,7 +291,4 @@ def essentialize(
         require_graph(spec, g)
         if not member(spec, word):
             raise NotInSubgroupError("word is not a member of the subgroup")
-    final, total, steps, problems = _essentialize(g, spec, _reduced(g, word), {})
-    if problems:
-        raise ContractViolationError("; ".join(problems), trace=_trace_steps(g, steps))
-    return _result(g, final, total, steps)
+    return _result(g, *_essentialize(g, spec, _reduced(g, word), {}))

@@ -10,10 +10,12 @@ Every handler ``run(g, args)`` is a plain computation: it returns its JSON
 payload and its text lines, and a verify handler also its exit code (1 on
 FAIL).  ``main`` alone writes to stdout and picks the exit code 0, 1 or 2.
 
-Each verify verb is one row of ``_VERIFY_VERBS``: its name, help, driver
-and options.  A verify option left out is not passed to the driver, so
-the defaults live in ``verify.py`` alone, and a new verify verb is one
-more row.
+Every verb is one row of ``_VERBS``: its name, help, handler and
+options.  A group row (``subgroup``, ``verify``) holds its subverbs' rows
+in place of a handler, and one loop, ``_add_verbs``, builds all 20
+subcommand parsers from the table, so a new verb is one more row.  A
+verify option left out is not passed to the driver, so the defaults live
+in ``verify.py`` alone.
 """
 
 from __future__ import annotations
@@ -44,123 +46,6 @@ from .words import (
     parse_word,
     reduce_word,
 )
-
-
-def _add_common(sub, run, graph=True, word=False):
-    """Options every subcommand shares; ``run(g, args)`` is its handler,
-    called with the loaded ``--graph`` (None when the subcommand has none)."""
-    sub.set_defaults(run=run)
-    if graph:
-        sub.add_argument("--graph", required=True, help="defining graph file")
-    if word:
-        sub.add_argument("--word", required=True, help="space-separated generators; 'e' = empty")
-    sub.add_argument(
-        "--format", choices=("json", "text"), default="text", help="output format"
-    )
-
-
-# An integer verify option has no default of its own: left out, it is not
-# passed, and the driver's default applies.
-_INT = {"type": int, "default": argparse.SUPPRESS}
-
-# One row per verify verb: name, help, driver, and its options in help order.
-_VERIFY_VERBS = (
-    ("parity", "parity invariance under random legal moves",
-     verify_mod.verify_parity_invariance,
-     {"--trials": _INT, "--max-len": _INT, "--seed": _INT}),
-    ("wordproblem", "normal forms vs rewriting closure",
-     verify_mod.verify_word_problem, {"--max-len": _INT}),
-    ("covering", "even-completion covering of the ball",
-     verify_mod.verify_covering, {"--radius": _INT}),
-    ("subgroup-covering", "covering inside a subgroup",
-     verify_mod.verify_subgroup_covering,
-     {"--subgroup": {"default": "commutator"}, "--radius": _INT}),
-    ("uniformity", "is one multiplier uniform per bad set?",
-     verify_mod.verify_cancellator_uniformity,
-     {"--subgroup": {"help": "group only the members of this subgroup",
-                     "default": argparse.SUPPRESS},
-      "--radius": _INT}),
-    ("joinlemma", "join(g) <=> join(doubled g), exhaustively",
-     verify_mod.verify_join_lemma, {"--max-vertices": _INT}),
-    ("certificates", "certified elements survive the falsifier",
-     verify_mod.verify_essential_certificates, {"--radius": _INT, "--conj-radius": _INT}),
-)
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="coxrank",
-        description="Rank classification and word combinatorics for "
-        "right-angled Coxeter and Artin groups.",
-    )
-    parser.add_argument(
-        "--version", action="version", version=f"coxrank {__version__} ({BACKEND} kernel)"
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("classify", help="algebraic rank from the defining graph")
-    _add_common(p, _cmd_classify)
-    p.add_argument("--kind", choices=("racg", "raag"), default="racg")
-
-    p = sub.add_parser("reduce", help="reduced word for the same element")
-    _add_common(p, _word_unary(reduce_word), word=True)
-
-    p = sub.add_parser("nf", help="lexicographically least reduced word")
-    _add_common(p, _word_unary(normal_form), word=True)
-
-    p = sub.add_parser("equal", help="do two words represent the same element?")
-    _add_common(p, _cmd_equal)
-    p.add_argument("--left", required=True)
-    p.add_argument("--right", required=True)
-
-    p = sub.add_parser("parity", help="per-generator letter counts mod 2")
-    _add_common(p, _cmd_parity, word=True)
-
-    p = sub.add_parser(
-        "essential", help="essentiality certificates plus the bounded falsifier"
-    )
-    _add_common(p, _cmd_essential, word=True)
-    p.add_argument("--conj-radius", type=int, default=3)
-
-    p = sub.add_parser(
-        "completion", help="even-parity completion multiplier (element of the covering set)"
-    )
-    _add_common(p, _word_unary(find_even_completion), word=True)
-
-    p = sub.add_parser(
-        "cancellator", help="essentialize: repair support, then goodness"
-    )
-    _add_common(p, _cmd_cancellator, word=True)
-    p.add_argument(
-        "--subgroup",
-        help="'commutator', 'whole', or a subgroup spec file; multipliers stay inside",
-    )
-
-    p = sub.add_parser("dj", help="doubled graphs")
-    _add_common(p, _cmd_dj)
-    p.add_argument("--variant", choices=("prime", "doubleprime"), required=True)
-
-    p = sub.add_parser("subgroup", help="parity-defined subgroups")
-    ssub = p.add_subparsers(dest="subcommand", required=True)
-    for name, run, need_word in (
-        ("member", _cmd_subgroup_member, True),
-        ("index", _cmd_subgroup_index, False),
-    ):
-        q = ssub.add_parser(name)
-        _add_common(q, run, word=need_word)
-        q.add_argument("--subgroup", default="commutator")
-
-    p = sub.add_parser("verify", help="exhaustive/randomized verification runs")
-    vsub = p.add_subparsers(dest="subcommand", required=True)
-    for name, help_, driver, flags in _VERIFY_VERBS:
-        q = vsub.add_parser(name, help=help_)
-        dests = [flag[2:].replace("-", "_") for flag in flags]
-        # joinlemma enumerates its graphs and reads none
-        _add_common(q, _verify(driver, dests), graph=name != "joinlemma")
-        for flag, options in flags.items():
-            q.add_argument(flag, **options)
-
-    return parser
 
 
 def _cmd_classify(g, args):
@@ -283,17 +168,19 @@ def _cmd_subgroup_index(g, args):
     return payload, [f"index: {index}", f"exponent: {exponent}"]
 
 
-def _verify(driver, dests):
-    """Handler for a verify run: calls ``driver`` with the graph (when the
-    verb reads one) and with each of the options ``dests`` that was given;
-    ``subgroup`` is passed resolved, as ``spec``.  The exit code is 0 on
-    PASS, 1 on FAIL."""
+def _verify(driver, options):
+    """Handler and options of a verify row: the handler calls ``driver``
+    with the graph (when the verb reads one) and with each of ``options``
+    that was given; ``subgroup`` is passed resolved, as ``spec``.  The exit
+    code is 0 on PASS, 1 on FAIL."""
+    dests = [flag[2:].replace("-", "_") for flag, spec in options.items()
+             if spec is not None]
 
     def run(g, args):
-        options = {d: getattr(args, d) for d in dests if hasattr(args, d)}
-        if "subgroup" in options:
-            options["spec"] = resolve_subgroup(g, options.pop("subgroup"))
-        report = driver(**options) if g is None else driver(g, **options)
+        given = {d: getattr(args, d) for d in dests if hasattr(args, d)}
+        if "subgroup" in given:
+            given["spec"] = resolve_subgroup(g, given.pop("subgroup"))
+        report = driver(**given) if g is None else driver(g, **given)
         lines = [
             f"check: {report.check}",
             f"total cases: {report.total_cases}",
@@ -303,7 +190,102 @@ def _verify(driver, dests):
         ]
         return report.to_json_dict(), lines, 0 if report.verdict == "PASS" else 1
 
-    return run
+    return run, options
+
+
+# The shared options, in help order.  A row's options are merged over
+# these, so a key given again keeps its place here: _WORD switches --word
+# on and None switches --graph off.
+_COMMON = {
+    "--graph": {"required": True, "help": "defining graph file"},
+    "--word": None,
+    "--format": {"choices": ("json", "text"), "default": "text", "help": "output format"},
+}
+_WORD = {"--word": {"required": True, "help": "space-separated generators; 'e' = empty"}}
+
+# An integer verify option has no default of its own: left out, it is not
+# passed, and the driver's default applies.
+_INT = {"type": int, "default": argparse.SUPPRESS}
+
+# One row per verb: name, help, handler and its options in help order.  A
+# group row holds its subverbs' rows in place of a handler, and its
+# options are every subverb's.
+_VERBS = (
+    ("classify", "algebraic rank from the defining graph", _cmd_classify,
+     {"--kind": {"choices": ("racg", "raag"), "default": "racg"}}),
+    ("reduce", "reduced word for the same element", _word_unary(reduce_word), _WORD),
+    ("nf", "lexicographically least reduced word", _word_unary(normal_form), _WORD),
+    ("equal", "do two words represent the same element?", _cmd_equal,
+     {"--left": {"required": True}, "--right": {"required": True}}),
+    ("parity", "per-generator letter counts mod 2", _cmd_parity, _WORD),
+    ("essential", "essentiality certificates plus the bounded falsifier", _cmd_essential,
+     {**_WORD, "--conj-radius": {"type": int, "default": 3}}),
+    ("completion", "even-parity completion multiplier (element of the covering set)",
+     _word_unary(find_even_completion), _WORD),
+    ("cancellator", "essentialize: repair support, then goodness", _cmd_cancellator,
+     {**_WORD, "--subgroup": {
+         "help": "'commutator', 'whole', or a subgroup spec file; multipliers stay inside"}}),
+    ("dj", "doubled graphs", _cmd_dj,
+     {"--variant": {"choices": ("prime", "doubleprime"), "required": True}}),
+    ("subgroup", "parity-defined subgroups", (
+        ("member", None, _cmd_subgroup_member, _WORD),
+        ("index", None, _cmd_subgroup_index, {}),
+    ), {"--subgroup": {"default": "commutator"}}),
+    ("verify", "exhaustive/randomized verification runs", (
+        ("parity", "parity invariance under random legal moves",
+         *_verify(verify_mod.verify_parity_invariance,
+                  {"--trials": _INT, "--max-len": _INT, "--seed": _INT})),
+        ("wordproblem", "normal forms vs rewriting closure",
+         *_verify(verify_mod.verify_word_problem, {"--max-len": _INT})),
+        ("covering", "even-completion covering of the ball",
+         *_verify(verify_mod.verify_covering, {"--radius": _INT})),
+        ("subgroup-covering", "covering inside a subgroup",
+         *_verify(verify_mod.verify_subgroup_covering,
+                  {"--subgroup": {"default": "commutator"}, "--radius": _INT})),
+        ("uniformity", "is one multiplier uniform per bad set?",
+         *_verify(verify_mod.verify_cancellator_uniformity,
+                  {"--subgroup": {"help": "group only the members of this subgroup",
+                                  "default": argparse.SUPPRESS},
+                   "--radius": _INT})),
+        # joinlemma enumerates its graphs and reads none
+        ("joinlemma", "join(g) <=> join(doubled g), exhaustively",
+         *_verify(verify_mod.verify_join_lemma, {"--graph": None, "--max-vertices": _INT})),
+        ("certificates", "certified elements survive the falsifier",
+         *_verify(verify_mod.verify_essential_certificates,
+                  {"--radius": _INT, "--conj-radius": _INT})),
+    ), {}),
+)
+
+
+def _add_verbs(parser, dest, rows, common=_COMMON):
+    """One subparser per row, its handler set as ``run``; a group row's
+    subverbs go one level down, with the group's options merged in.  A
+    row without help passes none: argparse lists a subverb given
+    ``help=None`` in its group's help screen."""
+    sub = parser.add_subparsers(dest=dest, required=True)
+    for name, help_, run, options in rows:
+        p = sub.add_parser(name, **({"help": help_} if help_ else {}))
+        options = {**common, **options}
+        if isinstance(run, tuple):
+            _add_verbs(p, "subcommand", run, options)
+            continue
+        p.set_defaults(run=run)
+        for flag, spec in options.items():
+            if spec is not None:
+                p.add_argument(flag, **spec)
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="coxrank",
+        description="Rank classification and word combinatorics for "
+        "right-angled Coxeter and Artin groups.",
+    )
+    parser.add_argument(
+        "--version", action="version", version=f"coxrank {__version__} ({BACKEND} kernel)"
+    )
+    _add_verbs(parser, "command", _VERBS)
+    return parser
 
 
 def main(argv=None) -> int:

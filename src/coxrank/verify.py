@@ -481,7 +481,8 @@ def verify_subgroup_covering(
     s-good-for-all-s member; the repair loop itself allows at most one
     support repair per missing generator and one goodness repair per bad
     generator.  The distinct total multipliers form the empirical
-    covering set."""
+    covering set.  A member whose pipeline raises is a failure recorded
+    as ``"{code}: {message}"``, and counts toward no multiplier or step."""
     t0 = time.perf_counter()
     _require_serial(jobs)
     _require_irreducible_nonaffine(g)
@@ -494,12 +495,10 @@ def verify_subgroup_covering(
     max_steps = 0
     for w in inside:
         try:
-            _, total, steps, problems = _essentialize(g, spec, w, repairs)
+            _, total, steps = _essentialize(g, spec, w, repairs)
         except CoxrankError as exc:
             failures.append({"word": _fmt(g, w), "reason": f"{exc.code}: {exc}"})
             continue
-        if problems:
-            failures.append({"word": _fmt(g, w), "reason": "; ".join(problems)})
         multipliers.add(total)
         max_steps = max(max_steps, len(steps))
     params = {

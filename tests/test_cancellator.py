@@ -266,6 +266,18 @@ def test_subgroup_covering_driver_matches_essentialize_on_c5(c5):
         _assert_driver_matches_essentialize(c5, spec, 6)
 
 
+def test_subgroup_covering_driver_matches_essentialize_when_every_member_fails(
+    c5, monkeypatch
+):
+    # an odd exponent takes every multiplier out of the commutator subgroup
+    monkeypatch.setattr(
+        cancellator,
+        "multiplier_word",
+        lambda choice, n: (choice.s_double_prime, choice.s, choice.s_prime) * 3,
+    )
+    _assert_driver_matches_essentialize(c5, commutator_subgroup(c5), 4)
+
+
 def test_subgroup_covering_driver_matches_essentialize_on_random_graphs():
     for g, rng in _random_join_free_graphs(30, seed=2027):
         rows = [rng.randrange(1 << g.n) for _ in range(rng.randint(0, g.n))]
@@ -475,8 +487,8 @@ def test_pipeline_output_that_leaves_the_subgroup_is_a_contract_violation(
     report = verify_subgroup_covering(c5, commutator_subgroup(c5), radius=4)
     assert report.verdict == "FAIL"
     assert report.failures[:2] == (
-        {"word": "e", "reason": reason},
-        {"word": "a c a c", "reason": reason},
+        {"word": "e", "reason": f"CONTRACT_VIOLATION: {reason}"},
+        {"word": "a c a c", "reason": f"CONTRACT_VIOLATION: {reason}"},
     )
     assert len(report.failures) == report.total_cases
 
@@ -493,7 +505,7 @@ def test_pipeline_output_that_fails_its_certificate_is_a_contract_violation(
     report = verify_subgroup_covering(c5, commutator_subgroup(c5), radius=2)
     assert report.failures[0] == {
         "word": "e",
-        "reason": "final word is not s-good for all s",
+        "reason": "CONTRACT_VIOLATION: final word is not s-good for all s",
     }
 
 

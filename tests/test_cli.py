@@ -417,6 +417,72 @@ def test_verify_defaults_are_the_drivers_defaults(capsys):
         assert got == want, verb
 
 
+# SHA-256 of "exit N\n", stdout, a NUL byte and stderr for every help screen
+# (the top level, each verb, each subverb) and five usage errors, at 80
+# columns.  argparse lays these out, so the digests hold for one Python
+# minor version
+HELP_DIGESTS = [
+    (("--help",), "5f4d336e11e121c37daf527f9adfb738869bdd49c37e5add741a4d5b533e8a39"),
+    (("classify", "--help"),
+     "5f59598b17b8034c64b92c2708129f34535c3ee21ab893ea9e0f8b1ac41ef1dc"),
+    (("reduce", "--help"),
+     "c8ba7efeda4f585a1e8f54bdd19cf01efecfa795345a1d8447569d2c5bd71723"),
+    (("nf", "--help"), "21d17240b653e10060c1333079ec60cd2b0027f5a3a62a488f85a07fa813a202"),
+    (("equal", "--help"),
+     "31b9e6ec7b5c408ef061b6bcafe6a00d2a5ce120312005f1c10e72c81acf1778"),
+    (("parity", "--help"),
+     "b1f5a2ec2b53174757d7e53294f72859c1057f13b50a85bac73b47154fce25f2"),
+    (("essential", "--help"),
+     "2edee3a318db610de4b11ede7f0b451792d6d3f44f79ae3779a75c0c131f45f7"),
+    (("completion", "--help"),
+     "05fd923629389732e6adcdadff2b49628515aa45ecd8693e7c40f527839091aa"),
+    (("cancellator", "--help"),
+     "6743870c650c06f8519e407fb100245774528a99e7fc8bc6ff7a2ac9bb883f1a"),
+    (("dj", "--help"), "5251c1d041df35cdd787de6fe4f40f8f55e20228f14f6d99644f38e28434b727"),
+    (("subgroup", "--help"),
+     "9f4c34340b56d7874068173012a15b774224251ebc7c1dff195edb7d7aa4e365"),
+    (("verify", "--help"),
+     "f3a21ee0eef2e279c06abd94d34a9dcb844a560628b9507d54d85e0392002392"),
+    (("subgroup", "member", "--help"),
+     "28e9c8ff40092fca64c4641df42d85df6e2d23e98170f88e93421bd816376900"),
+    (("subgroup", "index", "--help"),
+     "053b044e9b2093cd1bcf5e80dd0ebd1b299cb40044579caf068e5743b7dc2309"),
+    (("verify", "parity", "--help"),
+     "81d10b2505eb9f3569080df4901e689a319d3c003525a5a57739a42bdd68388c"),
+    (("verify", "wordproblem", "--help"),
+     "92fb62623690e6d1b3a227536065d3c7e77bdf7311d9532965e3391531f4430c"),
+    (("verify", "covering", "--help"),
+     "76e707c82dcaa8add6c6e081eb17116d84c0de499b4b8044fcda592827dec803"),
+    (("verify", "subgroup-covering", "--help"),
+     "585e1fe45a83efd52b6250305b9bd94e0d226ad9c019f47e3c0af4824bd2fa2e"),
+    (("verify", "uniformity", "--help"),
+     "748ec576fcf36cadd29365cb15167b48b41f2540183a65a7189e9f29bb8b1da7"),
+    (("verify", "joinlemma", "--help"),
+     "c23449a9c6a821417c0461ac5a9ad0e6bb6f51b38fa107edb42acd5c9f60c04e"),
+    (("verify", "certificates", "--help"),
+     "3a605ba46047e3ad3be821ac8ec3c61cef47bcf8b7823817e1827749855356a6"),
+    ((), "f08eda6b0842369fdea6668559d0542bf1e15fa286f6e8fd02f1f0495f431d92"),
+    (("frobnicate",), "64d73e1a6906f13d22fa65d0f17277423027ce7b0d978dcf962b3c7e2950d5ed"),
+    (("classify",), "4a0a2eccdf1c7baa5a659a6baefc3f7f525348e70f1292977231277f6c8cf475"),
+    (("verify",), "dc383359a4f392e88395d7cbbab519c53852648278650f72dca003e323d6a381"),
+    (("verify", "covering", "--graph", "g.txt", "--radius", "x"),
+     "568c96ee072f6997eebc1928d54210f132b4aefe2c03bd5bdf2b0b4aeedf6d93"),
+]
+
+
+@pytest.mark.skipif(
+    sys.version_info[:2] != (3, 11), reason="digests of Python 3.11's argparse layout"
+)
+def test_help_screens_and_usage_errors_keep_their_bytes(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    for argv, digest in HELP_DIGESTS:
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        out = capsys.readouterr()
+        got = f"exit {exc.value.code}\n{out.out}\0{out.err}"
+        assert hashlib.sha256(got.encode()).hexdigest() == digest, argv
+
+
 def test_malformed_subgroup_file_exit_code(capsys, c5_file, tmp_path):
     spec = tmp_path / "bad.sub"
     spec.write_text("basis: 10x00\n")

@@ -5,6 +5,7 @@ within a deadline (enforced by an interval timer, so a hang fails too)."""
 
 import contextlib
 import io
+import itertools
 import os
 import re
 import signal
@@ -14,7 +15,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from coxrank import verify
+from coxrank import cli, verify
 from coxrank.cli import main
 
 CALL_DEADLINE_S = 10.0
@@ -206,3 +207,21 @@ def test_cli_main_never_crashes_and_codes_every_usage_error(family, data, graph,
     if code == 2:
         assert CODED.search(err), (argv, err)
         assert out == "", argv
+
+
+def _leaf_verbs(rows, prefix=()):
+    """The command path of every verb in a table of ``cli._VERBS`` rows."""
+    for name, _, run, _ in rows:
+        if isinstance(run, tuple):
+            yield from _leaf_verbs(run, prefix + (name,))
+        else:
+            yield prefix + (name,)
+
+
+def test_the_fuzzer_draws_every_verb():
+    heads = {
+        tuple(itertools.takewhile(lambda w: not w.startswith("--"), head.split()))
+        for strategy, _ in FAMILIES.values()
+        for head in strategy.elements  # st.just and st.sampled_from
+    }
+    assert heads == set(_leaf_verbs(cli._VERBS))
