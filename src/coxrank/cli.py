@@ -184,7 +184,7 @@ def _verify(driver, options):
         lines = [
             f"check: {report.check}",
             f"total cases: {report.total_cases}",
-            f"failures: {len(report.failures)}",
+            f"failures: {len(report.failures) + report.failures_omitted}",
             f"elapsed: {report.elapsed_ms} ms",
             f"verdict: {report.verdict}",
         ]

@@ -74,11 +74,16 @@ PARITY_MAX_WORK = 5_000_000
 # passes its own cap, but their product does not (C5 at radius 10 and
 # conj-radius 4 needs 3.95M, about 1.4 s; at conj-radius 6, 27.6M)
 FALSIFIER_MAX_WORK = 5_000_000
+# failure records a report keeps; the rest are only counted, as
+# ``failuresOmitted``
+MAX_FAILURE_RECORDS = 100
 
 
 class VerificationReport(NamedTuple):
     """A verify run's result; ``params`` is a read-only mapping and
-    ``failures`` a tuple, so the report cannot disagree with its verdict."""
+    ``failures`` a tuple, so the report cannot disagree with its verdict.
+    ``failures`` holds the first MAX_FAILURE_RECORDS records and
+    ``failures_omitted`` counts the records dropped after them."""
 
     check: str
     params: MappingProxyType
@@ -87,6 +92,7 @@ class VerificationReport(NamedTuple):
     elapsed_ms: int
     verdict: str
     seed: int | None = None
+    failures_omitted: int = 0
 
     def __reduce__(self):
         # a read-only mapping cannot be pickled or deep-copied: pass a dict
@@ -101,6 +107,8 @@ class VerificationReport(NamedTuple):
             "elapsedMs": self.elapsed_ms,
             "verdict": self.verdict,
         }
+        if self.failures_omitted:
+            d["failuresOmitted"] = self.failures_omitted
         if self.seed is not None:
             d["seed"] = self.seed
         return d
@@ -117,10 +125,11 @@ def _finish(check, params, failures, total, t0, seed=None) -> VerificationReport
         check=check,
         params=MappingProxyType(params),
         total_cases=total,
-        failures=tuple(failures),
+        failures=tuple(failures[:MAX_FAILURE_RECORDS]),
         elapsed_ms=int((time.perf_counter() - t0) * 1000),
         verdict="PASS" if not failures else "FAIL",
         seed=seed,
+        failures_omitted=max(0, len(failures) - MAX_FAILURE_RECORDS),
     )
 
 

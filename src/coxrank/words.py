@@ -169,21 +169,29 @@ def ball_bytes(g: DefiningGraph, radius: int) -> list[bytes]:
     """All elements of reduced length <= radius as encoded normal forms,
     shortlex sorted (byte order = vertex order).
 
+    Shortlex normal forms are prefix-closed (Brink and Howlett, Coxeter
+    groups are shortlex automatic, 1993): dropping the last letter of a
+    normal form leaves a normal form.  So the extension w x of an element
+    w of the last sphere is kept exactly when its normal form is w x, and
+    each element v of the next sphere is built once, from v[:-1] and
+    v[-1].  The frontier is expanded in order with the letters ascending,
+    so each sphere comes out sorted.
+
     Each element carries its right-descent mask, the letters x with
     |w x| < |w|: for v = w x with x outside desc(w), desc(v) is
     {x} | (desc(w) & comm[x]).  Only the extensions by letters outside
-    desc(w) are normalized, and each of them is one letter longer.
+    desc(w) are tested, and each of them is one letter longer.
 
     Of each such extension only the suffix that x can move into is
     normalized: if k is least such that every letter of w[k:] commutes
     with x, then nf(w x) = w[:k] + nf(w[k:] x).  The letter w[k-1]
     neither commutes with x nor equals it (x is not a descent), so x
     cannot pass it, and the greedy lex extraction emits w[:k] exactly as
-    it does for w.  The prefix w[:k] is found by one ``bytes.rstrip``
-    scan, ``w.rstrip`` of the letters that commute with x.  Most suffixes
-    are short: of the 75,625 calls in the pentagon's radius-10 ball,
-    62,710 get one or two letters, which ``normal_form`` answers in closed
-    form.
+    it does for w.  So nf(w x) = w x exactly when nf(w[k:] x) = w[k:] x.
+    The prefix w[:k] is found by one ``bytes.rstrip`` scan, ``w.rstrip``
+    of the letters that commute with x.  Most suffixes are short: of the
+    75,625 calls in the pentagon's radius-10 ball, 62,710 get one or two
+    letters, which ``normal_form`` answers in closed form.
 
     The radius passes ``require_radius``.  A ball that could outgrow
     MAX_BALL_ELEMENTS raises ``RadiusCapError``: each frontier element adds
@@ -203,14 +211,16 @@ def ball_bytes(g: DefiningGraph, radius: int) -> list[bytes]:
                 f"ball of radius {radius} may exceed {MAX_BALL_ELEMENTS} "
                 f"elements ({bound} possible through radius {r})"
             )
-        grown: dict[bytes, int] = {}
+        grown: list[bytes] = []
+        grown_descs: list[int] = []
         for w, desc in zip(frontier, descs):
             for s, bit, mask, skip in gens:
                 if not desc & bit:
-                    head = w.rstrip(skip)
-                    grown[head + nf(w[len(head) :] + s, comm)] = bit | (desc & mask)
-        frontier = sorted(grown)
-        descs = list(map(grown.__getitem__, frontier))
+                    tail = w[len(w.rstrip(skip)) :] + s
+                    if nf(tail, comm) == tail:
+                        grown.append(w + s)
+                        grown_descs.append(bit | (desc & mask))
+        frontier, descs = grown, grown_descs
         out.extend(frontier)
     return out
 

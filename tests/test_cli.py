@@ -161,6 +161,17 @@ def test_verify_report_json(capsys, c5_file):
     assert payload["verdict"] == "PASS"
 
 
+def test_a_bounded_fail_prints_its_total(capsys, c5_file, monkeypatch):
+    monkeypatch.setattr(coxrank.kernels, "normal_form", coxrank.kernels.reduce_word)
+    argv = ("verify", "wordproblem", "--graph", c5_file, "--max-len", "6")
+    code, out, _ = run_main(capsys, *argv)
+    assert code == 1
+    assert "failures: 8250\n" in out
+    code, out, _ = run_main(capsys, *argv, "--format", "json")
+    payload = json.loads(out)
+    assert (len(payload["failures"]), payload["failuresOmitted"]) == (100, 8150)
+
+
 def test_balls_past_the_limits_exit_2(capsys, tmp_path):
     # join-free, so legal input; its radius-10 ball would hold ~4.5e14
     # elements, and the element limit stops it at radius 4

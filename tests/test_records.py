@@ -64,7 +64,10 @@ def _records(c5):
     return [
         (
             verify_covering(c5, 2),
-            ("check", "params", "total_cases", "failures", "elapsed_ms", "verdict", "seed"),
+            (
+                "check", "params", "total_cases", "failures", "elapsed_ms", "verdict", "seed",
+                "failures_omitted",
+            ),
         ),
         (goodness_report(c5, ("a", "b", "c")), ("per_generator", "bad_set", "full_support")),
         (falsify_essential(c5, PLANTED, 4), ("conjugator", "parabolic")),

@@ -1,3 +1,4 @@
+import pickle
 import random
 from itertools import combinations, product
 
@@ -597,6 +598,21 @@ def test_word_problem_fails_on_a_normal_form_that_is_not_canonical(c5, monkeypat
     report = verify_word_problem(c5, max_len=3)
     assert report.verdict == "FAIL"
     assert report.failures[0] == {"word": "b a", "normalForm": "b a", "classLeast": "a b"}
+
+
+def test_a_fail_keeps_the_first_records_and_counts_the_rest(c5, monkeypatch):
+    monkeypatch.setattr(coxrank.kernels, "normal_form", coxrank.kernels.reduce_word)
+    report = verify_word_problem(c5, max_len=6)
+    assert report.verdict == "FAIL"
+    assert (len(report.failures), report.failures_omitted) == (100, 8150)
+    d = report.to_json_dict()
+    assert (len(d["failures"]), d["failuresOmitted"]) == (100, 8150)
+    assert pickle.loads(pickle.dumps(report)) == report
+    monkeypatch.setattr(coxrank.verify, "MAX_FAILURE_RECORDS", 10**6)
+    whole = verify_word_problem(c5, max_len=6)
+    assert (len(whole.failures), whole.failures_omitted) == (8250, 0)
+    assert whole.failures[:100] == report.failures
+    assert "failuresOmitted" not in whole.to_json_dict()
 
 
 def test_word_problem_fails_on_a_normal_form_that_merges_two_elements(c5, monkeypatch):

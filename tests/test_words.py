@@ -343,6 +343,29 @@ def test_descent_pruned_ball_matches_the_seen_set_ball(monkeypatch):
         _check_descent_pruned_ball(DefiningGraph(verts, edges), rng.randint(0, 4), monkeypatch)
 
 
+def _check_prefix_closed(comm, radius):
+    ball = _ball_by_seen_set(comm, radius)
+    keys = [(len(v), v) for v in ball]
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+    elements = set(ball)
+    assert all(v[:-1] in elements for v in ball if v)
+
+
+def test_the_reference_ball_is_sorted_and_prefix_closed():
+    # the premise of ball_bytes, checked on the seen-set reference, which
+    # normalizes whole words: every normal form of length r is a normal
+    # form of length r - 1 plus one letter, and spheres are shortlex sorted
+    for g in every_graph(4):
+        for radius in range(7):
+            _check_prefix_closed(g.comm_masks, radius)
+    rng = random.Random(1329)
+    for _ in range(100):
+        verts = "abcdefg"[: rng.randint(5, 7)]
+        edges = [p for p in itertools.combinations(verts, 2) if rng.random() < 0.5]
+        for radius in range(5):
+            _check_prefix_closed(DefiningGraph(verts, edges).comm_masks, radius)
+
+
 def _growth_series(n, edges, radius):
     """Sphere sizes 0..radius from the clique polynomial alone: the growth
     series of a right-angled Coxeter group is 1/f(-t/(1+t)), where f(t)
