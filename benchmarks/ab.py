@@ -1,26 +1,34 @@
 #!/usr/bin/env python3
-"""Compare two source trees on one perfbench workload, in alternating pairs.
+"""Compare two source trees on one benchmark, in alternating pairs.
 
-Usage: python3 benchmarks/ab.py BASE HEAD --workload W --pairs N --seconds S --seed K
+Usage: python3 benchmarks/ab.py BASE HEAD --workload W [--pairs N] [--seconds S] [--seed K]
 
 BASE and HEAD are checkouts of this repository (``git archive`` copies
-will do).  Pair i (1 to N) runs each tree's own ``perfbench/run.py
---workload W --seed K+i-1 --seconds S --trace 0`` in a fresh process, base
-first in odd pairs and head first in even ones, so that host drift over
-the comparison falls on both sides alike.  Both trees must hold the same
-``perfbench/`` and ``BENCHMARK.json``, and every run must report 0 failed
-operations; otherwise nothing is recorded.
+will do).  W is a perfbench workload, or ``kernels`` for the rows of
+``benchmarks/bench_kernels.py``.  Pair i (1 to N) runs each tree's own
+benchmark in a fresh process, base first in odd pairs and head first in
+even ones, so that host drift over the comparison falls on both sides
+alike.  A perfbench workload runs ``perfbench/run.py --workload W --seed
+K+i-1 --seconds S --trace 0``, and its metrics are the end-to-end
+metrics of ``BENCHMARK.json``; every run must report 0 failed
+operations.  ``kernels`` runs ``benchmarks/bench_kernels.py``, which has
+a fixed corpus seed and repeat count, so ``--seconds`` and ``--seed`` do
+not apply; its metrics are the rows' ``median_ms`` (lower is better),
+and every run of both trees must give the same rows with the same
+digests.  Both trees must hold the same ``perfbench/`` and
+``BENCHMARK.json``, and for ``kernels`` the same
+``benchmarks/bench_kernels.py``.  Otherwise nothing is recorded.
 
 Every run has ``PYTHONDONTWRITEBYTECODE=1`` and a ``PYTHONPYCACHEPREFIX``
 into which both trees' ``src`` are compiled first, so neither side writes
 bytecode and both read the same kind of cache whatever ``__pycache__``
-the trees hold: ``setup_s`` compares code, not cache state.
+the trees hold: start-up times compare code, not cache state.
 
-For each end-to-end metric of ``BENCHMARK.json`` it prints each side's
-median and quartiles, the head/base ratio of the medians, how many pairs
-head won (ties count for neither), and whether the medians differ by
-more than the base's interquartile range.  One compact record per
-comparison is appended to ``BENCH_ab.json`` at the repository root.
+For each metric it prints each side's median and quartiles, the
+head/base ratio of the medians, how many pairs head won (ties count for
+neither), and whether the medians differ by more than the base's
+interquartile range.  One compact record per comparison is appended to
+``BENCH_ab.json`` at the repository root.
 """
 
 from __future__ import annotations
@@ -38,6 +46,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 OUT = ROOT / "BENCH_ab.json"
+KERNELS = "kernels"
 
 
 def quartiles(values) -> tuple[float, float, float]:
@@ -82,17 +91,21 @@ def _rounded(summary: dict) -> dict:
     return {k: list(map(cut, v)) if isinstance(v, list) else cut(v) for k, v in summary.items()}
 
 
-def _bench_files(tree: Path) -> list[Path]:
+def _bench_files(tree: Path, workload: str) -> list[Path]:
     files = [p.relative_to(tree) for p in (tree / "perfbench").rglob("*")
              if p.is_file() and "__pycache__" not in p.parts]
-    return sorted(files) + [Path("BENCHMARK.json")]
+    files = sorted(files) + [Path("BENCHMARK.json")]
+    if workload == KERNELS:
+        files.append(Path("benchmarks/bench_kernels.py"))
+    return files
 
 
-def same_benchmark(base: Path, head: Path) -> bool:
-    """Whether both trees hold the same perfbench/ files and BENCHMARK.json."""
-    files = _bench_files(base)
+def same_benchmark(base: Path, head: Path, workload: str) -> bool:
+    """Whether both trees hold the same perfbench/ files and BENCHMARK.json,
+    and for the ``kernels`` workload the same row script."""
+    files = _bench_files(base, workload)
     _, mismatch, errors = filecmp.cmpfiles(base, head, [str(f) for f in files], shallow=False)
-    return files == _bench_files(head) and not mismatch and not errors
+    return files == _bench_files(head, workload) and not mismatch and not errors
 
 
 def sources_digest(tree: Path) -> str:
@@ -103,42 +116,81 @@ def sources_digest(tree: Path) -> str:
     return h.hexdigest()[:16]
 
 
-def run_once(tree: Path, args, seed: int, env: dict) -> tuple[dict, dict]:
-    """One untraced perfbench run of ``tree``: its result and provenance."""
-    cmd = [sys.executable, str(tree / "perfbench" / "run.py"), "--workload", args.workload,
-           "--seed", str(seed), "--seconds", str(args.seconds), "--trace", "0"]
-    proc = subprocess.run(cmd, cwd=tree, env=env, stdout=subprocess.PIPE, text=True,
-                          check=False)
-    lines = proc.stdout.rstrip("\n").splitlines()
+def git_commit(tree: Path) -> str:
+    """The commit that ``tree``'s HEAD names, if it is a git checkout."""
+    proc = subprocess.run(["git", "--git-dir", str(tree / ".git"), "rev-parse", "HEAD"],
+                          capture_output=True, text=True, check=False)
+    return proc.stdout.strip() if proc.returncode == 0 else "unknown (not a git checkout)"
+
+
+def run_once(tree: Path, args, seed: int, env: dict) -> dict:
+    """The result (the last stdout line) of one run of ``tree``'s benchmark."""
+    if args.workload == KERNELS:
+        cmd = [tree / "benchmarks" / "bench_kernels.py"]
+    else:
+        cmd = [tree / "perfbench" / "run.py", "--workload", args.workload, "--seed", seed,
+               "--seconds", args.seconds, "--trace", 0]
+    proc = subprocess.run([sys.executable, *map(str, cmd)], cwd=tree, env=env,
+                          stdout=subprocess.PIPE, text=True, check=False)
     try:
-        result = json.loads(lines[-1])
-        provenance = json.loads(next(x for x in lines if x.startswith("provenance "))[11:])
-    except (IndexError, StopIteration, ValueError):
+        result = json.loads(proc.stdout.rstrip("\n").splitlines()[-1])
+    except (IndexError, ValueError):
         raise SystemExit(f"{tree}: no result (exit {proc.returncode})\n{proc.stdout}")
-    if proc.returncode or result["failed"]:
-        raise SystemExit(f"{tree}: {result['failed']} of {result['attempted']} "
-                         f"operations failed at seed {seed}")
-    return result, provenance
+    if proc.returncode or result.get("failed"):
+        raise SystemExit(f"{tree}: exit {proc.returncode}, {result.get('failed')} of "
+                         f"{result.get('attempted')} operations failed at seed {seed}")
+    return result
+
+
+def row_series(runs: dict) -> dict:
+    """Each ``bench_kernels.py`` row's ``median_ms`` per run, as ``{key:
+    ("lower", base, head)}``, from ``runs[side]``, each side's results in
+    pair order.  Refuses a row that some run lacks, or whose digest differs
+    from the one in base's first run."""
+    first = runs["base"][0]["rows"]
+    for side, results in runs.items():
+        for rows in (r["rows"] for r in results):
+            if rows.keys() != first.keys():
+                raise SystemExit(f"rows {sorted(rows.keys() ^ first.keys())} are not "
+                                 "in every run of both trees")
+            for key, row in rows.items():
+                if row["digest"] != first[key]["digest"]:
+                    raise SystemExit(f"row {key!r}: digest {row['digest']} in {side}, "
+                                     f"{first[key]['digest']} in base")
+    return {key: ("lower", *([r["rows"][key]["median_ms"] for r in runs[side]]
+                             for side in ("base", "head"))) for key in first}
+
+
+def metric_series(runs: dict, spec: list) -> dict:
+    """Each end-to-end metric of ``spec`` per perfbench run, as ``{name:
+    (better, base, head)}``."""
+    return {m["name"]: (m["better"], *([r["metrics"][m["name"]]["value"] for r in runs[side]]
+                                       for side in ("base", "head"))) for m in spec}
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("base", type=Path)
     parser.add_argument("head", type=Path)
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", required=True,
+                        help=f"a perfbench workload, or {KERNELS!r} for bench_kernels.py's rows")
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=30)
-    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--seconds", type=float,
+                        default=json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"],
+                        help="seconds per perfbench run (perfbench workloads only; "
+                        "default: BENCHMARK.json run_seconds)")
+    parser.add_argument("--seed", type=int, default=1,
+                        help="seed of the first pair (perfbench workloads only)")
     args = parser.parse_args(argv)
     trees = {"base": args.base.resolve(), "head": args.head.resolve()}
+    kernels = args.workload == KERNELS
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
-    if not same_benchmark(trees["base"], trees["head"]):
-        parser.error("the trees' perfbench/ or BENCHMARK.json differ")
+    if not same_benchmark(trees["base"], trees["head"], args.workload):
+        parser.error("the trees' perfbench/, BENCHMARK.json or benchmarks/bench_kernels.py differ")
     spec = json.loads((trees["head"] / "BENCHMARK.json").read_text())["end_to_end"]
 
-    values = {side: {m["name"]: [] for m in spec} for side in trees}
-    commits = {}
+    runs = {side: [] for side in trees}
     with tempfile.TemporaryDirectory() as cache:
         env = {**os.environ, "PYTHONPYCACHEPREFIX": cache}
         for tree in trees.values():
@@ -148,31 +200,27 @@ def main(argv=None) -> int:
         for i in range(args.pairs):
             seed = args.seed + i
             for side in ("base", "head") if i % 2 == 0 else ("head", "base"):
-                result, provenance = run_once(trees[side], args, seed, env)
-                commits[side] = provenance["commit"]
-                for name, series in values[side].items():
-                    series.append(result["metrics"][name]["value"])
-            print(f"pair {i + 1} seed {seed}: " + "  ".join(
-                f"{m['name']} {values['base'][m['name']][-1]:.4g}/"
-                f"{values['head'][m['name']][-1]:.4g}" for m in spec), flush=True)
+                runs[side].append(run_once(trees[side], args, seed, env))
+            series = row_series(runs) if kernels else metric_series(runs, spec)
+            print(f"pair {i + 1}: head/base " + " ".join(
+                f"{h[-1] / b[-1]:.3f}" if b[-1] else "-" for _, b, h in series.values()), flush=True)
 
-    metrics = {m["name"]: summarize(values["base"][m["name"]], values["head"][m["name"]],
-                                    m["better"]) for m in spec}
-    print(f"{'metric':<14}{'base q1 med q3':>28}{'head q1 med q3':>28}"
+    metrics = {name: summarize(b, h, better) for name, (better, b, h) in series.items()}
+    width = max(len("metric"), *map(len, metrics)) + 2
+    print(f"{'metric':<{width}}{'base q1 med q3':>28}{'head q1 med q3':>28}"
           f"{'ratio':>8}{'wins':>7}  beyond base IQR")
-    for m in spec:
-        s = metrics[m["name"]]
+    for name, s in metrics.items():
         sides = ["{:.4g} {:.4g} {:.4g}".format(*s[side]) for side in ("base", "head")]
         ratio = "-" if s["ratio"] is None else f"{s['ratio']:.3f}"
-        print(f"{m['name']:<14}{sides[0]:>28}{sides[1]:>28}{ratio:>8}"
+        print(f"{name:<{width}}{sides[0]:>28}{sides[1]:>28}{ratio:>8}"
               f"{s['wins']:>4}/{s['pairs']:<2}  {'yes' if s['beyond_iqr'] else 'no'}")
 
     record = {
         "workload": args.workload,
         "pairs": args.pairs,
-        "seconds": args.seconds,
-        "seeds": [args.seed, args.seed + args.pairs - 1],
-        **{side: {"commit": commits[side], "sources": sources_digest(tree)}
+        "seconds": None if kernels else args.seconds,
+        "seeds": None if kernels else [args.seed, args.seed + args.pairs - 1],
+        **{side: {"commit": git_commit(tree), "sources": sources_digest(tree)}
            for side, tree in trees.items()},
         "python": platform.python_version(),
         "machine": platform.machine(),

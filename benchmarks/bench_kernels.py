@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Time the word kernels, the ball, the falsifier, goodness and the verify
-loops, and record them in BENCH_kernels.json.
+loops of the ``src`` next to this script, one row each.
 
-Usage: python3 benchmarks/bench_kernels.py [--label NAME]
+Usage: python3 benchmarks/bench_kernels.py
 
 Times is_reduced, reduce_word and normal_form over a seeded corpus of
 CORPUS_WORDS random words of at most CORPUS_MAX_LEN letters on the
@@ -33,16 +33,16 @@ its digest is the sorted list of loaded coxrank modules, and its params
 record ``sys.dont_write_bytecode``, since compiling the sources each
 time costs several times the import itself.
 
-Each row is the median of REPEATS runs and records its parameters, the
-kernel backend, the Python version and a digest of the results: equal
-digests mean byte-identical output (the bad masks; the closure's class
-roots; a report's payload without ``elapsedMs``).  ``median_ms`` is wall time; ``ref_ms``
-is the median in reference milliseconds of ``perfbench.clock.SpeedClock``,
-which samples the host's speed during the runs and corrects for its drift
-(the sampler costs about 3% of the wall time).  The rows are stored
-under ``--label`` in BENCH_kernels.json at the repository root; runs under
-other labels stay in the file.  To time another source tree, put its
-``src`` first on PYTHONPATH.
+Each row is the median wall time of REPEATS runs with a digest of the
+last run's results: equal digests mean byte-identical output (the bad
+masks; the closure's class roots; a report's payload without
+``elapsedMs``).  A row's key is its op and its params, ``op k=v ...``,
+unique among the rows.  The script takes no options and writes no file.
+It prints one line per row and, as its last line, one JSON object:
+``{"backend": B, "rows": {KEY: {"median_ms": M, "digest": D}, ...}}``.
+To compare two checkouts, run ``benchmarks/ab.py BASE HEAD --workload
+kernels``, which runs each tree's copy of this script in alternating
+pairs and refuses rows whose digests differ.
 """
 
 from __future__ import annotations
@@ -51,8 +51,6 @@ import argparse
 import hashlib
 import importlib
 import json
-import os
-import platform
 import random
 import statistics
 import sys
@@ -60,13 +58,11 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path.append(str(ROOT / "src"))  # PYTHONPATH, when set, comes first
-sys.path.append(str(ROOT))
+sys.path[:0] = [str(ROOT / "src"), str(ROOT)]  # this checkout, whatever PYTHONPATH says
 
 from coxrank import certificates, kernels, verify, words  # noqa: E402
 from coxrank.graphs import DefiningGraph  # noqa: E402
 from coxrank.subgroups import parse_subgroup_file  # noqa: E402
-from perfbench.clock import SpeedClock  # noqa: E402
 from perfbench.workloads import report_payload  # noqa: E402
 
 C5 = DefiningGraph("abcde", [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e"), ("e", "a")])
@@ -91,7 +87,6 @@ PARITY_TRIALS = 10_000
 PARITY_SEED = 1
 EQUAL_PAIRS = 200
 EQUAL_LENGTHS = (50, 300)
-OUT = ROOT / "BENCH_kernels.json"
 
 
 def _corpus():
@@ -179,34 +174,34 @@ def _fresh_load(subgroup_text):
 
 
 def _row(op, params, run, view=lambda result: result, repeats=REPEATS):
-    """Median wall and reference time of ``repeats`` runs; the digest is
-    taken of ``view`` applied to the last result."""
-    clock = SpeedClock()
+    """The row's key and the median wall time of ``repeats`` runs; the
+    digest is taken of ``view`` applied to the last result."""
     spans = []
-    with clock:
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            result = run()
-            spans.append((t0, time.perf_counter()))
-    return {
-        "op": op,
-        "params": params,
-        "backend": kernels.BACKEND,
-        "python": platform.python_version(),
-        "repeats": repeats,
-        "median_ms": round(statistics.median(b - a for a, b in spans) * 1000, 2),
-        "ref_ms": round(statistics.median(clock.seconds(a, b) for a, b in spans) * 1000, 2),
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        result = run()
+        spans.append(time.perf_counter() - t0)
+    key = " ".join([op, *(f"{k}={v}" for k, v in params.items())])
+    return key, {
+        "median_ms": round(statistics.median(spans) * 1000, 2),
         "digest": hashlib.sha256(repr(view(result)).encode()).hexdigest()[:16],
     }
 
 
 def main():
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--label", default="current", help="key of this run in the file")
-    args = parser.parse_args()
-
-    corpus = _corpus()
+    argparse.ArgumentParser(description=__doc__.split("\n\n")[0]).parse_args()
     comm = C5.comm_masks
+    corpus = _corpus()
+    ball_inputs = _ball_inputs(max(BALL_RADII))
+    pairs = _equal_pairs()
+    certified = _certified()
+    conj_ball = words.ball_bytes(C5, CONJ_RADIUS)
+    full = (1 << C5.n) - 1
+    full_support = [
+        w for w in words.ball_bytes(C5, GOODNESS_RADIUS) if words.support_bits(w) == full
+    ]
+    subgroup_text = (ROOT / SUBGROUP_FILE).read_text(encoding="utf-8")
+    spec = parse_subgroup_file(subgroup_text, graph=C5)
     corpus_params = {
         "graph": "C5",
         "words": CORPUS_WORDS,
@@ -214,26 +209,15 @@ def main():
         "seed": CORPUS_SEED,
     }
     rows = [
-        _row(op, corpus_params, lambda f=getattr(kernels, op): [f(w, comm) for w in corpus])
-        for op in ("is_reduced", "reduce_word", "normal_form")
-    ]
-    radius = max(BALL_RADII)
-    ball_inputs = _ball_inputs(radius)
-    ball_inputs_params = {
-        "graph": "C5",
-        "inputs": "ball",
-        "radius": radius,
-        "words": len(ball_inputs),
-    }
-    rows.append(
+        *(
+            _row(op, corpus_params, lambda f=getattr(kernels, op): [f(w, comm) for w in corpus])
+            for op in ("is_reduced", "reduce_word", "normal_form")
+        ),
         _row(
             "normal_form",
-            ball_inputs_params,
+            {"graph": "C5", "inputs": "ball", "radius": max(BALL_RADII), "words": len(ball_inputs)},
             lambda: [kernels.normal_form(w, comm) for w in ball_inputs],
-        )
-    )
-    pairs = _equal_pairs()
-    rows.append(
+        ),
         _row(
             "equal",
             {
@@ -244,60 +228,47 @@ def main():
                 "seed": CORPUS_SEED,
             },
             lambda: [words.equal(C5, a, b) for a, b in pairs],
-        )
-    )
-    rows += [
-        _row("ball_bytes", {"graph": "C5", "radius": r}, lambda r=r: words.ball_bytes(C5, r))
-        for r in BALL_RADII
-    ]
-    certified = _certified()
-    conj_ball = words.ball_bytes(C5, CONJ_RADIUS)
-    falsify_params = {
-        "graph": "C5",
-        "radius": FALSIFY_RADIUS,
-        "conjRadius": CONJ_RADIUS,
-        "words": len(certified),
-    }
-    rows.append(_row("falsify", falsify_params, lambda: _falsify_all(certified, conj_ball)))
-    rows.append(
+        ),
+        *(
+            _row("ball_bytes", {"graph": "C5", "radius": r}, lambda r=r: words.ball_bytes(C5, r))
+            for r in BALL_RADII
+        ),
+        _row(
+            "falsify",
+            {
+                "graph": "C5",
+                "radius": FALSIFY_RADIUS,
+                "conjRadius": CONJ_RADIUS,
+                "words": len(certified),
+            },
+            lambda: _falsify_all(certified, conj_ball),
+        ),
         _row(
             "certificates",
             {"graph": "C5", "radius": FALSIFY_RADIUS, "conjRadius": CONJ_RADIUS},
             lambda: verify.verify_essential_certificates(C5, FALSIFY_RADIUS, CONJ_RADIUS),
             report_payload,
-        )
-    )
-    full = (1 << C5.n) - 1
-    full_support = [
-        w for w in words.ball_bytes(C5, GOODNESS_RADIUS) if words.support_bits(w) == full
-    ]
-    rows.append(
+        ),
         _row(
             "goodness",
             {"graph": "C5", "radius": GOODNESS_RADIUS, "words": len(full_support)},
             lambda: [certificates.bad_mask(C5, w) for w in full_support],
-        )
-    )
-    subgroup_text = (ROOT / SUBGROUP_FILE).read_text(encoding="utf-8")
-    spec = parse_subgroup_file(subgroup_text, graph=C5)
-    rows += [
-        _row(
-            "subgroup_covering",
-            {"graph": "C5", "subgroup": SUBGROUP_FILE, "radius": r},
-            lambda r=r: verify.verify_subgroup_covering(C5, spec, r),
-            report_payload,
-        )
-        for r in SUBGROUP_RADII
-    ]
-    rows.append(
+        ),
+        *(
+            _row(
+                "subgroup_covering",
+                {"graph": "C5", "subgroup": SUBGROUP_FILE, "radius": r},
+                lambda r=r: verify.verify_subgroup_covering(C5, spec, r),
+                report_payload,
+            )
+            for r in SUBGROUP_RADII
+        ),
         _row(
             "uniformity",
             {"graph": "C5", "radius": UNIFORMITY_RADIUS},
             lambda: verify.verify_cancellator_uniformity(C5, None, UNIFORMITY_RADIUS),
             report_payload,
-        )
-    )
-    rows += [
+        ),
         _row(
             "closure_partition",
             {"graph": "C5", "cap": CLOSURE_CAP},
@@ -322,8 +293,6 @@ def main():
             lambda: verify.verify_parity_invariance(C5, PARITY_TRIALS, seed=PARITY_SEED),
             report_payload,
         ),
-    ]
-    rows.append(
         _row(
             "import",
             {
@@ -333,25 +302,13 @@ def main():
             },
             lambda: _fresh_load(subgroup_text),
             repeats=IMPORT_REPEATS,
-        )
-    )
-
-    print(f"{'op':<18}{'params':<42}{'median':>12}{'ref':>12}  digest")
-    for row in rows:
-        params = " ".join(f"{k}={v}" for k, v in row["params"].items())
-        print(
-            f"{row['op']:<18}{params:<42}{row['median_ms']:>10.1f}ms"
-            f"{row['ref_ms']:>10.1f}ms  {row['digest']}"
-        )
-
-    doc = json.loads(OUT.read_text()) if OUT.exists() else {"topic": "kernels", "runs": {}}
-    doc["runs"][args.label] = {
-        "machine": platform.machine(),
-        "cpus": os.cpu_count(),
-        "rows": rows,
-    }
-    OUT.write_text(json.dumps(doc, indent=2) + "\n")
-    print(f"wrote run {args.label!r} to {OUT.name}")
+        ),
+    ]
+    assert len(dict(rows)) == len(rows), "two rows share a key"
+    width = max(len(key) for key, _ in rows)
+    for key, row in rows:
+        print(f"{key:<{width}}{row['median_ms']:>10.1f}ms  {row['digest']}")
+    print(json.dumps({"backend": kernels.BACKEND, "rows": dict(rows)}))
 
 
 if __name__ == "__main__":

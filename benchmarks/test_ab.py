@@ -1,9 +1,10 @@
+import json
 import shutil
 from pathlib import Path
 
 import pytest
 
-from ab import quartiles, same_benchmark, summarize
+from ab import quartiles, row_series, same_benchmark, summarize
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -49,14 +50,62 @@ def test_trees_must_share_the_benchmark(tmp_path):
         shutil.copytree(ROOT / "perfbench", tmp_path / name / "perfbench",
                         ignore=shutil.ignore_patterns("__pycache__"))
         shutil.copy(ROOT / "BENCHMARK.json", tmp_path / name)
+        (tmp_path / name / "benchmarks").mkdir()
+        shutil.copy(ROOT / "benchmarks" / "bench_kernels.py", tmp_path / name / "benchmarks")
     a, b = tmp_path / "a", tmp_path / "b"
     (a / "perfbench" / "__pycache__").mkdir()
     (a / "perfbench" / "__pycache__" / "x.pyc").write_bytes(b"cache")
-    assert same_benchmark(a, b)
+    assert same_benchmark(a, b, "enumerate") and same_benchmark(a, b, "kernels")
     with (b / "BENCHMARK.json").open("a") as fh:
         fh.write(" ")
-    assert not same_benchmark(a, b)
+    assert not same_benchmark(a, b, "enumerate")
     shutil.copy(a / "BENCHMARK.json", b)
     (b / "perfbench" / "extra.py").write_text("")
-    assert not same_benchmark(a, b)
-    assert not same_benchmark(b, a)
+    assert not same_benchmark(a, b, "enumerate")
+    assert not same_benchmark(b, a, "enumerate")
+    (b / "perfbench" / "extra.py").unlink()
+    with (b / "benchmarks" / "bench_kernels.py").open("a") as fh:
+        fh.write("\n")
+    # the row script must match only where its rows are compared
+    assert same_benchmark(a, b, "enumerate")
+    assert not same_benchmark(a, b, "kernels")
+
+
+R8 = "ball_bytes graph=C5 radius=8"
+R10 = "ball_bytes graph=C5 radius=10"
+
+
+def _result(rows):
+    """A bench_kernels.py result line with these rows, each key mapped to
+    (median_ms, digest), as ab.py reads it."""
+    return json.loads(json.dumps({"backend": "python", "rows": {
+        key: {"median_ms": ms, "digest": digest} for key, (ms, digest) in rows.items()}}))
+
+
+def test_rows_pair_up_by_key():
+    runs = {"base": [_result({R8: (6.0, "d8"), R10: (40.0, "d10")}),
+                     _result({R8: (7.0, "d8"), R10: (44.0, "d10")})],
+            "head": [_result({R10: (36.0, "d10"), R8: (5.0, "d8")}),
+                     _result({R8: (8.0, "d8"), R10: (38.0, "d10")})]}
+    assert row_series(runs) == {R8: ("lower", [6.0, 7.0], [5.0, 8.0]),
+                                R10: ("lower", [40.0, 44.0], [36.0, 38.0])}
+
+
+def test_a_row_whose_digest_differs_is_refused():
+    runs = {"base": [_result({R8: (6.0, "d8"), R10: (40.0, "d10")})],
+            "head": [_result({R8: (5.0, "d8"), R10: (30.0, "other")})]}
+    with pytest.raises(SystemExit, match=f"row '{R10}': digest other in head"):
+        row_series(runs)
+    # a later base run that disagrees with the first is refused too
+    runs = {"base": [_result({R8: (6.0, "d8")}), _result({R8: (6.0, "x")})],
+            "head": [_result({R8: (5.0, "d8")}), _result({R8: (5.0, "d8")})]}
+    with pytest.raises(SystemExit, match=f"row '{R8}': digest x in base"):
+        row_series(runs)
+
+
+def test_a_row_in_one_tree_only_is_refused():
+    base = _result({R8: (6.0, "d8")})
+    head = _result({R8: (5.0, "d8"), R10: (30.0, "d10")})
+    for runs in ({"base": [base], "head": [head]}, {"base": [head], "head": [base]}):
+        with pytest.raises(SystemExit, match=f"'{R10}'"):
+            row_series(runs)

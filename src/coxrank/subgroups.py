@@ -164,6 +164,8 @@ def parse_subgroup_file(
             if graph_path is not None:
                 raise SubgroupParseError(f"line {lineno}: repeated 'graph:' line")
             graph_path = line[len("graph:"):].strip()
+            if not graph_path:
+                raise SubgroupParseError(f"line {lineno}: 'graph:' names no file")
         elif line.startswith("basis:"):
             rows.append(line[len("basis:"):].strip())
         else:

@@ -618,6 +618,9 @@ SUBGROUP_SELECTORS = {
     "directory": (lambda tmp: str(tmp), "FILE_UNREADABLE"),
     "nul-byte": (lambda tmp: str(tmp / "sp\0ec.sub"), "INVALID_ARGUMENT"),
     "malformed-row": (lambda tmp: _spec_file(tmp, b"basis: 10x00\n"), "SUBGROUP_PARSE_ERROR"),
+    "empty-graph-line": (
+        lambda tmp: _spec_file(tmp, b"graph:\nbasis: 10000\n"), "SUBGROUP_PARSE_ERROR"
+    ),
     "not-utf8": (lambda tmp: _spec_file(tmp, b"basis: \xff\n"), "NOT_UTF8"),
     "empty": (lambda tmp: "", "FILE_UNREADABLE"),
 }

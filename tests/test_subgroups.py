@@ -114,8 +114,9 @@ def test_parse_subgroup_file_with_graph_reference(tmp_path, c5):
 
 
 def test_parse_subgroup_file_requires_some_graph():
-    with pytest.raises(ValueError):
-        parse_subgroup_file("basis: 10\n")
+    for text in ("basis: 10\n", "graph:\nbasis: 10000\n"):
+        with pytest.raises(ValueError):
+            parse_subgroup_file(text)
 
 
 def test_parse_subgroup_file_rejects_bad_rows(c5):
