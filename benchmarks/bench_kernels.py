@@ -1,44 +1,45 @@
 #!/usr/bin/env python3
-"""Time the word kernels, the ball, the falsifier, goodness and the verify
-loops of the ``src`` next to this script, one row each.
+"""Time the word kernels, the ball, goodness and the verify drivers of
+the ``src`` next to this script, one row each, through public names only.
 
 Usage: python3 benchmarks/bench_kernels.py
 
 Times is_reduced, reduce_word and normal_form over a seeded corpus of
 CORPUS_WORDS random words of at most CORPUS_MAX_LEN letters on the
-pentagon graph, normal_form again over the words
-one radius-10 ball passes to it (recorded untimed, in call order),
-``words.equal`` on seeded pairs of long words (half of them equal by
-random legal moves, half one letter off),
-``words.ball_bytes`` at radii 8 and 10, and the falsifier core on the
-certified words of the radius-8 ball plus one planted non-essential
-word, at conjugation radius 4 (the conjugator table build and the
-falsifier calls, timed together, one call per word), and
-``verify_essential_certificates`` on the same radii, which falsifies one
-word of each inverse pair.  Then
-the enumerate paths: ``certificates.bad_mask`` on the full-support
+pentagon graph, ``words.equal`` on seeded pairs of long words (half of
+them equal by random legal moves, half one letter off),
+``words.ball_bytes`` at radii 8 and 10, and
+``verify_essential_certificates`` at radius 8 and conjugation radius 4.
+Then the enumerate paths: ``certificates.bad_mask`` on the full-support
 elements of the radius-10 ball, ``verify_subgroup_covering`` with the
 index-8 parity subgroup of ``graphs/parity8.sub`` at radii 8 and 10, and
-``verify_cancellator_uniformity`` at radius 8.  Then the
-exhaustive checks: the rewriting-closure partition of the pentagon's
-words up to length 8, ``verify_word_problem`` at max-len 6 (the same
-closure plus a normal form per word of length <= 6), ``verify_join_lemma``
-on every labelled graph with at most 6 vertices, and
-``verify_parity_invariance`` with 10k trials.  Last, the start-up: each
-of IMPORT_REPEATS repeats removes every coxrank module from
+``verify_cancellator_uniformity`` at radius 8.  Then the exhaustive
+checks: ``verify_word_problem`` at max-len 6 (the rewriting closure of
+the words up to length 8 plus a normal form per word of length <= 6),
+``verify_join_lemma`` on every labelled graph with at most 6 vertices,
+and ``verify_parity_invariance`` with 10k trials.  Last, the start-up:
+each of IMPORT_REPEATS repeats removes every coxrank module from
 ``sys.modules``, imports coxrank and loads ``graphs/c5.txt`` with its
 commutator subgroup and ``graphs/parity8.sub``, as perfbench's set-up
 does; it runs last so that the earlier rows keep their module objects,
-its digest is the sorted list of loaded coxrank modules, and its params
-record ``sys.dont_write_bytecode``, since compiling the sources each
-time costs several times the import itself.
+its digest is what was loaded (the graph's vertices and commuting masks
+and both subgroups' bases), and its params record
+``sys.dont_write_bytecode``, since compiling the sources each time costs
+several times the import itself.
+
+These are 15 rows.  Each row calls public entry points only, on inputs
+this script builds itself, and nothing of coxrank is patched, so the
+script runs unchanged in any checkout back to the first benchmark
+commit.  The ball's normal-form calls, the falsifier and the rewriting
+closure are timed inside the ``ball_bytes``, ``certificates`` and
+``wordproblem`` rows; perfbench's tracer splits them out per layer.
 
 Each row is the median wall time of REPEATS runs with a digest of the
 last run's results: equal digests mean byte-identical output (the bad
-masks; the closure's class roots; a report's payload without
-``elapsedMs``).  A row's key is its op and its params, ``op k=v ...``,
-unique among the rows.  The script takes no options and writes no file.
-It prints one line per row and, as its last line, one JSON object:
+masks; a report's payload without ``elapsedMs``).  A row's key is its op
+and its params, ``op k=v ...``, unique among the rows.  The script takes
+no options and writes no file.  It prints one line per row and, as its
+last line, one JSON object:
 ``{"backend": B, "rows": {KEY: {"median_ms": M, "digest": D}, ...}}``.
 To compare two checkouts, run ``benchmarks/ab.py BASE HEAD --workload
 kernels``, which runs each tree's copy of this script in alternating
@@ -72,15 +73,12 @@ CORPUS_MAX_LEN = 40
 BALL_RADII = (8, 10)
 REPEATS = 5
 IMPORT_REPEATS = 15
-FALSIFY_RADIUS = 8
+CERTIFICATES_RADIUS = 8
 CONJ_RADIUS = 4
-# e b d c . a . c d b e: a conjugate of a with full support
-PLANTED = bytes([4, 1, 3, 2, 0, 2, 3, 1, 4])
 GOODNESS_RADIUS = 10
 SUBGROUP_FILE = "graphs/parity8.sub"
 SUBGROUP_RADII = (8, 10)
 UNIFORMITY_RADIUS = 8
-CLOSURE_CAP = 8
 WORD_PROBLEM_MAX_LEN = 6
 JOIN_MAX_VERTICES = 6
 PARITY_TRIALS = 10_000
@@ -95,24 +93,6 @@ def _corpus():
         bytes(rng.randrange(C5.n) for _ in range(rng.randint(0, CORPUS_MAX_LEN)))
         for _ in range(CORPUS_WORDS)
     ]
-
-
-def _ball_inputs(radius):
-    """The words ``ball_bytes(C5, radius)`` passes to ``kernels.normal_form``,
-    in call order, recorded by wrapping the kernel for one untimed ball."""
-    nf = kernels.normal_form
-    seen = []
-
-    def record(word, comm):
-        seen.append(word)
-        return nf(word, comm)
-
-    kernels.normal_form = record
-    try:
-        words.ball_bytes(C5, radius)
-    finally:
-        kernels.normal_form = nf
-    return seen
 
 
 def _equal_pairs():
@@ -139,38 +119,15 @@ def _equal_pairs():
     return pairs
 
 
-def _certified():
-    """Ball elements certified by either essentiality criterion, in ball
-    order, then the planted word."""
-    full = (1 << C5.n) - 1
-    out = [
-        w
-        for w in words.ball_bytes(C5, FALSIFY_RADIUS)
-        if words.parity_bits(w) == full
-        or (words.support_bits(w) == full and certificates.bad_mask(C5, w) == 0)
-    ]
-    return out + [PLANTED]
-
-
-def _falsify_all(certified, conj_ball):
-    table = certificates.conjugator_table(conj_ball)
-    return [certificates._falsify_enc(C5, w, table) for w in certified]
-
-
-def _coxrank_modules():
-    return sorted(k for k in sys.modules if k == "coxrank" or k.startswith("coxrank."))
-
-
 def _fresh_load(subgroup_text):
     """Import coxrank afresh and load the pentagon with its commutator
-    subgroup and the index-8 subgroup; return the loaded coxrank modules."""
-    for key in _coxrank_modules():
+    subgroup and the index-8 subgroup; return what was loaded."""
+    for key in [k for k in sys.modules if k == "coxrank" or k.startswith("coxrank.")]:
         del sys.modules[key]
     cx = importlib.import_module("coxrank")
     g = cx.load_graph(ROOT / "graphs" / "c5.txt")
-    cx.commutator_subgroup(g)
-    cx.parse_subgroup_file(subgroup_text, graph=g)
-    return _coxrank_modules()
+    subgroups = (cx.commutator_subgroup(g), cx.parse_subgroup_file(subgroup_text, graph=g))
+    return g.vertices, g.comm_masks, [spec.basis for spec in subgroups]
 
 
 def _row(op, params, run, view=lambda result: result, repeats=REPEATS):
@@ -192,14 +149,8 @@ def main():
     argparse.ArgumentParser(description=__doc__.split("\n\n")[0]).parse_args()
     comm = C5.comm_masks
     corpus = _corpus()
-    ball_inputs = _ball_inputs(max(BALL_RADII))
     pairs = _equal_pairs()
-    certified = _certified()
-    conj_ball = words.ball_bytes(C5, CONJ_RADIUS)
-    full = (1 << C5.n) - 1
-    full_support = [
-        w for w in words.ball_bytes(C5, GOODNESS_RADIUS) if words.support_bits(w) == full
-    ]
+    full_support = [w for w in words.ball_bytes(C5, GOODNESS_RADIUS) if len(set(w)) == C5.n]
     subgroup_text = (ROOT / SUBGROUP_FILE).read_text(encoding="utf-8")
     spec = parse_subgroup_file(subgroup_text, graph=C5)
     corpus_params = {
@@ -212,11 +163,6 @@ def main():
         *(
             _row(op, corpus_params, lambda f=getattr(kernels, op): [f(w, comm) for w in corpus])
             for op in ("is_reduced", "reduce_word", "normal_form")
-        ),
-        _row(
-            "normal_form",
-            {"graph": "C5", "inputs": "ball", "radius": max(BALL_RADII), "words": len(ball_inputs)},
-            lambda: [kernels.normal_form(w, comm) for w in ball_inputs],
         ),
         _row(
             "equal",
@@ -234,19 +180,9 @@ def main():
             for r in BALL_RADII
         ),
         _row(
-            "falsify",
-            {
-                "graph": "C5",
-                "radius": FALSIFY_RADIUS,
-                "conjRadius": CONJ_RADIUS,
-                "words": len(certified),
-            },
-            lambda: _falsify_all(certified, conj_ball),
-        ),
-        _row(
             "certificates",
-            {"graph": "C5", "radius": FALSIFY_RADIUS, "conjRadius": CONJ_RADIUS},
-            lambda: verify.verify_essential_certificates(C5, FALSIFY_RADIUS, CONJ_RADIUS),
+            {"graph": "C5", "radius": CERTIFICATES_RADIUS, "conjRadius": CONJ_RADIUS},
+            lambda: verify.verify_essential_certificates(C5, CERTIFICATES_RADIUS, CONJ_RADIUS),
             report_payload,
         ),
         _row(
@@ -268,12 +204,6 @@ def main():
             {"graph": "C5", "radius": UNIFORMITY_RADIUS},
             lambda: verify.verify_cancellator_uniformity(C5, None, UNIFORMITY_RADIUS),
             report_payload,
-        ),
-        _row(
-            "closure_partition",
-            {"graph": "C5", "cap": CLOSURE_CAP},
-            lambda: verify._closure_partition(C5.n, comm, CLOSURE_CAP),
-            lambda partition: partition[0],  # the class roots
         ),
         _row(
             "wordproblem",

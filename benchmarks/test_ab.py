@@ -1,3 +1,4 @@
+import ast
 import json
 import shutil
 from pathlib import Path
@@ -109,3 +110,71 @@ def test_a_row_in_one_tree_only_is_refused():
     for runs in ({"base": [base], "head": [head]}, {"base": [head], "head": [base]}):
         with pytest.raises(SystemExit, match=f"'{R10}'"):
             row_series(runs)
+
+
+def private_reach(source: str) -> list[str]:
+    """What ``source`` reaches of coxrank beyond its public names: an
+    import path or attribute with a leading underscore under a name bound
+    to coxrank (by an import or by ``importlib.import_module``), and any
+    assignment to such a name's attributes, by ``=`` or ``setattr``."""
+    tree = ast.parse(source)
+    bound, found = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imports = [(a.name, a.asname or a.name.split(".")[0]) for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imports = [(f"{node.module}.{a.name}", a.asname or a.name) for a in node.names]
+        elif (isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
+              and ast.unparse(node.value.func) == "importlib.import_module"):
+            imports = [(ast.literal_eval(node.value.args[0]), t.id) for t in node.targets]
+        else:
+            continue
+        for path, name in imports:
+            parts = path.split(".")
+            if parts[0] == "coxrank":
+                bound.add(name)
+                if any(p.startswith("_") for p in parts):
+                    found.append(f"{node.lineno}: {path}")
+
+    def on_coxrank(expr):
+        while isinstance(expr, ast.Attribute):
+            expr = expr.value
+        return isinstance(expr, ast.Name) and expr.id in bound
+
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and on_coxrank(node):
+            if node.attr.startswith("_"):
+                found.append(f"{node.lineno}: {ast.unparse(node)}")
+            if not isinstance(node.ctx, ast.Load):
+                found.append(f"{node.lineno}: assigns {ast.unparse(node)}")
+        elif (isinstance(node, ast.Call) and ast.unparse(node.func) == "setattr"
+              and on_coxrank(node.args[0])):
+            found.append(f"{node.lineno}: {ast.unparse(node)}")
+    return sorted(found, key=lambda f: int(f.split(":")[0]))
+
+
+def test_private_reach_finds_underscores_and_patches():
+    source = """
+import importlib
+import coxrank._kernel_py
+from coxrank import kernels, verify
+from coxrank.certificates import _falsify_enc as falsify
+cx = importlib.import_module("coxrank")
+verify._closure_partition(5, (), 8)
+kernels.normal_form = len
+setattr(cx.kernels, "reduce_word", len)
+public = [verify.verify_word_problem, cx.load_graph, str.__len__]
+"""
+    assert private_reach(source) == [
+        "3: coxrank._kernel_py",
+        "5: coxrank.certificates._falsify_enc",
+        "7: verify._closure_partition",
+        "8: assigns kernels.normal_form",
+        "9: setattr(cx.kernels, 'reduce_word', len)",
+    ]
+
+
+def test_the_row_script_calls_only_public_coxrank_names():
+    # a row that reaches into private names or patches the library breaks
+    # ab.py comparisons with trees where those internals differ
+    assert private_reach((ROOT / "benchmarks" / "bench_kernels.py").read_text()) == []

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from coxrank import subgroups
-from coxrank.errors import RadiusCapError
+from coxrank.errors import RadiusCapError, SubgroupParseError
 from coxrank.graphs import DefiningGraph
 from coxrank.subgroups import (
     basis_strings,
@@ -126,6 +126,8 @@ def test_parse_subgroup_file_rejects_bad_rows(c5):
         parse_subgroup_file("basis: 110\n", graph=c5)  # wrong length
     with pytest.raises(ValueError):
         parse_subgroup_file("frob: 1\n", graph=c5)
+    with pytest.raises(SubgroupParseError, match="outside the generator range"):
+        make_subgroup(c5, [1 << 5])  # a sixth generator on a five-vertex graph
 
 
 def test_resolve_subgroup_selectors(tmp_path, c5):

@@ -7,7 +7,7 @@ import pytest
 from conftest import every_graph
 import coxrank.kernels
 import coxrank.verify
-from coxrank.certificates import falsify_essential
+from coxrank.certificates import bad_set, falsify_essential
 from coxrank.errors import (
     ParameterRangeError,
     PreconditionClassError,
@@ -316,6 +316,23 @@ def test_uniformity_empty_domain(c5):
     report = verify_cancellator_uniformity(c5, radius=0)
     assert report.verdict == "FAIL"
     assert report.failures == ({"reason": "EMPTY_DOMAIN"},)
+
+
+def test_uniformity_fails_when_the_repair_multiplier_repairs_nothing(c5, monkeypatch):
+    # a planted library fault: every class gets the empty multiplier
+    monkeypatch.setattr(coxrank.verify, "_repair", lambda g, enc, table, goodness: (enc, b"", ()))
+    report = verify_cancellator_uniformity(c5, radius=6)
+    assert report.verdict == "FAIL"
+    per_b = report.params["perBadSet"]
+    assert per_b["(empty)"] == {"size": 170, "multiplier": "e", "verdict": "PASS"}
+    letters = [label for label in per_b if label != "(empty)"]
+    assert letters == list("abcde")
+    for label in letters:
+        assert per_b[label] == {"size": 8, "multiplier": "e", "verdict": "FAIL"}
+    # every member of a bad class but its first, which the multiplier was made from
+    assert [f["badSet"] for f in report.failures] == [x for x in letters for _ in range(7)]
+    for f in report.failures:
+        assert bad_set(c5, f["word"].split()).bad_set == {f["badSet"]}
 
 
 def test_join_lemma_counts():
