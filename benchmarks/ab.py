@@ -3,8 +3,14 @@
 
 Usage: python3 benchmarks/ab.py BASE HEAD --workload W [--pairs N] [--seconds S] [--seed K]
 
-BASE and HEAD are checkouts of this repository (``git archive`` copies
-will do).  W is a perfbench workload, or ``kernels`` for the rows of
+BASE and HEAD are each a directory holding a checkout of this repository
+(a ``git archive`` copy will do) or a git revision of the repository
+this script is in.  A revision is archived with ``git archive`` into a
+temporary directory, which is removed afterwards, and is recorded under
+the commit that ``git rev-parse REV^{commit}`` prints; a directory is
+recorded under the commit its ``.git`` names, if it has one.  So
+``ab.py HEAD . --workload enumerate`` compares the last commit with the
+working tree.  W is a perfbench workload, or ``kernels`` for the rows of
 ``benchmarks/bench_kernels.py``.  Pair i (1 to N) runs each tree's own
 benchmark in a fresh process, base first in odd pairs and head first in
 even ones, so that host drift over the comparison falls on both sides
@@ -36,12 +42,15 @@ from __future__ import annotations
 import argparse
 import filecmp
 import hashlib
+import io
 import json
 import os
 import platform
 import subprocess
 import sys
+import tarfile
 import tempfile
+from contextlib import ExitStack
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -123,6 +132,26 @@ def git_commit(tree: Path) -> str:
     return proc.stdout.strip() if proc.returncode == 0 else "unknown (not a git checkout)"
 
 
+def checkout(arg: str, stack: ExitStack) -> tuple[Path, str]:
+    """The tree that a BASE or HEAD argument names, and its commit.  A
+    directory is used as it is; any other argument must be a git revision
+    of this repository, which is archived into a temporary directory that
+    ``stack`` removes."""
+    if Path(arg).is_dir():
+        return Path(arg).resolve(), git_commit(Path(arg))
+    proc = subprocess.run(["git", "-C", str(ROOT), "rev-parse", "--verify", "--quiet",
+                           f"{arg}^{{commit}}"], capture_output=True, text=True, check=False)
+    if proc.returncode:
+        raise SystemExit(f"{arg!r} is neither a directory nor a git revision")
+    commit = proc.stdout.strip()
+    tree = Path(stack.enter_context(tempfile.TemporaryDirectory(prefix="ab-")))
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", commit],
+                             capture_output=True, check=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(tree, filter="data")
+    return tree, commit
+
+
 def run_once(tree: Path, args, seed: int, env: dict) -> dict:
     """The result (the last stdout line) of one run of ``tree``'s benchmark."""
     if args.workload == KERNELS:
@@ -170,8 +199,8 @@ def metric_series(runs: dict, spec: list) -> dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("base", type=Path)
-    parser.add_argument("head", type=Path)
+    parser.add_argument("base", help="a checkout directory or a git revision")
+    parser.add_argument("head", help="a checkout directory or a git revision")
     parser.add_argument("--workload", required=True,
                         help=f"a perfbench workload, or {KERNELS!r} for bench_kernels.py's rows")
     parser.add_argument("--pairs", type=int, default=10)
@@ -182,16 +211,18 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=1,
                         help="seed of the first pair (perfbench workloads only)")
     args = parser.parse_args(argv)
-    trees = {"base": args.base.resolve(), "head": args.head.resolve()}
     kernels = args.workload == KERNELS
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
-    if not same_benchmark(trees["base"], trees["head"], args.workload):
-        parser.error("the trees' perfbench/, BENCHMARK.json or benchmarks/bench_kernels.py differ")
-    spec = json.loads((trees["head"] / "BENCHMARK.json").read_text())["end_to_end"]
-
-    runs = {side: [] for side in trees}
-    with tempfile.TemporaryDirectory() as cache:
+    with ExitStack() as stack:
+        checkouts = {side: checkout(getattr(args, side), stack) for side in ("base", "head")}
+        trees = {side: tree for side, (tree, _) in checkouts.items()}
+        if not same_benchmark(trees["base"], trees["head"], args.workload):
+            parser.error("the trees' perfbench/, BENCHMARK.json or "
+                         "benchmarks/bench_kernels.py differ")
+        spec = json.loads((trees["head"] / "BENCHMARK.json").read_text())["end_to_end"]
+        runs = {side: [] for side in trees}
+        cache = stack.enter_context(tempfile.TemporaryDirectory())
         env = {**os.environ, "PYTHONPYCACHEPREFIX": cache}
         for tree in trees.values():
             subprocess.run([sys.executable, "-m", "compileall", "-q", str(tree / "src")],
@@ -204,6 +235,8 @@ def main(argv=None) -> int:
             series = row_series(runs) if kernels else metric_series(runs, spec)
             print(f"pair {i + 1}: head/base " + " ".join(
                 f"{h[-1] / b[-1]:.3f}" if b[-1] else "-" for _, b, h in series.values()), flush=True)
+        recorded = {side: {"commit": commit, "sources": sources_digest(tree)}
+                    for side, (tree, commit) in checkouts.items()}
 
     metrics = {name: summarize(b, h, better) for name, (better, b, h) in series.items()}
     width = max(len("metric"), *map(len, metrics)) + 2
@@ -220,8 +253,7 @@ def main(argv=None) -> int:
         "pairs": args.pairs,
         "seconds": None if kernels else args.seconds,
         "seeds": None if kernels else [args.seed, args.seed + args.pairs - 1],
-        **{side: {"commit": git_commit(tree), "sources": sources_digest(tree)}
-           for side, tree in trees.items()},
+        **recorded,
         "python": platform.python_version(),
         "machine": platform.machine(),
         "cpus": os.cpu_count(),

@@ -1,11 +1,13 @@
 import ast
 import json
 import shutil
+import subprocess
+from contextlib import ExitStack
 from pathlib import Path
 
 import pytest
 
-from ab import quartiles, row_series, same_benchmark, summarize
+from ab import checkout, quartiles, row_series, same_benchmark, sources_digest, summarize
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -70,6 +72,24 @@ def test_trees_must_share_the_benchmark(tmp_path):
     # the row script must match only where its rows are compared
     assert same_benchmark(a, b, "enumerate")
     assert not same_benchmark(a, b, "kernels")
+
+
+@pytest.mark.skipif(not (ROOT / ".git").exists(), reason="needs a git checkout")
+def test_a_revision_is_archived_and_recorded_under_its_commit(tmp_path):
+    manual = tmp_path / "manual"
+    manual.mkdir()
+    subprocess.run(f"git -C '{ROOT}' archive HEAD | tar -x -C '{manual}'", shell=True, check=True)
+    full = subprocess.run(["git", "-C", str(ROOT), "rev-parse", "HEAD"], capture_output=True,
+                          text=True, check=True).stdout.strip()
+    with ExitStack() as stack:
+        tree, commit = checkout("HEAD", stack)
+        assert sources_digest(tree) == sources_digest(manual)
+        assert commit == full and len(commit) == 40
+    assert not tree.exists()
+    # a directory is used as it is, and a git archive copy names no commit
+    assert checkout(str(manual), ExitStack()) == (manual, "unknown (not a git checkout)")
+    with pytest.raises(SystemExit, match="neither a directory nor a git revision"):
+        checkout(str(tmp_path / "absent"), ExitStack())
 
 
 R8 = "ball_bytes graph=C5 radius=8"

@@ -22,7 +22,7 @@ from enum import Enum
 from typing import NamedTuple
 
 from . import kernels
-from .certificates import _good_essential_enc, _goodness_masks
+from .certificates import _goodness_masks
 from .errors import (
     ContractViolationError,
     ExponentTooSmallError,
@@ -40,7 +40,6 @@ from .words import (
     format_word,
     mask_labels,
     parity_bits,
-    support_bits,
 )
 
 # The exponent of every repair multiplier.  Being even, it gives each
@@ -167,17 +166,20 @@ _REPAIR_ERRORS = (
 
 
 def _repair(
-    g: DefiningGraph, enc: bytes, table: dict, goodness: bool = False
-) -> tuple[bytes, bytes, tuple]:
-    """Prepend repair multipliers to the reduced word ``enc``, least target
-    first, until no target is left: the missing generators, or with
-    ``goodness`` the bad ones (``enc`` must then have full support, else
-    MISSING_GENERATORS names the absent ones).  A support repair adds its
-    target and removes nothing; a goodness repair keeps full support and
-    strictly shrinks the bad set.  The loop may take one step per target
-    it starts with, so every caller gets at most one support repair per
-    missing generator and one goodness repair per bad generator.  Returns
-    the word, the total multiplier (newest leftmost) and the encoded steps.
+    g: DefiningGraph, word: tuple[bytes, int, int], table: dict, goodness: bool = False
+) -> tuple[tuple[bytes, int, int], bytes, tuple]:
+    """Prepend repair multipliers to ``word``, a reduced encoded word with
+    its ``(present, bad)`` goodness masks, least target first, until no
+    target is left: the missing generators, or with ``goodness`` the bad
+    ones (the word must then have full support, else MISSING_GENERATORS
+    names the absent ones).  A support repair adds its target and removes
+    nothing; a goodness repair keeps full support and strictly shrinks the
+    bad set.  The loop may take one step per target it starts with, so
+    every caller gets at most one support repair per missing generator and
+    one goodness repair per bad generator.  Returns the final word with
+    its masks, the total multiplier (newest leftmost) and the encoded
+    steps.  Each repaired word's masks come from one ``_goodness_masks``
+    scan, and nothing rescans the input or the output.
 
     ``table`` maps a target index to its blocker choice and encoded
     multiplier.  It is filled on first use, so one table can serve every
@@ -185,31 +187,28 @@ def _repair(
     at the first step that needs it."""
     comm = g.comm_masks
     full = (1 << g.n) - 1
-
-    def targets_of(w):
-        if not goodness:
-            return full & ~support_bits(w)
-        present, bad = _goodness_masks(w, comm)
-        return bad if present == full else None
-
-    targets = targets_of(enc)
+    enc, present, bad = word
+    # written out here and for ``new`` below: a nested function, made on
+    # every call, was measurably slower on the short words of a ball
+    targets = (bad if present == full else None) if goodness else full & ~present
     if targets is None:
-        raise MissingGeneratorsError(mask_labels(g, ~support_bits(enc)))
+        raise MissingGeneratorsError(mask_labels(g, ~present))
     budget = targets.bit_count()
     total = b""
     steps = []
     while targets and len(steps) < budget:
-        bit = targets & -targets
-        i = bit.bit_length() - 1
+        i = (targets & -targets).bit_length() - 1
         entry = table.get(i)
         if entry is None:
             choice = choose_blockers(g, g.vertices[i])
             entry = table[i] = (choice, encode_word(g, multiplier_word(choice, EXPONENT)))
         choice, mult = entry
         nxt = kernels.reduce_word(mult + enc, comm)
-        new = targets_of(nxt)  # None: a goodness repair lost a generator
+        present, bad = _goodness_masks(nxt, comm)
+        # None: a goodness repair lost a generator
+        new = (bad if present == full else None) if goodness else full & ~present
         # a proper subset, and a support repair must also add its target
-        allowed = targets if goodness else targets & ~bit
+        allowed = targets if goodness else targets & ~(1 << i)
         if new is None or new & ~allowed or new == targets:
             raise ContractViolationError(
                 f"repair for {choice.s!r} {_REPAIR_ERRORS[goodness][0]}",
@@ -221,24 +220,32 @@ def _repair(
         raise ContractViolationError(
             _REPAIR_ERRORS[goodness][1], trace=_trace_steps(g, steps)
         )
-    return enc, total, tuple(steps)
+    return (enc, present, bad), total, tuple(steps)
+
+
+def _masked(g: DefiningGraph, enc: bytes) -> tuple[bytes, int, int]:
+    """A reduced encoded word with its ``(present, bad)`` goodness masks,
+    as ``_repair`` takes it."""
+    return (enc, *_goodness_masks(enc, g.comm_masks))
 
 
 def _essentialize(g: DefiningGraph, spec, enc: bytes, table: dict):
     """Support repairs, then goodness repairs, on a reduced encoded word;
     ``table`` is shared by both phases, as in ``_repair``, whose budget
-    bounds the repairs of each phase.
+    bounds the repairs of each phase.  The goodness phase starts from the
+    masks the support phase ends with.
 
-    Returns the final word, the total multiplier (newest leftmost) and the
-    steps of both phases.  The output is checked: the final word must be
-    s-good for every s and, with a subgroup ``spec`` (or None), a member
-    reached only through member multipliers; whatever fails is raised as
-    CONTRACT_VIOLATION with the trace."""
-    w1, m1, steps1 = _repair(g, enc, table)
-    final, m2, steps2 = _repair(g, w1, table, goodness=True)
+    Returns the final word with its masks, the total multiplier (newest
+    leftmost) and the steps of both phases.  The output is checked: the
+    final masks must say s-good for every s and, with a subgroup ``spec``
+    (or None), the final word must be a member reached only through member
+    multipliers; whatever fails is raised as CONTRACT_VIOLATION with the
+    trace."""
+    w1, m1, steps1 = _repair(g, _masked(g, enc), table)
+    (final, present, bad), m2, steps2 = _repair(g, w1, table, goodness=True)
     steps = steps1 + steps2
     problems = []
-    if not _good_essential_enc(final, g.comm_masks):
+    if present != (1 << g.n) - 1 or bad:
         problems.append("final word is not s-good for all s")
     if spec is not None:
         if not member_mask(spec, parity_bits(final)):
@@ -247,19 +254,20 @@ def _essentialize(g: DefiningGraph, spec, enc: bytes, table: dict):
             problems.append("a multiplier left the subgroup")
     if problems:
         raise ContractViolationError("; ".join(problems), trace=_trace_steps(g, steps))
-    return final, m2 + m1, steps
+    return (final, present, bad), m2 + m1, steps
 
 
-def _result(g: DefiningGraph, enc: bytes, total: bytes, steps):
-    trace = MultiplierTrace(_trace_steps(g, steps), decode_word(g, total), EXPONENT)
-    return decode_word(g, enc), trace
+def _result(g: DefiningGraph, word, total: bytes, steps):
+    return decode_word(g, word[0]), MultiplierTrace(
+        _trace_steps(g, steps), decode_word(g, total), EXPONENT
+    )
 
 
 def fix_missing(g: DefiningGraph, word) -> tuple[Word, MultiplierTrace]:
     """Prepend repair multipliers until every generator appears in the
     reduced form; the least missing generator is targeted first.  Already
     present generators never disappear (asserted)."""
-    return _result(g, *_repair(g, _reduced(g, word), {}))
+    return _result(g, *_repair(g, _masked(g, _reduced(g, word)), {}))
 
 
 def make_good(g: DefiningGraph, word) -> tuple[Word, MultiplierTrace]:
@@ -270,7 +278,7 @@ def make_good(g: DefiningGraph, word) -> tuple[Word, MultiplierTrace]:
     become good, other good generators stay good); a non-shrinking step
     raises CONTRACT_VIOLATION with the trace as evidence.
     """
-    return _result(g, *_repair(g, _reduced(g, word), {}, goodness=True))
+    return _result(g, *_repair(g, _masked(g, _reduced(g, word)), {}, goodness=True))
 
 
 def essentialize(

@@ -89,23 +89,25 @@ def _goodness_masks(enc: bytes, comm) -> tuple[int, int]:
     in one left-to-right pass.
 
     A letter t is an s-blocker for every s outside comm[t] other than t.
-    ``blocked`` holds the s that have seen a blocker since their last
-    occurrence (or since the start, before their first), ``head`` the s
-    whose first block w0 carries one.  The word is reduced, so every
-    interior block carries a blocker; at the end ``blocked`` is the last
-    block's verdict, and the wrapped block w(k+1)w0 of an s occurring
-    more than once has a blocker exactly where ``blocked | head`` does."""
-    seen = multi = head = blocked = 0
-    everyone = (1 << len(comm)) - 1
+    ``clear`` holds the s that have seen no blocker since their last
+    occurrence (or since the start, before their first; -1 sets every
+    bit), so after t it keeps only comm[t] and adds t.  ``opened`` holds
+    the s whose first block w0 carries no blocker.  The word is reduced,
+    so every interior block carries a blocker; at the end ``clear`` is the
+    last block's verdict, and the wrapped block w(k+1)w0 of an s occurring
+    more than once has no blocker exactly where ``clear & opened`` is
+    set."""
+    seen = multi = opened = 0
+    clear = -1
     for t in enc:
         bit = 1 << t
         if seen & bit:
             multi |= bit
         else:
             seen |= bit
-            head |= blocked & bit
-        blocked = (blocked | (everyone & ~comm[t])) & ~bit
-    return seen, multi & ~(blocked | head)
+            opened |= clear & bit
+        clear = (clear & comm[t]) | bit
+    return seen, multi & clear & opened
 
 
 def is_s_good(g: DefiningGraph, word, s: str) -> bool:

@@ -552,6 +552,7 @@ def verify_cancellator_uniformity(
     if spec is not None:
         require_graph(spec, g)
     comm = g.comm_masks
+    full = (1 << g.n) - 1
     groups = _bad_set_classes(g, spec, radius)
     repairs: dict = {}
     failures = []
@@ -560,7 +561,7 @@ def verify_cancellator_uniformity(
     for bm in sorted(groups):
         words_in_class = groups[bm]
         label = " ".join(mask_labels(g, bm)) or "(empty)"
-        _, mult, _ = _repair(g, words_in_class[0], repairs, goodness=True)
+        _, mult, _ = _repair(g, (words_in_class[0], full, bm), repairs, goodness=True)
         bad_words = []
         for w in words_in_class[1:]:
             total += 1

@@ -15,7 +15,7 @@ from coxrank.cancellator import (
     make_good,
     multiplier_word,
 )
-from coxrank.certificates import bad_mask, bad_set, is_good_essential
+from coxrank.certificates import _goodness_masks, bad_mask, bad_set, is_good_essential
 from coxrank.errors import (
     ContractViolationError,
     CoxrankError,
@@ -170,8 +170,9 @@ def test_make_good_examples(c5):
 
 def test_goodness_repair_without_full_support_names_the_missing_generators(c5):
     # the repair loop itself refuses, rather than return the word unrepaired
+    word = cancellator._masked(c5, encode_word(c5, ("a", "b")))
     with pytest.raises(MissingGeneratorsError) as info:
-        cancellator._repair(c5, encode_word(c5, ("a", "b")), {}, goodness=True)
+        cancellator._repair(c5, word, {}, goodness=True)
     assert info.value.missing == ("c", "d", "e")
     assert str(info.value) == "missing generators: c d e"
 
@@ -496,9 +497,13 @@ def test_pipeline_output_that_leaves_the_subgroup_is_a_contract_violation(
 def test_pipeline_output_that_fails_its_certificate_is_a_contract_violation(
     c5, monkeypatch
 ):
-    # the output check is the only caller of _good_essential_enc in the
-    # pipeline; the repair loop reads the goodness masks directly
-    monkeypatch.setattr(cancellator, "_good_essential_enc", lambda enc, comm: False)
+    # a planted library fault: every repair phase returns its input
+    # unrepaired, with that input's true masks, and only the output check
+    # can see that the final word is not certified
+    def unrepaired(g, word, table, goodness=False):
+        return (word[0], *_goodness_masks(word[0], g.comm_masks)), b"", ()
+
+    monkeypatch.setattr(cancellator, "_repair", unrepaired)
     with pytest.raises(ContractViolationError) as info:
         essentialize(c5, tuple("ab"))
     assert str(info.value) == "final word is not s-good for all s"

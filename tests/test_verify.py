@@ -1,6 +1,9 @@
+import hashlib
+import json
 import pickle
 import random
 from itertools import combinations, product
+from pathlib import Path
 
 import pytest
 
@@ -15,11 +18,12 @@ from coxrank.errors import (
     SubgroupParseError,
     UnknownGeneratorError,
 )
-from coxrank.graphs import DefiningGraph, dj_prime, is_join
+from coxrank.graphs import DefiningGraph, dj_prime, is_join, load_graph
 from coxrank.subgroups import (
     commutator_subgroup,
     make_subgroup,
     member_mask,
+    resolve_subgroup,
     whole_group,
 )
 from coxrank.verify import (
@@ -283,6 +287,32 @@ def test_subgroup_covering_whole_group_degenerate(c5):
     report = verify_subgroup_covering(c5, whole_group(c5), radius=3)
     assert report.verdict == "PASS"
     assert report.params["pipelineExponent"] == 2
+
+
+GRAPHS = Path(__file__).resolve().parent.parent / "graphs"
+
+
+def _payload_digest(report):
+    """SHA-256 of a report's JSON payload without ``elapsedMs``, keys sorted."""
+    payload = report.to_json_dict()
+    del payload["elapsedMs"]
+    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+
+
+def test_repair_pipeline_drivers_keep_their_bytes():
+    # every member's total multiplier, trace length and failure, and every
+    # bad-set class's multiplier, reach these payloads
+    g = load_graph(GRAPHS / "c5.txt")
+    parity8 = resolve_subgroup(g, str(GRAPHS / "parity8.sub"))
+    for report, digest in (
+        (verify_subgroup_covering(g, commutator_subgroup(g), 8),
+         "2e1e39488069d0fe062e868fe1fb57a02364b8c5801188d8be48a78b0f231172"),
+        (verify_subgroup_covering(g, parity8, 8),
+         "125f653191d9cda6fb79c20b6fb7583b3c536ff17e57c956570faf6575047507"),
+        (verify_cancellator_uniformity(g, None, 8),
+         "c66046e4bd5b065c79da85928f38fc565a02caad34310f3ce8fbc82eccae6fb8"),
+    ):
+        assert _payload_digest(report) == digest, report.check
 
 
 def test_uniformity_report_shape(c5):
