@@ -7,10 +7,12 @@ BASE and HEAD are each a directory holding a checkout of this repository
 (a ``git archive`` copy will do) or a git revision of the repository
 this script is in.  A revision is archived with ``git archive`` into a
 temporary directory, which is removed afterwards, and is recorded under
-the commit that ``git rev-parse REV^{commit}`` prints; a directory is
-recorded under the commit its ``.git`` names, if it has one.  So
-``ab.py HEAD . --workload enumerate`` compares the last commit with the
-working tree.  W is a perfbench workload, or ``kernels`` for the rows of
+the commit that ``git rev-parse REV^{commit}`` prints.  A directory is
+used as it is and recorded with no commit (``"commit": null``): its
+files may differ from any commit, so only its sources digest names it,
+and a clean checkout is better given as its revision.  So ``ab.py HEAD
+. --workload enumerate`` compares the last commit with the working
+tree.  W is a perfbench workload, or ``kernels`` for the rows of
 ``benchmarks/bench_kernels.py``.  Pair i (1 to N) runs each tree's own
 benchmark in a fresh process, base first in odd pairs and head first in
 even ones, so that host drift over the comparison falls on both sides
@@ -30,6 +32,10 @@ into which both trees' ``src`` are compiled first, so neither side writes
 bytecode and both read the same kind of cache whatever ``__pycache__``
 the trees hold: start-up times compare code, not cache state.
 
+SIGTERM stops a comparison as Ctrl-C does: it raises ``SystemExit``
+(exit status 143), so the running benchmark process is killed and the
+archived trees and the bytecode cache are removed.  Nothing is recorded.
+
 For each metric it prints each side's median and quartiles, the
 head/base ratio of the medians, how many pairs head won (ties count for
 neither), and whether the medians differ by more than the base's
@@ -46,6 +52,7 @@ import io
 import json
 import os
 import platform
+import signal
 import subprocess
 import sys
 import tarfile
@@ -125,20 +132,13 @@ def sources_digest(tree: Path) -> str:
     return h.hexdigest()[:16]
 
 
-def git_commit(tree: Path) -> str:
-    """The commit that ``tree``'s HEAD names, if it is a git checkout."""
-    proc = subprocess.run(["git", "--git-dir", str(tree / ".git"), "rev-parse", "HEAD"],
-                          capture_output=True, text=True, check=False)
-    return proc.stdout.strip() if proc.returncode == 0 else "unknown (not a git checkout)"
-
-
-def checkout(arg: str, stack: ExitStack) -> tuple[Path, str]:
+def checkout(arg: str, stack: ExitStack) -> tuple[Path, str | None]:
     """The tree that a BASE or HEAD argument names, and its commit.  A
-    directory is used as it is; any other argument must be a git revision
-    of this repository, which is archived into a temporary directory that
-    ``stack`` removes."""
+    directory is used as it is and names no commit; any other argument
+    must be a git revision of this repository, which is archived into a
+    temporary directory that ``stack`` removes."""
     if Path(arg).is_dir():
-        return Path(arg).resolve(), git_commit(Path(arg))
+        return Path(arg).resolve(), None
     proc = subprocess.run(["git", "-C", str(ROOT), "rev-parse", "--verify", "--quiet",
                            f"{arg}^{{commit}}"], capture_output=True, text=True, check=False)
     if proc.returncode:
@@ -214,6 +214,7 @@ def main(argv=None) -> int:
     kernels = args.workload == KERNELS
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
+    signal.signal(signal.SIGTERM, lambda signum, _: sys.exit(128 + signum))
     with ExitStack() as stack:
         checkouts = {side: checkout(getattr(args, side), stack) for side in ("base", "head")}
         trees = {side: tree for side, (tree, _) in checkouts.items()}

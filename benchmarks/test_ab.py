@@ -1,8 +1,12 @@
 import ast
 import json
+import os
 import shutil
+import signal
 import subprocess
-from contextlib import ExitStack
+import sys
+import time
+from contextlib import ExitStack, suppress
 from pathlib import Path
 
 import pytest
@@ -86,10 +90,53 @@ def test_a_revision_is_archived_and_recorded_under_its_commit(tmp_path):
         assert sources_digest(tree) == sources_digest(manual)
         assert commit == full and len(commit) == 40
     assert not tree.exists()
-    # a directory is used as it is, and a git archive copy names no commit
-    assert checkout(str(manual), ExitStack()) == (manual, "unknown (not a git checkout)")
+    # a directory is used as it is and names no commit, even a git checkout
+    assert checkout(str(manual), ExitStack()) == (manual, None)
+    assert checkout(str(ROOT), ExitStack()) == (ROOT, None)
     with pytest.raises(SystemExit, match="neither a directory nor a git revision"):
         checkout(str(tmp_path / "absent"), ExitStack())
+
+
+def test_sigterm_kills_the_run_and_removes_the_temporary_directories(tmp_path):
+    # a copy of ab.py in a throwaway repository root, so that nothing can
+    # reach the real BENCH_ab.json, compares two identical fake trees whose
+    # run.py writes its pid and sleeps
+    root, tmpdir, pid_file = tmp_path / "root", tmp_path / "tmp", tmp_path / "pid"
+    (root / "benchmarks").mkdir(parents=True)
+    shutil.copy(ROOT / "benchmarks" / "ab.py", root / "benchmarks")
+    (root / "BENCHMARK.json").write_text('{"run_seconds": 1, "end_to_end": []}')
+    for name in ("a", "b"):
+        (tmp_path / name / "src").mkdir(parents=True)
+        (tmp_path / name / "src" / "m.py").write_text("")
+        shutil.copy(root / "BENCHMARK.json", tmp_path / name)
+        (tmp_path / name / "perfbench").mkdir()
+        (tmp_path / name / "perfbench" / "run.py").write_text(
+            f"import os, time\nopen({str(pid_file)!r}, 'w').write(str(os.getpid()))\n"
+            "time.sleep(60)\n")
+    tmpdir.mkdir()
+    ab = subprocess.Popen([sys.executable, root / "benchmarks" / "ab.py", tmp_path / "a",
+                           tmp_path / "b", "--workload", "w", "--pairs", "1"],
+                          env={**os.environ, "TMPDIR": str(tmpdir)},
+                          stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    child = None
+    try:
+        deadline = time.monotonic() + 30
+        while not (pid_file.exists() and pid_file.read_text()):
+            assert time.monotonic() < deadline and ab.poll() is None, "run.py never started"
+            time.sleep(0.05)
+        child = int(pid_file.read_text())
+        ab.send_signal(signal.SIGTERM)
+        assert ab.wait(timeout=30) == 128 + signal.SIGTERM
+        with pytest.raises(ProcessLookupError):
+            os.kill(child, 0)
+        assert list(tmpdir.iterdir()) == []
+        assert not (root / "BENCH_ab.json").exists()
+    finally:
+        ab.kill()
+        ab.wait()
+        if child is not None:
+            with suppress(ProcessLookupError):
+                os.kill(child, signal.SIGKILL)
 
 
 R8 = "ball_bytes graph=C5 radius=8"

@@ -18,9 +18,18 @@ def is_reduced(word: bytes, comm) -> bool:
 
     A pair of equal letters is deletable when the letter does not reoccur
     strictly between them and every letter in between commutes with it.
-    The reduction pass deletes a pair exactly when such a pair exists.
+    One forward scan keeps ``clear``, the letters whose last occurrence is
+    followed only by letters they commute with: a letter already in
+    ``clear`` closes a deletable pair, and after t it keeps only
+    ``comm[t]`` and adds t.
     """
-    return len(_reduce(word, comm)) == len(word)
+    clear = 0
+    for t in word:
+        bit = 1 << t
+        if clear & bit:
+            return False
+        clear = (clear & comm[t]) | bit
+    return True
 
 
 def _reduce(word: bytes, comm) -> bytearray:

@@ -448,8 +448,8 @@ def verify_covering(g: DefiningGraph, radius: int = 8, jobs: int = 1) -> Verific
     worked out once per parity class; failing words are then listed in
     ball order.  Both checks hold by construction, since alpha lists the
     word's even-parity generators once each: this driver can FAIL only on
-    an empty domain, and does not test the paper's claim through an
-    independent route."""
+    an empty domain or a fault in ``_even_completion``, and does not test
+    the paper's claim through an independent route."""
     t0 = time.perf_counter()
     _require_serial(jobs)
     _require_irreducible_nonaffine(g)

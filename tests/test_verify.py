@@ -275,6 +275,48 @@ def test_covering_precondition(c4):
         verify_covering(c4, radius=3)
 
 
+def _planted_covering(g, radius, fault, monkeypatch):
+    """``verify_covering`` with ``_even_completion`` replaced by ``fault``
+    applied to its result, and a function that lists, in ball order, the
+    ball words whose parity mask ``fails`` accepts, each with the patched
+    alpha."""
+    true_completion = coxrank.verify._even_completion
+    planted = lambda pm, n: fault(true_completion(pm, n))  # noqa: E731
+    monkeypatch.setattr(coxrank.verify, "_even_completion", planted)
+    monkeypatch.setattr(coxrank.verify, "MAX_FAILURE_RECORDS", 10**6)
+    label = lambda enc: format_word(tuple(g.vertices[i] for i in enc))  # noqa: E731
+
+    def expected(fails):
+        return tuple({"word": label(w), "alpha": label(planted(parity_bits(w), g.n))}
+                     for w in ball_bytes(g, radius) if fails(parity_bits(w)))
+
+    return verify_covering(g, radius=radius), expected
+
+
+def test_covering_fails_when_the_completion_misses_a_generator(c5, monkeypatch):
+    # a planted library fault: alpha drops its last letter when it has two
+    # or more, so it stays distinct but leaves one generator even
+    report, expected = _planted_covering(
+        c5, 4, lambda alpha: alpha[:-1] if len(alpha) >= 2 else alpha, monkeypatch)
+    assert report.verdict == "FAIL"
+    failures = expected(lambda pm: c5.n - pm.bit_count() >= 2)
+    assert failures and report.failures == failures
+
+
+def test_covering_fails_when_the_completion_repeats_a_generator(c5, monkeypatch):
+    # a planted library fault: a nonempty alpha gets its first letter twice
+    # more, which keeps the parity all-odd, so only distinctness fails
+    report, expected = _planted_covering(
+        c5, 4, lambda alpha: alpha + alpha[:1] * 2, monkeypatch)
+    assert report.verdict == "FAIL"
+    full = (1 << c5.n) - 1
+    failures = expected(lambda pm: pm != full)
+    assert failures and report.failures == failures
+    for pm in {parity_bits(w) for w in ball_bytes(c5, 4)} - {full}:
+        alpha = coxrank.verify._even_completion(pm, c5.n)
+        assert parity_bits(alpha) ^ pm == full and len(set(alpha)) < len(alpha)
+
+
 def test_subgroup_covering_passes(c5):
     spec = commutator_subgroup(c5)
     report = verify_subgroup_covering(c5, spec, radius=6)
