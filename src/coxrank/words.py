@@ -21,6 +21,12 @@ Word = tuple[str, ...]
 # (C5 at radius 10 peaks at 85,501 in the per-sphere bound below)
 MAX_BALL_RADIUS = 10
 MAX_BALL_ELEMENTS = 500_000
+# the longest word parse_word accepts.  normal_form is cubic at worst:
+# on the graph a-c, a-d, b-c, b-d plus a vertex w, the word (c d)^k w
+# (a b)^m with 2k:m near 3:2 makes every a and b rescan the prefix before
+# w.  At this length that shape, through ``coxrank nf`` (the slowest
+# verb), takes about 0.6 s in the pure-Python kernel.
+MAX_WORD_LEN = 512
 EMPTY_WORD_DISPLAY = "e"
 
 
@@ -29,9 +35,12 @@ def parse_word(g: DefiningGraph, text: str) -> Word:
 
     A lone ``e`` is the empty word unless a generator is literally named
     ``e`` (then it is that generator); the empty string always gives the
-    empty word.
+    empty word.  Text of more than MAX_WORD_LEN labels raises
+    ``RadiusCapError`` before any label is looked up.
     """
     tokens = text.split()
+    if len(tokens) > MAX_WORD_LEN:
+        raise RadiusCapError(f"word of {len(tokens)} letters exceeds cap {MAX_WORD_LEN}")
     if tokens == [EMPTY_WORD_DISPLAY] and not g.has_vertex(EMPTY_WORD_DISPLAY):
         return ()
     for tok in tokens:

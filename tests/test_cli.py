@@ -10,10 +10,11 @@ import pytest
 
 import coxrank
 from coxrank.cli import main
-from coxrank import verify
+from coxrank import kernels, verify
 from coxrank.graphs import parse_graph
 from coxrank.subgroups import commutator_subgroup
 from coxrank.verify import parity_trial_units
+from coxrank.words import MAX_WORD_LEN
 
 PENTAGON = """\
 vertices: a b c d e
@@ -219,6 +220,25 @@ def test_parity_past_the_work_cap_exits_2(capsys, c5_file):
         assert (code, out) == (2, "")
         assert err.startswith("error [RADIUS_EXCEEDS_CAP]: ")
         assert f" is {work}, over the parity work cap 5000000" in err
+
+
+def test_words_past_the_length_cap_exit_2(capsys, c5_file, monkeypatch):
+    at_cap = " ".join(["a", "c"] * (MAX_WORD_LEN // 2))
+    code, out, _ = run_main(capsys, "nf", "--graph", c5_file, "--word", at_cap)
+    assert (code, out) == (0, at_cap + "\n")
+    calls = []
+    monkeypatch.setattr(kernels, "normal_form", lambda *a: calls.append(a))
+    # refused by its length before any label is looked up, "q" included
+    for past in (at_cap + " a", at_cap + " q", "a " * 10**6):
+        for args in (
+            ("nf", "--word", past),
+            ("equal", "--left", "a", "--right", past),
+        ):
+            code, out, err = run_main(capsys, *args, "--graph", c5_file)
+            assert (code, out) == (2, ""), args
+            n = len(past.split())
+            assert err == f"error [RADIUS_EXCEEDS_CAP]: word of {n} letters exceeds cap 512\n"
+    assert calls == []
 
 
 def test_dj_of_a_graph_too_large_to_double_exits_2(capsys, tmp_path):

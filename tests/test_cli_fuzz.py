@@ -17,6 +17,7 @@ from hypothesis import given, settings
 
 from coxrank import cli, verify
 from coxrank.cli import main
+from coxrank.words import MAX_WORD_LEN
 
 CALL_DEADLINE_S = 10.0
 LABELS = ("a", "b", "c", "d")
@@ -38,8 +39,8 @@ def _graph_text(labels, edges):
 
 
 @st.composite
-def valid_graphs(draw):
-    k = draw(st.integers(1, 4))
+def valid_graphs(draw, min_vertices=1):
+    k = draw(st.integers(min_vertices, 4))
     labels = LABELS[:k]
     pairs = [(labels[i], labels[j]) for i in range(k) for j in range(i + 1, k)]
     edges = [p for p in pairs if draw(st.booleans())]
@@ -66,6 +67,12 @@ graph_files = st.one_of(
 )
 
 words = st.lists(st.sampled_from(LABELS + ("e", "z")), max_size=8).map(" ".join)
+# the verbs that read one --word, and words of exactly the length cap and
+# one letter past it
+CAP_VERBS = ("reduce", "nf", "parity", "completion", "essential", "cancellator")
+cap_words = st.sampled_from([MAX_WORD_LEN, MAX_WORD_LEN + 1]).map(
+    lambda n: " ".join(itertools.islice(itertools.cycle(LABELS), n))
+)
 radii = st.integers(-2, 12).map(str)
 # verify parity's trial counts and lengths: the work cap admits four trials
 # at the length cap of 1000, not five
@@ -126,6 +133,10 @@ FAMILIES = {
         st.sampled_from(["reduce", "nf", "parity", "completion"]),
         [("--word", words)],
     ),
+    "word-length-cap": (
+        st.sampled_from(CAP_VERBS),
+        [("--word", cap_words)],
+    ),
     "equal": (st.just("equal"), [("--left", words), ("--right", words)]),
     "graph-only": (
         st.sampled_from(
@@ -157,6 +168,12 @@ def _selector(v, tmp):
 
 
 def _argv(data, family, graph_path, tmp):
+    if family == "word-length-cap":
+        # the words at the length cap use every label: only a valid
+        # four-vertex graph lets the word at the cap run and the word past
+        # it reach the length check
+        with open(graph_path, "w") as fh:
+            fh.write(data.draw(valid_graphs(4)))
     heads, options = FAMILIES[family]
     argv = data.draw(heads).split()
     for option, values in options:
@@ -207,6 +224,30 @@ def test_cli_main_never_crashes_and_codes_every_usage_error(family, data, graph,
     if code == 2:
         assert CODED.search(err), (argv, err)
         assert out == "", argv
+
+
+# the slowest shape known for normal_form (see words.MAX_WORD_LEN): every
+# a and b after w rescans the (c d)^k prefix, which is 3/5 of the word
+SLOW_GRAPH = "vertices: a b c d w\nedge: a c\nedge: a d\nedge: b c\nedge: b d\n"
+
+
+def _slow_word(n):
+    k = n * 3 // 10
+    tail = itertools.islice(itertools.cycle("ab"), n - 2 * k - 1)
+    return " ".join(["c", "d"] * k + ["w", *tail])
+
+
+def test_every_word_verb_at_and_past_the_length_cap(tmp_path):
+    path = tmp_path / "slow.txt"
+    path.write_text(SLOW_GRAPH)
+    past = f"error [RADIUS_EXCEEDS_CAP]: word of {MAX_WORD_LEN + 1} letters exceeds cap"
+    for verb in CAP_VERBS:
+        argv = [verb, "--graph", str(path), "--word"]
+        code, _, err = _run(argv + [_slow_word(MAX_WORD_LEN)])
+        assert (code, err) == (0, ""), verb
+        code, out, err = _run(argv + [_slow_word(MAX_WORD_LEN + 1)])
+        assert (code, out) == (2, ""), verb
+        assert err.startswith(past), verb
 
 
 def _leaf_verbs(rows, prefix=()):

@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 from conftest import every_graph
 from coxrank.graphs import DefiningGraph, join_decompose
 from coxrank.ranks import commensurability_flag, rank_raag, rank_racg
@@ -44,3 +47,21 @@ def test_rank_racg_compositional_over_factors():
 def test_rank_raag_equals_complement_component_count():
     for g in every_graph(5):
         assert rank_raag(g).total_rank == len(g.complement_components())
+
+
+# sha256 over json.dumps(payload, sort_keys=True) of every classify
+# payload, rank_racg then rank_raag per graph, for every labelled graph on
+# at most five vertices (2,198 payloads); a changed digest is a changed
+# rank, kind, note or flag somewhere
+CLASSIFY_PAYLOADS_DIGEST = "291718df2449e1a2f9a9ce1d51ed826293a289e0b5a9eb9a0e88c84b30ffcecd"
+
+
+def test_every_classify_payload_on_five_vertices_is_pinned():
+    h = hashlib.sha256()
+    count = 0
+    for g in every_graph(5):
+        for rank in (rank_racg, rank_raag):
+            h.update(json.dumps(rank(g).to_json_dict(), sort_keys=True).encode())
+            count += 1
+    assert count == 2198
+    assert h.hexdigest() == CLASSIFY_PAYLOADS_DIGEST

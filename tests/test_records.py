@@ -114,7 +114,8 @@ def test_reports_cannot_be_changed_in_place(c5, check):
         report.failures.append({"reason": "X"})
     with pytest.raises(TypeError):
         report.params["radius"] = -1
-    # the JSON view is a fresh copy: changing it leaves the report alone
+    # the JSON view's top level is a fresh copy: changing it leaves the
+    # report alone (a dict nested in params is still shared; ROADMAP item 12)
     view = report.to_json_dict()
     view["failures"].append({"reason": "X"})
     view["params"]["radius"] = -1

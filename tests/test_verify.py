@@ -61,6 +61,26 @@ def test_parity_invariance_selftest_catches_corruption(c5):
     assert report.failures
 
 
+def test_parity_fails_when_the_fold_drops_the_last_letter(monkeypatch):
+    # a planted library fault: parity_bits ignores a word's last letter.
+    # The pentagon is relabelled so that no label prints like the empty
+    # word; the walk draws indices, so the labels change no move.
+    g = DefiningGraph("pqrst", [("p", "q"), ("q", "r"), ("r", "s"), ("s", "t"), ("t", "p")])
+    planted = lambda enc: parity_bits(list(enc)[:-1])  # noqa: E731
+    monkeypatch.setattr(coxrank.verify, "parity_bits", planted)
+    monkeypatch.setattr(coxrank.verify, "MAX_FAILURE_RECORDS", 10**6)
+    report = verify_parity_invariance(g, trials=200, seed=0)
+    assert report.verdict == "FAIL"
+    assert len(report.failures) == 103
+    assert len({f["trial"] for f in report.failures}) == 103
+    decode = lambda text: [] if text == "e" else [g.index(v) for v in text.split()]  # noqa: E731
+    for f in report.failures:
+        start, after = decode(f["start"]), decode(f["after"])
+        # every move was legal, and the planted fold told the words apart
+        assert parity_bits(start) == parity_bits(after), f
+        assert planted(start) != planted(after), f
+
+
 def test_parity_invariance_deterministic(c5):
     a = verify_parity_invariance(c5, trials=200, seed=11)
     b = verify_parity_invariance(c5, trials=200, seed=11)
@@ -465,6 +485,34 @@ def test_certificates_selftest_flags_uncertified_word(c5):
     )
     assert report.verdict == "FAIL"
     assert any(f["certificate"] == "assumed" for f in report.failures)
+
+
+def test_certificates_fail_when_the_bad_set_is_always_empty(c5, monkeypatch):
+    # a planted library fault: bad_mask calls every word good, so every
+    # full-support ball word is certified good-for-all
+    monkeypatch.setattr(coxrank.verify, "bad_mask", lambda g, enc: 0)
+    report = verify_essential_certificates(c5, radius=6, conj_radius=3)
+    assert report.verdict == "FAIL"
+    assert report.params["certified"] == report.total_cases == 210
+    # the words only the fault certified: full support, not all odd, and a
+    # nonempty bad set by the goodness report; each must FAIL, in ball order
+    full = (1 << c5.n) - 1
+    extra = []
+    for w in ball_bytes(c5, 6):
+        word = tuple(c5.vertices[i] for i in w)
+        if parity_bits(w) != full and len(set(w)) == c5.n and bad_set(c5, word).bad_set:
+            extra.append(word)
+    assert len(extra) == 40
+    assert [f["word"] for f in report.failures] == [format_word(w) for w in extra]
+    for f, w in zip(report.failures, extra):
+        hit = falsify_essential(c5, w, 3)
+        assert f["certificate"] == "good-for-all"
+        assert f["conjugator"] == format_word(hit.conjugator)
+        assert f["parabolic"] == sorted(hit.parabolic)
+    assert report.failures[0] == {
+        "word": "a b c d a e", "certificate": "good-for-all",
+        "conjugator": "a", "parabolic": ["b", "c", "d", "e"],
+    }
 
 
 def test_certificates_encode_extra_words_before_the_ball(c5, monkeypatch):
