@@ -21,8 +21,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import NamedTuple
 
-from . import kernels
-from .certificates import _goodness_masks
+from .certificates import _goodness_masks, _left_multiply
 from .errors import (
     ContractViolationError,
     ExponentTooSmallError,
@@ -129,6 +128,11 @@ def choose_blockers(g: DefiningGraph, s: str) -> BlockerChoice:
 def multiplier_word(choice: BlockerChoice, n: int) -> Word:
     """(s'' s s')^n for TYPE1, (s' s'' s s' s'')^n for TYPE2; needs n >= 2.
 
+    The word is reduced for every n: two successive occurrences of a
+    letter enclose one that does not commute with it (s' between two s;
+    in TYPE1, s between two s' and between two s''; in TYPE2, s'' between
+    two s' and s' between two s'').
+
     >>> c = BlockerChoice("a", "c", "d", BlockerVariant.TYPE1)
     >>> " ".join(multiplier_word(c, 2))
     'd a c d a c'
@@ -178,8 +182,10 @@ def _repair(
     every caller gets at most one support repair per missing generator and
     one goodness repair per bad generator.  Returns the final word with
     its masks, the total multiplier (newest leftmost) and the encoded
-    steps.  Each repaired word's masks come from one ``_goodness_masks``
-    scan, and nothing rescans the input or the output.
+    steps.  Each repaired word is ``_left_multiply`` of the multiplier
+    onto the word, one strip per multiplier letter (both are reduced: see
+    ``multiplier_word``), and its masks come from one ``_goodness_masks``
+    scan; nothing rescans the input or the output.
 
     ``table`` maps a target index to its blocker choice and encoded
     multiplier.  It is filled on first use, so one table can serve every
@@ -203,7 +209,7 @@ def _repair(
             choice = choose_blockers(g, g.vertices[i])
             entry = table[i] = (choice, encode_word(g, multiplier_word(choice, EXPONENT)))
         choice, mult = entry
-        nxt = kernels.reduce_word(mult + enc, comm)
+        nxt = _left_multiply(mult, enc, comm)
         present, bad = _goodness_masks(nxt, comm)
         # None: a goodness repair lost a generator
         new = (bad if present == full else None) if goodness else full & ~present

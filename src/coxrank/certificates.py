@@ -261,6 +261,23 @@ def _conjugate_by_letter(r: bytes, x: int, skip: bytes) -> bytes:
     return r + _LETTERS[x]
 
 
+def _left_multiply(m: bytes, r: bytes, comm) -> bytes:
+    """The reduced word ``m r`` for reduced ``m`` and ``r``.
+
+    The letters of m are taken last first, each onto the word so far: x
+    cancels the first x it reaches from the left through letters that
+    commute with it, and is prepended if a non-commuting letter comes
+    first.  Each letter is one strip of its commuters.  The bytes are
+    those of ``kernels.reduce_word(m + r)``."""
+    for x in reversed(m):
+        tail = r.lstrip(_commuters(comm[x]))
+        if tail[:1] == _LETTERS[x]:
+            r = r[: len(r) - len(tail)] + tail[1:]
+        else:
+            r = _LETTERS[x] + r
+    return r
+
+
 def _falsify_enc(
     g: DefiningGraph, enc: bytes, table: ConjugatorTable
 ) -> tuple[bytes, int] | None:

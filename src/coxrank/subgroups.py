@@ -10,17 +10,12 @@ The commutator subgroup is the dim-0 case.
 from __future__ import annotations
 
 import os
+from itertools import compress
 from typing import NamedTuple
 
 from .errors import SubgroupParseError
 from .graphs import DefiningGraph, load_graph
-from .words import (
-    Word,
-    ball_bytes,
-    decode_word,
-    parity_bits,
-    parity_mask,
-)
+from .words import Ball, Word, ball_bytes, decode_word, parity_mask
 
 
 class SubgroupSpec(NamedTuple):
@@ -113,20 +108,16 @@ def member_mask(spec: SubgroupSpec, pmask: int) -> bool:
     return _reduce_vector(pmask, spec.basis) == 0
 
 
-def members(spec: SubgroupSpec, ball):
-    """The subgroup members among the encoded words of ``ball``, in order.
+def members(spec: SubgroupSpec, ball: Ball):
+    """The subgroup members among the encoded words of ``ball``, in order,
+    as an iterator.
 
-    Membership depends only on the parity mask, so each word's mask is
-    taken once and ``member_mask`` runs once per distinct mask (32 times
-    on the pentagon's radius-10 ball of 54,726 elements)."""
-    verdicts: dict[int, bool] = {}
-    for w in ball:
-        pm = parity_bits(w)
-        ok = verdicts.get(pm)
-        if ok is None:
-            ok = verdicts[pm] = member_mask(spec, pm)
-        if ok:
-            yield w
+    Membership depends only on the parity mask, which the ball carries
+    for each word (``Ball.parities``), so ``member_mask`` runs once per
+    distinct mask (32 times on the pentagon's radius-10 ball of 54,726
+    elements) and no word is folded again."""
+    verdicts = {pm: member_mask(spec, pm) for pm in set(ball.parities)}
+    return compress(ball, map(verdicts.__getitem__, ball.parities))
 
 
 def enumerate_members(spec: SubgroupSpec, radius: int) -> list[Word]:

@@ -99,11 +99,13 @@ class VerificationReport(NamedTuple):
         return _frozen_report, (self.check, dict(self.params), *self[2:])
 
     def to_json_dict(self) -> dict:
+        """A JSON-ready view that shares nothing with the report: changing
+        it, at any depth, leaves the report as it was."""
         d = {
             "check": self.check,
-            "params": dict(self.params),
+            "params": _json_copy(dict(self.params)),
             "totalCases": self.total_cases,
-            "failures": list(self.failures),
+            "failures": list(map(_json_copy, self.failures)),
             "elapsedMs": self.elapsed_ms,
             "verdict": self.verdict,
         }
@@ -112,6 +114,16 @@ class VerificationReport(NamedTuple):
         if self.seed is not None:
             d["seed"] = self.seed
         return d
+
+
+def _json_copy(x):
+    """A copy of nested dicts and lists, down to their scalars: the values
+    a report holds."""
+    if isinstance(x, dict):
+        return {k: _json_copy(v) for k, v in x.items()}
+    if isinstance(x, list):
+        return list(map(_json_copy, x))
+    return x
 
 
 def _frozen_report(check, params, *rest) -> VerificationReport:
@@ -444,9 +456,10 @@ def verify_covering(g: DefiningGraph, radius: int = 8, jobs: int = 1) -> Verific
     every multiplier used must be a product of distinct generators.
 
     The multiplier alpha is the one ``find_even_completion`` returns.  It
-    and its check depend only on the word's parity mask, so both are
-    worked out once per parity class; failing words are then listed in
-    ball order.  Both checks hold by construction, since alpha lists the
+    and its check depend only on the word's parity mask, which the ball
+    carries, so both are worked out once per parity class.  Only when
+    some class fails is the ball walked again, to list its words in ball
+    order.  Both checks hold by construction, since alpha lists the
     word's even-parity generators once each: this driver can FAIL only on
     an empty domain or a fault in ``_even_completion``, and does not test
     the paper's claim through an independent route."""
@@ -456,10 +469,9 @@ def verify_covering(g: DefiningGraph, radius: int = 8, jobs: int = 1) -> Verific
     ball = ball_bytes(g, radius)
     n = g.n
     full = (1 << n) - 1
-    parities = list(map(parity_bits, ball))
     hist: Counter = Counter()
     failing = {}  # parity mask -> alpha, for the classes that fail
-    for pm, count in Counter(parities).items():
+    for pm, count in Counter(ball.parities).items():
         alpha = _even_completion(pm, n)
         distinct = len(set(alpha)) == len(alpha)
         if parity_bits(alpha) ^ pm != full or not distinct:
@@ -468,9 +480,9 @@ def verify_covering(g: DefiningGraph, radius: int = 8, jobs: int = 1) -> Verific
         hist[_fmt(g, alpha) if alpha else "(identity)"] += count
     failures = [
         {"word": _fmt(g, w), "alpha": _fmt(g, failing[pm])}
-        for w, pm in zip(ball, parities)
+        for w, pm in zip(ball, ball.parities)
         if pm in failing
-    ]
+    ] if failing else []
     params = {
         "radius": radius,
         "alphaHistogram": {k: hist[k] for k in sorted(hist)},
@@ -669,8 +681,9 @@ def verify_essential_certificates(
     require_radius(conj_radius)
     full = (1 << g.n) - 1
     certified: list[tuple[bytes, str]] = []
-    for w in ball_bytes(g, radius):
-        if parity_bits(w) == full:
+    ball = ball_bytes(g, radius)
+    for w, pm in zip(ball, ball.parities):
+        if pm == full:
             certified.append((w, "all-odd"))
         elif support_bits(w) == full and bad_mask(g, w) == 0:
             certified.append((w, "good-for-all"))

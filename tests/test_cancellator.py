@@ -5,6 +5,7 @@ import pytest
 from conftest import every_graph
 from coxrank import cancellator, kernels
 from coxrank.cancellator import (
+    EXPONENT,
     BlockerChoice,
     BlockerVariant,
     MultiplierTrace,
@@ -38,6 +39,7 @@ from coxrank.words import (
     decode_word,
     encode_word,
     enumerate_ball,
+    is_reduced,
     parity_vector,
     reduce_word,
     support,
@@ -606,3 +608,18 @@ def test_no_repair_multiplier_outlives_its_call(c5, monkeypatch):
     assert after == before
     assert after[3] == []
     assert after[0][1].steps  # the real multiplier repaired something
+
+
+def test_every_step_multiplier_is_reduced_on_every_join_free_graph():
+    # _repair left-multiplies each step multiplier onto the word with
+    # _left_multiply, whose bytes are those of reduce_word only for a
+    # reduced multiplier
+    variants = set()
+    for g in every_graph(6, 3):
+        if is_join(g):
+            continue
+        for s in g.vertices:
+            choice = choose_blockers(g, s)
+            variants.add(choice.variant)
+            assert is_reduced(g, multiplier_word(choice, EXPONENT)), (g.to_text(), s)
+    assert variants == set(BlockerVariant)

@@ -13,6 +13,7 @@ from coxrank.certificates import (
     _conjugate_by_letter,
     _falsify_enc,
     _goodness_masks,
+    _left_multiply,
     bad_mask,
     bad_set,
     conjugator_table,
@@ -219,6 +220,27 @@ def test_conjugate_by_letter_matches_reduce_word_on_every_4_vertex_graph():
             for x in range(4):
                 expected = kernels.reduce_word(bytes([x]) + r + bytes([x]), comm)
                 assert _conjugate_by_letter(r, x, _commuters(comm[x])) == expected
+
+
+def test_left_multiply_matches_reduce_word_on_random_reduced_words():
+    # reduce_word is the oracle: one pass over m + r, where _left_multiply
+    # strips r once per letter of m, last first
+    rng = random.Random(1993)
+    cancelled = 0
+    for _ in range(10_000):
+        k = rng.randint(1, 9)
+        verts = "abcdefghi"[:k]
+        g = DefiningGraph(verts, [p for p in combinations(verts, 2) if rng.random() < 0.5])
+        comm = g.comm_masks
+        m, r = (
+            kernels.reduce_word(bytes(rng.randrange(k) for _ in range(rng.randint(0, 14))), comm)
+            for _ in range(2)
+        )
+        expected = kernels.reduce_word(m + r, comm)
+        assert _left_multiply(m, r, comm) == expected, (g.to_text(), m, r)
+        cancelled += len(expected) < len(m) + len(r)
+    # about 30% of the cases cancel letters, so both branches are exercised
+    assert cancelled > 2500
 
 
 def _falsify_by_reducing_every_conjugate(g, enc, conj_ball):

@@ -100,10 +100,22 @@ VERIFY_RUNS = {
     "wordproblem": lambda g: verify_word_problem(g, max_len=2),
     "covering": lambda g: verify_covering(g, 2),
     "subgroup-covering": lambda g: verify_subgroup_covering(g, commutator_subgroup(g), 2),
-    "uniformity": lambda g: verify_cancellator_uniformity(g, radius=0),
+    "uniformity": lambda g: verify_cancellator_uniformity(g, radius=6),
     "joinlemma": lambda g: verify_join_lemma(3),
     "certificates": lambda g: verify_essential_certificates(g, radius=2, conj_radius=1),
 }
+
+
+def _scribble(x):
+    """Change every dict and list nested in ``x``, at every depth."""
+    if isinstance(x, dict):
+        for v in x.values():
+            _scribble(v)
+        x["X"] = "X"
+    elif isinstance(x, list):
+        for v in x:
+            _scribble(v)
+        x.append("X")
 
 
 @pytest.mark.parametrize("check", sorted(VERIFY_RUNS))
@@ -114,11 +126,13 @@ def test_reports_cannot_be_changed_in_place(c5, check):
         report.failures.append({"reason": "X"})
     with pytest.raises(TypeError):
         report.params["radius"] = -1
-    # the JSON view's top level is a fresh copy: changing it leaves the
-    # report alone (a dict nested in params is still shared; ROADMAP item 12)
+    # the JSON view is a deep copy: changing it at any depth (the
+    # covering's alphaHistogram, each perBadSet class of the uniformity
+    # check, the EMPTY_DOMAIN record of the certificates run) leaves the
+    # report alone
     view = report.to_json_dict()
-    view["failures"].append({"reason": "X"})
     view["params"]["radius"] = -1
+    _scribble(view)
     assert json.dumps(report.to_json_dict()) == before
     # pickling and deep copies keep the report equal and read-only
     for twin in (pickle.loads(pickle.dumps(report)), copy.deepcopy(report)):

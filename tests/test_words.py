@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from array import array
 
 import pytest
 
@@ -10,12 +11,14 @@ from coxrank.errors import ParameterRangeError, RadiusCapError, UnknownGenerator
 from coxrank.graphs import DefiningGraph, load_graph
 from coxrank.verify import rewriting_closure_equal
 from coxrank.words import (
+    Ball,
     ball_bytes,
     enumerate_ball,
     equal,
     format_word,
     is_reduced,
     normal_form,
+    parity_bits,
     parity_vector,
     parse_word,
     reduce_word,
@@ -252,6 +255,30 @@ def test_ball_is_shortlex_sorted_normal_forms(c5):
     keys = [(len(w), tuple(c5.index(x) for x in w)) for w in ball]
     assert keys == sorted(keys)
     assert all(normal_form(c5, w) == w for w in ball)
+
+
+def test_ball_carries_each_elements_parity(c5):
+    # parity(w x) = parity(w) ^ x, carried through the sphere loop, against
+    # parity_bits folding each element on its own
+    for g in every_graph(5):
+        for radius in range(7):
+            ball = ball_bytes(g, radius)
+            assert list(ball.parities) == list(map(parity_bits, ball))
+    ball = ball_bytes(c5, 10)
+    assert len(ball) == 54_726
+    assert list(ball.parities) == list(map(parity_bits, ball))
+
+
+def test_ball_is_a_list_with_a_narrow_parity_array():
+    for n in (1, 8, 9, 16, 17, 32, 33, 64):
+        ball = ball_bytes(DefiningGraph([f"v{i}" for i in range(n)]), 2)
+        assert type(ball) is Ball and isinstance(ball, list)
+        assert repr(ball) == repr(list(ball)) and ball == list(ball)
+        assert len(ball.parities) == len(ball) == 1 + n * n
+        assert list(ball.parities) == list(map(parity_bits, ball))
+        assert ball.parities.typecode in "ILQ"
+        fits = [array(t).itemsize for t in "ILQ" if array(t).itemsize * 8 >= n]
+        assert ball.parities.itemsize == min(fits)
 
 
 def test_ball_monotone_growth(c5, dinf):
