@@ -6,7 +6,12 @@ Usage: python3 benchmarks/bench_kernels.py
 
 Times is_reduced, reduce_word and normal_form over a seeded corpus of
 CORPUS_WORDS random words of at most CORPUS_MAX_LEN letters on the
-pentagon graph, ``words.equal`` on seeded pairs of long words (half of
+pentagon graph, then normal_form on long words: LONG_WORDS seeded words
+of LONG_LENGTHS letters over a seeded graph with LONG_VERTICES vertices
+and LONG_EDGES edges (the word-queries shape), and one word of
+SLOW_LETTERS letters, (c d)^k w (a b)^m at a 3:2 split, on the graph
+a-c, a-d, b-c, b-d plus w, which costs a rescanning extraction a cubic
+time.  Then ``words.equal`` on seeded pairs of long words (half of
 them equal by random legal moves, half one letter off),
 ``words.ball_bytes`` at radii 8 and 10, and
 ``verify_essential_certificates`` at radius 8 and conjugation radius 4.
@@ -27,7 +32,7 @@ and both subgroups' bases), and its params record
 ``sys.dont_write_bytecode``, since compiling the sources each time costs
 several times the import itself.
 
-These are 15 rows.  Each row calls public entry points only, on inputs
+These are 17 rows.  Each row calls public entry points only, on inputs
 this script builds itself, and nothing of coxrank is patched, so the
 script runs unchanged in any checkout back to the first benchmark
 commit.  The ball's normal-form calls, the falsifier and the rewriting
@@ -85,6 +90,12 @@ PARITY_TRIALS = 10_000
 PARITY_SEED = 1
 EQUAL_PAIRS = 200
 EQUAL_LENGTHS = (50, 300)
+LONG_VERTICES = 12
+LONG_EDGES = 26
+LONG_WORDS = 200
+LONG_LENGTHS = (50, 300)
+SLOW = DefiningGraph("abcdw", [("a", "c"), ("a", "d"), ("b", "c"), ("b", "d")])
+SLOW_LETTERS = 512
 
 
 def _corpus():
@@ -93,6 +104,25 @@ def _corpus():
         bytes(rng.randrange(C5.n) for _ in range(rng.randint(0, CORPUS_MAX_LEN)))
         for _ in range(CORPUS_WORDS)
     ]
+
+
+def _long_words():
+    """A seeded graph of LONG_VERTICES vertices and LONG_EDGES edges, with
+    LONG_WORDS seeded words of LONG_LENGTHS letters over it."""
+    rng = random.Random(CORPUS_SEED)
+    labels = [f"v{i}" for i in range(LONG_VERTICES)]
+    pairs = [(a, b) for i, a in enumerate(labels) for b in labels[i + 1 :]]
+    g = DefiningGraph(labels, rng.sample(pairs, LONG_EDGES))
+    return g, [
+        bytes(rng.randrange(g.n) for _ in range(rng.randint(*LONG_LENGTHS)))
+        for _ in range(LONG_WORDS)
+    ]
+
+
+def _slow_word():
+    """(c d)^k w (a b)^m on SLOW with SLOW_LETTERS letters, 2k:m near 3:2."""
+    k = SLOW_LETTERS * 3 // 10
+    return bytes([2, 3] * k + [4] + [i % 2 for i in range(SLOW_LETTERS - 2 * k - 1)])
 
 
 def _equal_pairs():
@@ -149,6 +179,8 @@ def main():
     argparse.ArgumentParser(description=__doc__.split("\n\n")[0]).parse_args()
     comm = C5.comm_masks
     corpus = _corpus()
+    long_graph, long_words = _long_words()
+    slow_word = _slow_word()
     pairs = _equal_pairs()
     full_support = [w for w in words.ball_bytes(C5, GOODNESS_RADIUS) if len(set(w)) == C5.n]
     subgroup_text = (ROOT / SUBGROUP_FILE).read_text(encoding="utf-8")
@@ -163,6 +195,23 @@ def main():
         *(
             _row(op, corpus_params, lambda f=getattr(kernels, op): [f(w, comm) for w in corpus])
             for op in ("is_reduced", "reduce_word", "normal_form")
+        ),
+        _row(
+            "normal_form",
+            {
+                "graph": f"random{LONG_VERTICES}",
+                "edges": LONG_EDGES,
+                "words": LONG_WORDS,
+                "minLen": LONG_LENGTHS[0],
+                "maxLen": LONG_LENGTHS[1],
+                "seed": CORPUS_SEED,
+            },
+            lambda: [kernels.normal_form(w, long_graph.comm_masks) for w in long_words],
+        ),
+        _row(
+            "normal_form",
+            {"graph": "C4+w", "word": "(cd)^kw(ab)^m", "letters": SLOW_LETTERS},
+            lambda: kernels.normal_form(slow_word, SLOW.comm_masks),
         ),
         _row(
             "equal",

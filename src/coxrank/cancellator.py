@@ -153,10 +153,10 @@ def multiplier_word(choice: BlockerChoice, n: int) -> Word:
 
 
 def _trace_steps(g: DefiningGraph, steps) -> tuple[TraceStep, ...]:
-    """Trace steps from ``(choice, multiplier, running word)``, encoded."""
+    """Trace steps from ``(table entry, running word)``, encoded."""
     return tuple(
         TraceStep(choice.s, choice, decode_word(g, mult), decode_word(g, nxt))
-        for choice, mult, nxt in steps
+        for (choice, mult, _), nxt in steps
     )
 
 
@@ -187,10 +187,12 @@ def _repair(
     ``multiplier_word``), and its masks come from one ``_goodness_masks``
     scan; nothing rescans the input or the output.
 
-    ``table`` maps a target index to its blocker choice and encoded
-    multiplier.  It is filled on first use, so one table can serve every
-    repair of a call while the choice is still made, and may still raise,
-    at the first step that needs it."""
+    ``table`` maps a target index to its entry: the blocker choice, the
+    encoded multiplier and the multiplier's parity mask.  It is filled on
+    first use, so one table can serve every repair of a call while the
+    choice is still made, and may still raise, at the first step that
+    needs it; each multiplier's parity is folded once per table.  A step
+    is its entry and the repaired word."""
     comm = g.comm_masks
     full = (1 << g.n) - 1
     enc, present, bad = word
@@ -207,8 +209,9 @@ def _repair(
         entry = table.get(i)
         if entry is None:
             choice = choose_blockers(g, g.vertices[i])
-            entry = table[i] = (choice, encode_word(g, multiplier_word(choice, EXPONENT)))
-        choice, mult = entry
+            mult = encode_word(g, multiplier_word(choice, EXPONENT))
+            entry = table[i] = (choice, mult, parity_bits(mult))
+        choice, mult, _ = entry
         nxt = _left_multiply(mult, enc, comm)
         present, bad = _goodness_masks(nxt, comm)
         # None: a goodness repair lost a generator
@@ -220,7 +223,7 @@ def _repair(
                 f"repair for {choice.s!r} {_REPAIR_ERRORS[goodness][0]}",
                 trace=_trace_steps(g, steps),
             )
-        steps.append((choice, mult, nxt))
+        steps.append((entry, nxt))
         enc, targets, total = nxt, new, mult + total
     if targets:
         raise ContractViolationError(
@@ -256,7 +259,7 @@ def _essentialize(g: DefiningGraph, spec, enc: bytes, table: dict):
     if spec is not None:
         if not member_mask(spec, parity_bits(final)):
             problems.append("final word left the subgroup")
-        if any(not member_mask(spec, parity_bits(m)) for _, m, _ in steps):
+        if any(not member_mask(spec, par) for (_, _, par), _ in steps):
             problems.append("a multiplier left the subgroup")
     if problems:
         raise ContractViolationError("; ".join(problems), trace=_trace_steps(g, steps))

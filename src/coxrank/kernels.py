@@ -71,7 +71,11 @@ def normal_form(word: bytes, comm) -> bytes:
     identity, and ``a b`` reads ``b a`` when b < a and the two commute.
     Longer words take greedy extraction: among the letters whose first
     occurrence is preceded only by letters they commute with, repeatedly
-    emit the least one and delete that occurrence.
+    emit the least one and delete that occurrence.  Each extraction is one
+    forward pass that keeps ``seen``, the letters before the current
+    position, so a letter s there is a candidate iff ``seen & ~comm[s]``
+    is empty (an earlier s blocks it too: s is not in ``comm[s]``).  A
+    normal form of L letters takes O(L^2) steps.
 
     On the pentagon a-b-c-d-e-a (a=0, ..., e=4):
 
@@ -99,23 +103,14 @@ def normal_form(word: bytes, comm) -> bytes:
     buf = _reduce(word, comm)
     out = bytearray()
     while buf:
-        n = len(buf)
-        best = -1
-        pos = -1
-        for p in range(n):
-            s = buf[p]
-            if best >= 0 and s >= best:
-                continue
-            mask = comm[s]
-            ok = True
-            for q in range(p):
-                t = buf[q]
-                if t == s or not (mask >> t) & 1:
-                    ok = False
-                    break
-            if ok:
+        seen = 0
+        best = buf[0]
+        pos = 0
+        for p, s in enumerate(buf):
+            if s < best and not seen & ~comm[s]:
                 best = s
                 pos = p
+            seen |= 1 << s
         del buf[pos]
         out.append(best)
     return bytes(out)

@@ -22,12 +22,17 @@ Word = tuple[str, ...]
 # (C5 at radius 10 peaks at 85,501 in the per-sphere bound below)
 MAX_BALL_RADIUS = 10
 MAX_BALL_ELEMENTS = 500_000
-# the longest word parse_word accepts.  normal_form is cubic at worst:
-# on the graph a-c, a-d, b-c, b-d plus a vertex w, the word (c d)^k w
-# (a b)^m with 2k:m near 3:2 makes every a and b rescan the prefix before
-# w.  At this length that shape, through ``coxrank nf`` (the slowest
-# verb), takes about 0.6 s in the pure-Python kernel.
-MAX_WORD_LEN = 512
+# the longest word parse_word accepts.  normal_form is quadratic, and
+# ``coxrank nf`` is the slowest verb that reads one word.  Its seconds
+# (pure Python, x86_64), on the graph a-c, a-d, b-c, b-d plus w with
+# the word (c d)^k w (a b)^m at a 3:2 split, then worst of the cycled
+# word a b c d a ... over all 64 graphs on a-d:
+#   letters     512    1,024  2,048  4,096
+#   (c d)^k w   0.021  0.043  0.24   0.70
+#   a b c d     0.026  0.079  0.25   0.61-1.1
+# The other word verbs take at most about 0.08 s at 2,048 letters.  So
+# 2,048 keeps every verb under about 0.6 s, which 4,096 does not.
+MAX_WORD_LEN = 2048
 EMPTY_WORD_DISPLAY = "e"
 
 

@@ -40,6 +40,7 @@ from coxrank.words import (
     encode_word,
     enumerate_ball,
     is_reduced,
+    parity_bits,
     parity_vector,
     reduce_word,
     support,
@@ -551,11 +552,13 @@ def _assert_shared_table_matches_per_step(g, encoded):
         assert _essentialize_outcome(g, enc, shared) == _essentialize_outcome(
             g, enc, _Forgetful()
         )
-    # filled on first use, one entry per target the words needed
+    # filled on first use, one entry per target the words needed, with
+    # the multiplier's parity folded once
     assert set(shared) <= set(range(g.n))
-    for i, (choice, mult) in shared.items():
+    for i, (choice, mult, par) in shared.items():
         assert choice == choose_blockers(g, g.vertices[i])
         assert mult == encode_word(g, multiplier_word(choice, 2))
+        assert par == parity_bits(mult)
 
 
 def test_shared_repair_table_matches_per_step_multipliers_on_the_c5_ball(c5):

@@ -237,7 +237,9 @@ def test_words_past_the_length_cap_exit_2(capsys, c5_file, monkeypatch):
             code, out, err = run_main(capsys, *args, "--graph", c5_file)
             assert (code, out) == (2, ""), args
             n = len(past.split())
-            assert err == f"error [RADIUS_EXCEEDS_CAP]: word of {n} letters exceeds cap 512\n"
+            assert err == (
+                f"error [RADIUS_EXCEEDS_CAP]: word of {n} letters exceeds cap {MAX_WORD_LEN}\n"
+            )
     assert calls == []
 
 

@@ -226,8 +226,9 @@ def test_cli_main_never_crashes_and_codes_every_usage_error(family, data, graph,
         assert out == "", argv
 
 
-# the slowest shape known for normal_form (see words.MAX_WORD_LEN): every
-# a and b after w rescans the (c d)^k prefix, which is 3/5 of the word
+# a slow shape for normal_form (see words.MAX_WORD_LEN): cubic for an
+# extraction that rescans the buffer, since every a and b after w would
+# rescan the (c d)^k prefix, which is 3/5 of the word
 SLOW_GRAPH = "vertices: a b c d w\nedge: a c\nedge: a d\nedge: b c\nedge: b d\n"
 
 

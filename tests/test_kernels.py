@@ -1,7 +1,8 @@
 """The word kernels against the leftmost-pair reduction that defines
 ``reduce_word``'s byte contract, and ``normal_form`` against a brute-force
-closure."""
+closure on short words and a rescanning greedy extraction on long ones."""
 
+import random
 from itertools import product
 
 from conftest import every_graph
@@ -96,3 +97,84 @@ def test_pure_kernel_reduction_order_is_leftmost():
 
 def test_active_backend_reported():
     assert BACKEND == "python"
+
+
+# -- long words -----------------------------------------------------------------
+
+
+def _rescan_normal_form(word: bytes, comm) -> bytes:
+    """The greedy extraction with a rescan per candidate: reduce by
+    scanning each arriving letter back over the letters it commutes with,
+    then repeatedly take the least letter whose first occurrence is
+    preceded only by letters it commutes with.  Cubic at worst."""
+    buf = bytearray()
+    for s in word:
+        for i in range(len(buf) - 1, -1, -1):
+            if buf[i] == s:
+                del buf[i]
+                break
+            if not (comm[s] >> buf[i]) & 1:
+                buf.append(s)
+                break
+        else:
+            buf.append(s)
+    out = bytearray()
+    while buf:
+        candidates = [
+            (s, p)
+            for p, s in enumerate(buf)
+            if all(t != s and (comm[s] >> t) & 1 for t in buf[:p])
+        ]
+        s, p = min(candidates)
+        del buf[p]
+        out.append(s)
+    return bytes(out)
+
+
+def _moves_left_past_a_greater_letter(word: bytes, comm) -> bool:
+    """True iff some letter commutes with every letter of a run just
+    before it, and that run holds a greater letter: moving the letter in
+    front of the run would give a lexicographically smaller word."""
+    for j, s in enumerate(word):
+        for t in reversed(word[:j]):
+            if not (comm[s] >> t) & 1:
+                break
+            if t > s:
+                return True
+    return False
+
+
+def _random_comm(n, rng):
+    density = rng.random()
+    comm = [0] * n
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < density:
+                comm[i] |= 1 << j
+                comm[j] |= 1 << i
+    return comm
+
+
+def _slow_shape(n):
+    """(c d)^k w (a b)^m at a 3:2 split over a=0, b=1, c=2, d=3, w=4,
+    with a and b each commuting with c and d: in a rescan extraction every
+    a and b rescans the (c d)^k prefix."""
+    k = n * 3 // 10
+    return bytes([2, 3] * k + [4] + [i % 2 for i in range(n - 2 * k - 1)])
+
+
+SLOW_COMM = [0b01100, 0b01100, 0b00011, 0b00011, 0]
+
+
+def test_normal_form_matches_the_rescan_extraction_on_long_words():
+    rng = random.Random(36)
+    cases = []
+    for _ in range(60):
+        comm = _random_comm(rng.randint(1, 12), rng)
+        word = bytes(rng.randrange(len(comm)) for _ in range(rng.randint(50, 300)))
+        cases.append((word, comm))
+    cases += [(_slow_shape(n), SLOW_COMM) for n in (10, 33, 64, 101, 200, 255)]
+    for word, comm in cases:
+        got = kernels.normal_form(word, comm)
+        assert got == _rescan_normal_form(word, comm), (comm, list(word))
+        assert not _moves_left_past_a_greater_letter(got, comm), (comm, list(word))

@@ -312,6 +312,23 @@ def test_ball_element_limit(tmp_path):
     )
 
 
+def test_ball_element_limit_at_its_boundary(c5, monkeypatch):
+    # C5 has 1 + 5 + 15 elements through radius 2, and each of the 15 on
+    # the frontier could add 5 more: the bound before the last sphere of
+    # radius 3 is 96, the largest checked.  A cap of exactly 96 builds the
+    # ball; one lower refuses it.
+    ball = ball_bytes(c5, 3)
+    assert len(ball_bytes(c5, 2)) + 15 * c5.n == 96
+    monkeypatch.setattr("coxrank.words.MAX_BALL_ELEMENTS", 96)
+    assert ball_bytes(c5, 3) == ball
+    monkeypatch.setattr("coxrank.words.MAX_BALL_ELEMENTS", 95)
+    with pytest.raises(RadiusCapError) as exc:
+        ball_bytes(c5, 3)
+    assert str(exc.value) == (
+        "ball of radius 3 may exceed 95 elements (96 possible through radius 3)"
+    )
+
+
 def _ball_by_seen_set(comm, radius):
     """Reference: normalize every one-letter extension of the previous
     sphere and keep the new elements of the next length."""
