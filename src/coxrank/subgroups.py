@@ -10,7 +10,6 @@ The commutator subgroup is the dim-0 case.
 from __future__ import annotations
 
 import os
-from itertools import compress
 from typing import NamedTuple
 
 from .errors import SubgroupParseError
@@ -108,22 +107,33 @@ def member_mask(spec: SubgroupSpec, pmask: int) -> bool:
     return _reduce_vector(pmask, spec.basis) == 0
 
 
-def members(spec: SubgroupSpec, ball: Ball):
-    """The subgroup members among the encoded words of ``ball``, in order,
-    as an iterator.
+class _Verdicts(dict):
+    """``member_mask`` of each parity mask, decided on its first lookup."""
 
-    Membership depends only on the parity mask, which the ball carries
-    for each word (``Ball.parities``), so ``member_mask`` runs once per
-    distinct mask (32 times on the pentagon's radius-10 ball of 54,726
-    elements) and no word is folded again."""
-    verdicts = {pm: member_mask(spec, pm) for pm in set(ball.parities)}
-    return compress(ball, map(verdicts.__getitem__, ball.parities))
+    def __init__(self, spec: SubgroupSpec):
+        self.spec = spec
+
+    def __missing__(self, pmask: int) -> bool:
+        self[pmask] = verdict = member_mask(self.spec, pmask)
+        return verdict
+
+
+def member_ball(spec: SubgroupSpec, radius: int) -> Ball:
+    """The subgroup members of the ball of ``radius``, as ``ball_bytes``
+    gives them: encoded, shortlex sorted, with their ``parities``.
+
+    Membership depends only on the parity mask, so it is decided while the
+    ball is built: ``member_mask`` runs once per distinct mask (32 times on
+    the pentagon), and the outer sphere tests only the extensions that stay
+    in the subgroup.  On the pentagon at radius 10, the commutator subgroup
+    keeps 2,641 of the ball's 54,726 elements."""
+    return ball_bytes(spec.graph, radius, _Verdicts(spec).__getitem__)
 
 
 def enumerate_members(spec: SubgroupSpec, radius: int) -> list[Word]:
-    """Ball elements that lie in the subgroup, shortlex order."""
-    g = spec.graph
-    return [decode_word(g, w) for w in members(spec, ball_bytes(g, radius))]
+    """Ball elements that lie in the subgroup, shortlex order, each as its
+    normal form (``member_ball`` decoded)."""
+    return [decode_word(spec.graph, w) for w in member_ball(spec, radius)]
 
 
 def basis_strings(spec: SubgroupSpec) -> list[str]:

@@ -13,8 +13,8 @@ from coxrank.subgroups import (
     index_and_exponent,
     make_subgroup,
     member,
+    member_ball,
     member_mask,
-    members,
     parse_subgroup_file,
     resolve_subgroup,
     whole_group,
@@ -153,21 +153,19 @@ def _filtered(spec, ball):
     return [w for w in ball if member_mask(spec, parity_bits(w))]
 
 
-def test_members_matches_the_per_word_filter(c5):
-    ball = ball_bytes(c5, 6)
-    parity8 = parse_subgroup_file(
-        (Path(__file__).resolve().parent.parent / "graphs" / "parity8.sub").read_text(),
-        graph=c5,
-    )
-    for spec in (commutator_subgroup(c5), whole_group(c5), parity8):
-        assert list(members(spec, ball)) == _filtered(spec, ball)
+def _assert_ball(ball, expected):
+    assert ball == expected
+    assert list(ball.parities) == [parity_bits(w) for w in ball]
 
 
-def test_members_matches_the_per_word_filter_on_random_subspaces():
+def test_member_ball_matches_the_per_word_filter(c5):
+    # the filtered ball against the per-word filter of the whole ball: random
+    # graphs and subspaces, the whole group and the commutator, and a keep
+    # that is no subgroup's (it may refuse the identity)
     rng = random.Random(17)
-    for _ in range(60):
-        k = rng.randint(1, 6)
-        labels = "abcdef"[:k]
+    for _ in range(80):
+        k = rng.randint(1, 7)
+        labels = "abcdefg"[:k]
         edges = [
             (labels[i], labels[j])
             for i in range(k)
@@ -175,13 +173,28 @@ def test_members_matches_the_per_word_filter_on_random_subspaces():
             if rng.random() < 0.5
         ]
         g = DefiningGraph(labels, edges)
+        radius = rng.randint(0, 6)
+        full = ball_bytes(g, radius)
         rows = [rng.randrange(1 << k) for _ in range(rng.randint(0, k))]
-        spec = make_subgroup(g, rows)
-        ball = ball_bytes(g, rng.randint(0, 5))
-        assert list(members(spec, ball)) == _filtered(spec, ball)
+        for spec in (make_subgroup(g, rows), whole_group(g), commutator_subgroup(g)):
+            _assert_ball(member_ball(spec, radius), _filtered(spec, full))
+        chosen = frozenset(m for m in range(1 << k) if rng.random() < 0.5)
+        _assert_ball(
+            ball_bytes(g, radius, chosen.__contains__),
+            [w for w in full if parity_bits(w) in chosen],
+        )
+    parity8 = parse_subgroup_file(
+        (Path(__file__).resolve().parent.parent / "graphs" / "parity8.sub").read_text(),
+        graph=c5,
+    )
+    full = ball_bytes(c5, 10)
+    for spec, size in ((commutator_subgroup(c5), 2641), (parity8, 10_165)):
+        inside = member_ball(spec, 10)
+        assert len(inside) == size
+        _assert_ball(inside, _filtered(spec, full))
 
 
-def test_members_decides_once_per_parity_class(c5, monkeypatch):
+def test_member_ball_decides_once_per_parity_class(c5, monkeypatch):
     calls = []
 
     def counting(spec, pmask):
@@ -190,6 +203,24 @@ def test_members_decides_once_per_parity_class(c5, monkeypatch):
 
     monkeypatch.setattr(subgroups, "member_mask", counting)
     ball = ball_bytes(c5, 6)
-    inside = list(members(commutator_subgroup(c5), ball))
+    inside = member_ball(commutator_subgroup(c5), 6)
     assert len(calls) == len(set(calls)) == len({parity_bits(w) for w in ball})
     assert inside == [w for w in ball if parity_bits(w) == 0]
+
+
+def test_member_ball_refuses_the_radii_the_whole_ball_refuses(c5, monkeypatch):
+    # the bound counts every element built, kept or not: C5's bound before
+    # the sphere of radius 3 is 96 (test_ball_element_limit_at_its_boundary),
+    # though the commutator keeps only the identity through radius 2
+    spec = commutator_subgroup(c5)
+    inside = member_ball(spec, 3)
+    monkeypatch.setattr("coxrank.words.MAX_BALL_ELEMENTS", 96)
+    assert member_ball(spec, 3) == inside
+    monkeypatch.setattr("coxrank.words.MAX_BALL_ELEMENTS", 95)
+    with pytest.raises(RadiusCapError) as whole:
+        ball_bytes(c5, 3)
+    with pytest.raises(RadiusCapError) as filtered:
+        member_ball(spec, 3)
+    assert str(filtered.value) == str(whole.value) == (
+        "ball of radius 3 may exceed 95 elements (96 possible through radius 3)"
+    )

@@ -373,6 +373,15 @@ def test_repair_pipeline_drivers_keep_their_bytes():
          "125f653191d9cda6fb79c20b6fb7583b3c536ff17e57c956570faf6575047507"),
         (verify_cancellator_uniformity(g, None, 8),
          "c66046e4bd5b065c79da85928f38fc565a02caad34310f3ce8fbc82eccae6fb8"),
+        # at r=10 the subgroup balls are filtered while they are built
+        (verify_subgroup_covering(g, commutator_subgroup(g), 10),
+         "d2f863a4833e6da7df5e606b65e9e37dc00eca6301e2cfdaa76ee6a7da9ce28d"),
+        (verify_subgroup_covering(g, parity8, 10),
+         "1a0750f86b15fc2d02dc7a7546e298410e51117fdd1f93847b74939379f28f4d"),
+        (verify_cancellator_uniformity(g, commutator_subgroup(g), 10),
+         "255ddb94d52e4f031ac3575e1cc664fd7ecedee936f6bb3ecaf2f6b6693123a9"),
+        (verify_cancellator_uniformity(g, parity8, 10),
+         "20d3e3052e60ea6c58513822af4180a285221b31fdbf502481e479c76ed2745b"),
     ):
         assert _payload_digest(report) == digest, report.check
 
