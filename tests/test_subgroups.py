@@ -158,7 +158,24 @@ def _assert_ball(ball, expected):
     assert list(ball.parities) == [parity_bits(w) for w in ball]
 
 
-def test_member_ball_matches_the_per_word_filter(c5):
+def test_members_matches_the_per_word_filter(c5):
+    # member_ball against the per-word filter of C5's whole ball at r=10
+    parity8 = parse_subgroup_file(
+        (Path(__file__).resolve().parent.parent / "graphs" / "parity8.sub").read_text(),
+        graph=c5,
+    )
+    full = ball_bytes(c5, 10)
+    for spec, size in (
+        (commutator_subgroup(c5), 2641),
+        (parity8, 10_165),
+        (whole_group(c5), len(full)),
+    ):
+        inside = member_ball(spec, 10)
+        assert len(inside) == size
+        _assert_ball(inside, _filtered(spec, full))
+
+
+def test_members_matches_the_per_word_filter_on_random_subspaces():
     # the filtered ball against the per-word filter of the whole ball: random
     # graphs and subspaces, the whole group and the commutator, and a keep
     # that is no subgroup's (it may refuse the identity)
@@ -183,15 +200,6 @@ def test_member_ball_matches_the_per_word_filter(c5):
             ball_bytes(g, radius, chosen.__contains__),
             [w for w in full if parity_bits(w) in chosen],
         )
-    parity8 = parse_subgroup_file(
-        (Path(__file__).resolve().parent.parent / "graphs" / "parity8.sub").read_text(),
-        graph=c5,
-    )
-    full = ball_bytes(c5, 10)
-    for spec, size in ((commutator_subgroup(c5), 2641), (parity8, 10_165)):
-        inside = member_ball(spec, 10)
-        assert len(inside) == size
-        _assert_ball(inside, _filtered(spec, full))
 
 
 def test_member_ball_decides_once_per_parity_class(c5, monkeypatch):
