@@ -232,19 +232,22 @@ def load_graph(path) -> DefiningGraph:
 
 def _complement_reach(comm, start_bit: int) -> int:
     """Mask of the vertices that ``start_bit`` reaches in the complement of
-    the commutation graph ``comm``; stops as soon as every vertex is
-    reached."""
+    the commutation graph ``comm``.
+
+    Reached vertices are expanded one at a time, and the walk stops as
+    soon as every vertex is reached, even with some still unexpanded; a
+    vertex whose non-neighbours are all reached already adds nothing."""
     full = (1 << len(comm)) - 1
-    seen = frontier = start_bit
-    while frontier and seen != full:
-        nxt = 0
-        while frontier:
-            low = frontier & -frontier
-            frontier ^= low
-            nxt |= ~comm[low.bit_length() - 1]
-        frontier = nxt & full & ~seen
-        seen |= frontier
-    return seen
+    rest = full ^ start_bit  # not reached yet
+    todo = start_bit  # reached, not yet expanded
+    while todo and rest:
+        low = todo & -todo
+        todo ^= low
+        new = rest & ~comm[low.bit_length() - 1]
+        if new:
+            rest ^= new
+            todo |= new
+    return full ^ rest
 
 
 def is_join(g: DefiningGraph) -> bool:
@@ -320,8 +323,8 @@ def dj_prime(g: DefiningGraph) -> DefiningGraph:
     """
     labels, index = _doubled(g.vertices, "_m1", "_1")
     n = g.n
-    half = tuple(m | (m << n) for m in g.comm_masks)
-    return DefiningGraph._from_masks(labels, half + half, index)
+    half = [m | (m << n) for m in g.comm_masks]
+    return DefiningGraph._from_masks(labels, tuple(half + half), index)
 
 
 def dj_double_prime(g: DefiningGraph) -> DefiningGraph:

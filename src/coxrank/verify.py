@@ -194,9 +194,11 @@ def verify_parity_invariance(
 
     Each move is drawn uniformly from the word's swap positions, cancel
     positions and doubled-letter insertions.  The numbers of swap and
-    cancel positions are running counts: an insertion updates them from
-    the pairs it creates and splits, any other move recounts them, and a
-    word is scanned for the chosen swap or cancel only when one is drawn.
+    cancel positions are running counts: every legal move updates them
+    from the adjacent pairs it creates and removes, and only a trial's
+    start and its corrupting deletion count them over the whole word.  A
+    word is scanned for the chosen swap or cancel only when one is drawn,
+    and the scan stops at it.
     ``maxLen`` is capped at PARITY_MAX_LEN, and trials times the units
     of one trial at PARITY_MAX_WORK."""
     t0 = time.perf_counter()
@@ -233,15 +235,45 @@ def verify_parity_invariance(
                 ns, nc = _move_counts(word, comm)
             else:
                 pick = rng.randrange(ns + nc + (len(word) + 1) * n)
-                if pick < ns + nc:
-                    pairs = zip(range(len(word)), word, word[1:])
-                    if pick < ns:
-                        i = [j for j, x, y in pairs if (comm[x] >> y) & 1][pick]
-                        word[i], word[i + 1] = word[i + 1], word[i]
-                    else:
-                        i = [j for j, x, y in pairs if x == y][pick - ns]
-                        del word[i : i + 2]
-                    ns, nc = _move_counts(word, comm)
+                if pick < ns:
+                    # swap at the pick-th swap position (counting from 0):
+                    # (prev, x), (y, next) become (prev, y), (x, next), and
+                    # (x, y) stays a swap
+                    i = -1
+                    while pick >= 0:
+                        i += 1
+                        pick -= (comm[word[i]] >> word[i + 1]) & 1
+                    x, y = word[i], word[i + 1]
+                    if i:
+                        prev = word[i - 1]
+                        ns += ((comm[prev] >> y) & 1) - ((comm[prev] >> x) & 1)
+                        nc += (prev == y) - (prev == x)
+                    if i + 2 < len(word):
+                        nxt = word[i + 2]
+                        ns += ((comm[x] >> nxt) & 1) - ((comm[y] >> nxt) & 1)
+                        nc += (x == nxt) - (y == nxt)
+                    word[i], word[i + 1] = y, x
+                elif pick < ns + nc:
+                    # cancel at the (pick - ns)-th cancel position: (prev, x),
+                    # (x, x), (x, next) become (prev, next)
+                    i = -1
+                    while pick >= ns:
+                        i += 1
+                        pick -= word[i] == word[i + 1]
+                    x = word[i]
+                    nc -= 1
+                    if i:
+                        prev = word[i - 1]
+                        ns -= (comm[prev] >> x) & 1
+                        nc -= prev == x
+                    if i + 2 < len(word):
+                        nxt = word[i + 2]
+                        ns -= (comm[x] >> nxt) & 1
+                        nc -= x == nxt
+                        if i:
+                            ns += (comm[prev] >> nxt) & 1
+                            nc += prev == nxt
+                    del word[i : i + 2]
                 else:
                     pos, s = divmod(pick - ns - nc, n)
                     # pairs (prev, s), (s, s), (s, next) replace (prev, next);
@@ -294,6 +326,13 @@ def _closure_partition(n: int, comm, cap: int):
     and ``a b w ~ b a w``.  A root r of length l shifts to
     r + (c + 1) n^l under the first letter c.  Only raw moves are applied;
     no normal-form code is involved.
+
+    A position-0 move pairs two blocks of ranks, and the union-find joins
+    each distinct pair of their parent links once rather than each pair of
+    ranks: a rank and its parent link are already in one class, so the
+    partition is the same.  The smaller root still wins every union and
+    the final pass puts each rank on its class's least member, so
+    ``roots`` is the same list too.
     """
     pows = [1]
     for _ in range(cap):
@@ -329,7 +368,8 @@ def _closure_partition(n: int, comm, cap: int):
                 for b in above[a]
             ]
             for x0, y0 in blocks:
-                for x, y in zip(range(x0, x0 + lo), range(y0, y0 + lo)):
+                # one union per distinct pair of parent links (see above)
+                for x, y in set(zip(roots[x0 : x0 + lo], roots[y0 : y0 + lo])):
                     # union with path halving; the smaller root wins
                     while roots[x] != x:
                         roots[x] = x = roots[roots[x]]

@@ -1,4 +1,6 @@
 import itertools
+import random
+from collections import Counter
 
 import pytest
 
@@ -124,30 +126,49 @@ def test_join_decompose_reconstructs_and_factors_are_join_free():
 def _splits(g):
     """Nonempty vertex masks A with every vertex of A adjacent to every
     vertex outside A, by brute force over all bipartitions."""
-    n = g.n
+    full = (1 << g.n) - 1
+    comm = g.comm_masks
+    # i is adjacent to every vertex outside A iff comm[i] | A is everything
     return [
         a
-        for a in range(1, 1 << n)
-        if all(
-            g.adjacent(g.vertices[i], g.vertices[j])
-            for i in range(n)
-            if (a >> i) & 1
-            for j in range(n)
-            if not (a >> j) & 1
-        )
+        for a in range(1, full + 1)
+        if all(comm[i] | a == full for i in range(g.n) if (a >> i) & 1)
     ]
 
 
-def test_join_structure_matches_brute_force_bipartitions():
+def _check_join_structure(g):
     # g is a join iff a proper subset splits off; the complement's
     # components are the minimal splitting subsets
+    splits = _splits(g)
+    assert is_join(g) == (len(splits) > 1), g
+    minimal = [a for a in splits if not any(b != a and b & a == b for b in splits)]
+    assert g.complement_components() == sorted(
+        [i for i in range(g.n) if (a >> i) & 1] for a in minimal
+    ), g
+
+
+def test_join_structure_matches_brute_force_bipartitions():
     for g in every_graph(5):
-        splits = _splits(g)
-        assert is_join(g) == (len(splits) > 1)
-        minimal = [a for a in splits if not any(b != a and b & a == b for b in splits)]
-        assert g.complement_components() == sorted(
-            [i for i in range(g.n) if (a >> i) & 1] for a in minimal
-        )
+        _check_join_structure(g)
+
+
+def test_join_structure_matches_brute_force_bipartitions_past_5_vertices():
+    # the doubles of every graph on at most 4 vertices have up to 8, and a
+    # seeded sample has 6-10; a wide spread of edge densities gives joins
+    # of up to 10 factors as well as join-free graphs
+    kinds = Counter()
+    for g in every_graph(4):
+        for d in (dj_prime(g), dj_double_prime(g)):
+            _check_join_structure(d)
+            kinds[d.n, is_join(d)] += 1
+    rng = random.Random(3838)
+    for _ in range(400):
+        verts = "abcdefghij"[: rng.randint(6, 10)]
+        p = rng.choice((0.3, 0.5, 0.7, 0.85, 0.95, 1.0))
+        g = DefiningGraph(verts, [e for e in itertools.combinations(verts, 2) if rng.random() < p])
+        _check_join_structure(g)
+        kinds[g.n, is_join(g)] += 1
+    assert all(kinds[n, join] for n in range(6, 11) for join in (False, True)), kinds
 
 
 def test_classify_factor(c5):

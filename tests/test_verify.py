@@ -89,15 +89,18 @@ def test_parity_invariance_deterministic(c5):
     assert da == db
 
 
-def _relisting_parity_payload(g, trials, max_len, seed, corrupt):
+def _relisting_parity_payload(g, trials, max_len, seed, corrupt, recounted):
     """Reference parity driver: every move re-lists all swap and cancel
     positions of the word.  It shares no code with
-    verify_parity_invariance and returns its payload without elapsedMs."""
+    verify_parity_invariance and returns its payload without elapsedMs.
+    Each word whose parity it counts (a trial's start, then the word after
+    every move) is appended to ``recounted``."""
     rng = random.Random(seed)
     n = g.n
     comm = g.comm_masks
 
     def parity(word):
+        recounted.append(tuple(word))
         return [word.count(x) % 2 for x in range(n)]
 
     def fmt(word):
@@ -159,20 +162,34 @@ def _random_small_graphs(count, seed):
         )
 
 
-def test_parity_running_counts_match_the_relisting_driver(c4, c5, k3, dinf):
+def test_parity_running_counts_match_the_relisting_driver(c4, c5, k3, dinf, monkeypatch):
+    # a PASS payload holds no word, so the payloads alone would miss a
+    # wrong running count that only changes the walk; both drivers record
+    # every word whose parity they count, and the sequences must agree
+    recounted = []
+
+    def recorder(word):
+        recounted.append(tuple(word))
+        return parity_bits(word)
+
+    monkeypatch.setattr(coxrank.verify, "parity_bits", recorder)
     p4 = DefiningGraph("abcd", [("a", "b"), ("b", "c"), ("c", "d")])
     graphs = [c4, c5, k3, dinf, p4, *_random_small_graphs(30, seed=1212)]
     failing = 0
     for g in graphs:
         for seed in range(4):
-            for max_len in (1, 2, 3, 12):
+            for max_len in (1, 2, 3, 12, 40):
                 for corrupt in (False, True):
+                    recounted.clear()
                     got = verify_parity_invariance(
                         g, trials=12, max_len=max_len, seed=seed, _corrupt=corrupt
                     ).to_json_dict()
+                    walk = list(recounted)
                     del got["elapsedMs"]
-                    want = _relisting_parity_payload(g, 12, max_len, seed, corrupt)
+                    recounted.clear()
+                    want = _relisting_parity_payload(g, 12, max_len, seed, corrupt, recounted)
                     assert got == want, (g, seed, max_len, corrupt)
+                    assert walk == recounted, (g, seed, max_len, corrupt)
                     failing += bool(want["failures"])
     assert failing  # the corrupted runs do compare failure lists
 
@@ -383,6 +400,35 @@ def test_repair_pipeline_drivers_keep_their_bytes():
         (verify_cancellator_uniformity(g, parity8, 10),
          "20d3e3052e60ea6c58513822af4180a285221b31fdbf502481e479c76ed2745b"),
     ):
+        assert _payload_digest(report) == digest, report.check
+
+
+def test_exhaustive_drivers_keep_their_bytes(monkeypatch):
+    # a PASS payload holds no word, so the corrupted runs carry the pin of
+    # the walk: with every record kept, each failure shows the word that
+    # the legal moves reached before its trial's corruption
+    g = load_graph(GRAPHS / "c5.txt")
+    for report, digest in (
+        (verify_parity_invariance(g, 2_000, seed=1),
+         "2d2ef73ee55f9e744db9a40dc0a22151223231552727489ecbd82e9f80eb4794"),
+        (verify_parity_invariance(g, 500, max_len=40, seed=2),
+         "2fc9e15833dfd2a4f7f5c292de8b93b09998abaa3968f41dccbd1dec9da5f52c"),
+        (verify_word_problem(g, 5),
+         "10293f42082bcd07524891fd189aef554128d99ec08c67d1835fbf60ec43069c"),
+        (verify_join_lemma(5),
+         "5740c618b92c41fbf3864f275d20a20a56c24ba0a3494f8814b7ad5a96399ebd"),
+        (verify_join_lemma(6),
+         "7a72a4771413e180b8b1ff067d3c09496da5b3702408cb58bd241431441f58ae"),
+    ):
+        assert _payload_digest(report) == digest, report.check
+    monkeypatch.setattr(coxrank.verify, "MAX_FAILURE_RECORDS", 10**6)
+    for report, digest in (
+        (verify_parity_invariance(g, 2_000, seed=1, _corrupt=True),
+         "dd1e6ada08beef608afaf3cb2be1d92e42accd4255219ef230b42ced1c1cc4e9"),
+        (verify_parity_invariance(g, 500, max_len=40, seed=2, _corrupt=True),
+         "d56171a3b778cc5321304561e25dec69853731bb8eeeefcbf418fc3bbd2f3ad7"),
+    ):
+        assert len(report.failures) == report.total_cases
         assert _payload_digest(report) == digest, report.check
 
 
